@@ -1,6 +1,8 @@
 // Columnar data-plane microbenchmark: the batch evaluator vs the legacy
 // row-at-a-time interpreter on wide records, the sorted-run ItemSet kernels
-// vs a generic Value-merge reference, and the Bloom semijoin pre-filter.
+// vs a generic Value-merge reference (pairwise, interleaved in-place, and
+// n-ary unions), the session's learned-universe accumulation, and the Bloom
+// semijoin pre-filter.
 // Every timed pair is also checked byte-identical — the data plane refactor
 // is only allowed to change *where time goes*, never an answer.
 //
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench_util.h"
@@ -191,6 +194,152 @@ void BenchItemSetKernels(size_t pool, int repeats) {
       kern_ms > 0.0 ? ref_ms / kern_ms : 0.0);
 }
 
+/// Interleaved accumulation, the shape of the executors' per-source
+/// observation sets: `pieces` stride-`pieces` slices of [0, pool), merged
+/// one at a time, so every merge after the first interleaves. The typed
+/// UnionInPlace is timed against the generic Value fold it replaced.
+void BenchUnionInPlaceInterleaved(size_t pool, size_t pieces, int repeats) {
+  bench::Banner("columnar: interleaved UnionInPlace accumulation");
+  std::vector<ItemSet> slices;
+  for (size_t p = 0; p < pieces; ++p) {
+    std::vector<Value> slice;
+    for (size_t i = p; i < pool; i += pieces) {
+      slice.push_back(Value(static_cast<int64_t>(i)));
+    }
+    slices.push_back(ItemSet::FromSortedUnique(std::move(slice)));
+  }
+  auto generic_fold = [&] {
+    std::vector<Value> acc;
+    for (const ItemSet& slice : slices) {
+      acc = ReferenceUnion(acc, slice.values());
+    }
+    return acc;
+  };
+  auto typed_fold = [&] {
+    ItemSet acc;
+    for (const ItemSet& slice : slices) acc.UnionInPlace(slice);
+    return acc;
+  };
+  FUSION_CHECK(typed_fold().ToString() ==
+               ItemSet::FromSortedUnique(generic_fold()).ToString());
+  FUSION_CHECK(typed_fold().size() == pool);
+
+  const auto t_ref = std::chrono::steady_clock::now();
+  size_t sink_ref = 0;
+  for (int i = 0; i < repeats; ++i) sink_ref += generic_fold().size();
+  const double ref_ms = MillisSince(t_ref);
+  const auto t_kern = std::chrono::steady_clock::now();
+  size_t sink_kern = 0;
+  for (int i = 0; i < repeats; ++i) sink_kern += typed_fold().size();
+  const double kern_ms = MillisSince(t_kern);
+  FUSION_CHECK(sink_ref == sink_kern);
+  std::printf(
+      "  %zu items in %zu interleaved slices x %d repeats\n"
+      "  generic Value fold  %10.2f ms\n"
+      "  typed UnionInPlace  %10.2f ms\n"
+      "  speedup             %10.2fx\n",
+      pool, pieces, repeats, ref_ms, kern_ms,
+      kern_ms > 0.0 ? ref_ms / kern_ms : 0.0);
+}
+
+/// The executors' n-ary union op: one UnionAll pass over `ways` overlapping
+/// inputs against the k - 1 successive pairwise Unions it replaced.
+void BenchUnionAll(size_t per_input, size_t ways, int repeats) {
+  bench::Banner("columnar: n-ary UnionAll vs repeated pairwise Union");
+  Rng rng(17);
+  std::vector<ItemSet> inputs;
+  for (size_t w = 0; w < ways; ++w) {
+    std::vector<Value> values;
+    for (size_t i = 0; i < per_input; ++i) {
+      values.push_back(Value(rng.Uniform(0, static_cast<int64_t>(
+                                                 per_input * ways / 2))));
+    }
+    inputs.push_back(ItemSet(std::move(values)));
+  }
+  std::vector<const ItemSet*> pointers;
+  for (const ItemSet& input : inputs) pointers.push_back(&input);
+  auto pairwise = [&] {
+    ItemSet acc;
+    for (const ItemSet& input : inputs) acc = ItemSet::Union(acc, input);
+    return acc;
+  };
+  std::vector<Value> reference;
+  for (const ItemSet& input : inputs) {
+    reference = ReferenceUnion(reference, input.values());
+  }
+  const std::string expected =
+      ItemSet::FromSortedUnique(std::move(reference)).ToString();
+  FUSION_CHECK(ItemSet::UnionAll(pointers).ToString() == expected);
+  FUSION_CHECK(pairwise().ToString() == expected);
+
+  const auto t_pair = std::chrono::steady_clock::now();
+  size_t sink_pair = 0;
+  for (int i = 0; i < repeats; ++i) sink_pair += pairwise().size();
+  const double pair_ms = MillisSince(t_pair);
+  const auto t_all = std::chrono::steady_clock::now();
+  size_t sink_all = 0;
+  for (int i = 0; i < repeats; ++i) {
+    sink_all += ItemSet::UnionAll(pointers).size();
+  }
+  const double all_ms = MillisSince(t_all);
+  FUSION_CHECK(sink_pair == sink_all);
+  std::printf(
+      "  %zu-way union of %zu-item inputs x %d repeats\n"
+      "  pairwise Union      %10.2f ms\n"
+      "  UnionAll            %10.2f ms\n"
+      "  speedup             %10.2fx\n",
+      ways, per_input, repeats, pair_ms, all_ms,
+      all_ms > 0.0 ? pair_ms / all_ms : 0.0);
+}
+
+/// The session's learned universe bound: each "query" reports `sources`
+/// per-source item sets drawn from a `universe`-item federation. The
+/// incremental Value hash set is timed against rebuilding a sorted ItemSet
+/// union per source per query; the two counts must agree after every query.
+void BenchUniverseAccumulation(size_t universe, size_t sources,
+                               size_t per_source, int queries) {
+  bench::Banner("columnar: learned universe, hash set vs ItemSet rebuild");
+  Rng rng(23);
+  std::vector<std::vector<ItemSet>> reports(static_cast<size_t>(queries));
+  for (std::vector<ItemSet>& report : reports) {
+    for (size_t j = 0; j < sources; ++j) {
+      std::vector<Value> values;
+      for (size_t i = 0; i < per_source; ++i) {
+        values.push_back(
+            Value(rng.Uniform(0, static_cast<int64_t>(universe) - 1)));
+      }
+      report.push_back(ItemSet(std::move(values)));
+    }
+  }
+  std::vector<size_t> rebuilt_sizes, hashed_sizes;
+  const auto t_rebuild = std::chrono::steady_clock::now();
+  {
+    ItemSet seen;
+    for (const std::vector<ItemSet>& report : reports) {
+      for (const ItemSet& items : report) seen = ItemSet::Union(seen, items);
+      rebuilt_sizes.push_back(seen.size());
+    }
+  }
+  const double rebuild_ms = MillisSince(t_rebuild);
+  const auto t_hash = std::chrono::steady_clock::now();
+  {
+    std::unordered_set<Value, ValueHash> seen;
+    for (const std::vector<ItemSet>& report : reports) {
+      for (const ItemSet& items : report) seen.insert(items.begin(), items.end());
+      hashed_sizes.push_back(seen.size());
+    }
+  }
+  const double hash_ms = MillisSince(t_hash);
+  FUSION_CHECK(rebuilt_sizes == hashed_sizes);
+  std::printf(
+      "  %d queries x %zu sources x %zu items, %zu-item universe\n"
+      "  ItemSet rebuild     %10.2f ms\n"
+      "  hash set            %10.2f ms\n"
+      "  speedup             %10.2fx\n",
+      queries, sources, per_source, universe, rebuild_ms, hash_ms,
+      hash_ms > 0.0 ? rebuild_ms / hash_ms : 0.0);
+}
+
 struct BloomInstance {
   SourceCatalog catalog;
   FusionQuery query;
@@ -265,6 +414,9 @@ void Run(bool smoke) {
   const int repeats = smoke ? 2 : 20;
   BenchLocalEval(rows, repeats, smoke);
   BenchItemSetKernels(smoke ? 5000 : 200000, smoke ? 3 : 50);
+  BenchUnionInPlaceInterleaved(smoke ? 4000 : 100000, 8, smoke ? 2 : 20);
+  BenchUnionAll(smoke ? 500 : 20000, 8, smoke ? 2 : 50);
+  BenchUniverseAccumulation(20000, 8, smoke ? 200 : 1000, smoke ? 20 : 500);
   BenchBloomPrefilter(smoke ? 300 : 3000, smoke ? 50 : 500);
   if (smoke) std::printf("bench_columnar: ok\n");
 }

@@ -18,9 +18,10 @@ namespace fusion {
 /// probes never changes an answer, only saves work. False positives merely
 /// cost a wasted probe (bounded by `target_fpp`).
 ///
-/// Keys are Value::Hash(), which hashes int64s that round-trip through
-/// double identically to the equal double — so cross-type numeric equality
-/// (int64 5 vs double 5.0) cannot produce a false negative either.
+/// Keys are Value::Hash(), which hashes every int64 through its double
+/// form, exactly as Value::Compare compares it with a double — so
+/// cross-type numeric equality (int64 5 vs double 5.0, or int64 2^53 + 1 vs
+/// the double 2^53 it rounds to) cannot produce a false negative either.
 class BloomFilter {
  public:
   /// An empty filter over nothing: MayContain is false for everything.

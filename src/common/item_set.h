@@ -38,16 +38,27 @@ class ItemSet {
   /// Returns true if the value was newly inserted.
   bool Insert(const Value& v);
 
-  /// Set algebra; all O(|a| + |b|) merges.
+  /// Set algebra; all O(|a| + |b|) merges. When both sets hold one scalar
+  /// type, the merge compares natively instead of through the Value
+  /// variant's cross-type order.
   static ItemSet Union(const ItemSet& a, const ItemSet& b);
   static ItemSet Intersect(const ItemSet& a, const ItemSet& b);
   static ItemSet Difference(const ItemSet& a, const ItemSet& b);
 
-  /// Merges `other` into this set without allocating a fresh result vector.
-  /// When `other` sorts entirely after the current contents — the shape of
-  /// per-probe accumulation over sorted candidates — this is O(|other|), so
-  /// accumulating k disjoint ordered pieces is O(n) total instead of the
-  /// O(k·n) that repeated `a = Union(a, b)` rebuilds cost.
+  /// Union of any number of sets: each input is decoded once (to raw
+  /// scalars when all share one type), the runs are merged pairwise in
+  /// log2(k) passes over two buffers, and the result is encoded once —
+  /// instead of the k intermediate sets that k successive Union or
+  /// UnionInPlace calls build. Equal to folding Union over `inputs`.
+  static ItemSet UnionAll(const std::vector<const ItemSet*>& inputs);
+
+  /// Merges `other` into this set. When `other` sorts entirely after the
+  /// current contents — the shape of per-probe accumulation over sorted
+  /// candidates — this is an O(|other|) append, so accumulating k disjoint
+  /// ordered pieces is O(n) total instead of the O(k·n) that repeated
+  /// `a = Union(a, b)` rebuilds cost. Otherwise only the suffix at or above
+  /// other.front() is merged, in place, with the same typed comparators as
+  /// Union.
   void UnionInPlace(const ItemSet& other);
 
   bool operator==(const ItemSet& other) const {

@@ -129,17 +129,12 @@ size_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
       return 0x9e3779b97f4a7c15ULL;
-    case ValueType::kInt64: {
-      // Hash integral values through their double form when exactly
-      // representable so that Value(2) and Value(2.0) hash alike, matching
-      // Compare()-equality.
-      const int64_t v = int64();
-      const double d = static_cast<double>(v);
-      if (static_cast<int64_t>(d) == v) {
-        return std::hash<double>()(d);
-      }
-      return std::hash<int64_t>()(v);
-    }
+    case ValueType::kInt64:
+      // Every int64 hashes through its double form, exactly as Compare()
+      // compares it against a double: Value(2) and Value(2.0) hash alike,
+      // and so do Value(2^53 + 1) and Value(2^53 as double), which compare
+      // equal because the int64 rounds to the double.
+      return std::hash<double>()(static_cast<double>(int64()));
     case ValueType::kDouble:
       return std::hash<double>()(dbl());
     case ValueType::kString:

@@ -63,8 +63,8 @@ class Value {
   bool operator>(const Value& other) const { return Compare(other) > 0; }
   bool operator>=(const Value& other) const { return Compare(other) >= 0; }
 
-  /// Stable hash consistent with operator== (numeric cross-type equality
-  /// hashes both int64 and double forms of integral doubles identically).
+  /// Stable hash consistent with operator==: every int64 hashes as its
+  /// double form, so values equal across int64/double hash identically.
   size_t Hash() const;
 
   /// Approximate resident size in bytes, including string payloads. Used by

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -230,6 +231,16 @@ auto CallWithRetries(Fn fn, const CallContext& ctx = {}) -> decltype(fn()) {
     result = one_attempt(attempt);
   }
   return result;
+}
+
+/// The ∪ op of every plan evaluator: one ItemSet::UnionAll pass over the
+/// (already evaluated) input variables.
+inline ItemSet UnionOfVars(const std::vector<int>& inputs,
+                           const std::vector<std::optional<ItemSet>>& vars) {
+  std::vector<const ItemSet*> sets;
+  sets.reserve(inputs.size());
+  for (const int v : inputs) sets.push_back(&*vars[static_cast<size_t>(v)]);
+  return ItemSet::UnionAll(sets);
 }
 
 /// Emulates sjq(cond, source, candidates) with one passed-binding selection

@@ -380,12 +380,10 @@ class PlanInterpreter {
         break;
       }
       case PlanOpKind::kUnion: {
-        ItemSet acc;
-        for (int v : op.inputs) {
-          if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(v, lazy));
-          acc.UnionInPlace(*items_[v]);
+        if (lazy) {
+          for (int v : op.inputs) FUSION_RETURN_IF_ERROR(EvalVar(v, lazy));
         }
-        items_[op.target] = std::move(acc);
+        items_[op.target] = exec_internal::UnionOfVars(op.inputs, items_);
         break;
       }
       case PlanOpKind::kIntersect: {

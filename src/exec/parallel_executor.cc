@@ -305,11 +305,7 @@ class ParallelPlanRun {
         break;
       }
       case PlanOpKind::kUnion: {
-        ItemSet acc;
-        for (int v : op.inputs) {
-          acc.UnionInPlace(*items_[v]);
-        }
-        items_[op.target] = std::move(acc);
+        items_[op.target] = exec_internal::UnionOfVars(op.inputs, items_);
         break;
       }
       case PlanOpKind::kIntersect: {

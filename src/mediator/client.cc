@@ -149,8 +149,7 @@ Result<Client> Client::Builder::Build() {
   }
   if (targets_set_ > 1) {
     return Status::InvalidArgument(
-        "Client::Builder: exactly one target per Build (To / Catalog / "
-        "CatalogFile / Connect called " +
+        "Client::Builder: exactly one target per Build (To called " +
         std::to_string(targets_set_) + " times)");
   }
   Client client;

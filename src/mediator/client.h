@@ -144,19 +144,6 @@ class Client {
       return *this;
     }
 
-    /// Deprecated shim for To(Target::Embedded(...)).
-    Builder& Catalog(SourceCatalog catalog) {
-      return To(Target::Embedded(std::move(catalog)));
-    }
-    /// Deprecated shim for To(Target::EmbeddedFile(...)).
-    Builder& CatalogFile(const std::string& path) {
-      return To(Target::EmbeddedFile(path));
-    }
-    /// Deprecated shim for To(Target::Remote(...)).
-    Builder& Connect(const std::string& endpoint) {
-      return To(Target::Remote(endpoint));
-    }
-
     /// Connected mode's fair-scheduling identity (defaults to "anon"; every
     /// distinct id gets its own round-robin turn at the service).
     Builder& ClientId(const std::string& id) {

@@ -161,9 +161,7 @@ Result<DistributedReport> ExecutePlanDistributed(
         break;
       }
       case PlanOpKind::kUnion: {
-        ItemSet acc;
-        for (const int v : op.inputs) acc.UnionInPlace(*items[v]);
-        items[op.target] = std::move(acc);
+        items[op.target] = exec_internal::UnionOfVars(op.inputs, items);
         break;
       }
       case PlanOpKind::kIntersect: {

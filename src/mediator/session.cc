@@ -142,7 +142,7 @@ void QuerySession::Learn(const FusionQuery& query, const OptimizedPlan& plan,
     }
   }
   for (const ItemSet& items : report.per_source_items) {
-    observed_universe_ = ItemSet::Union(observed_universe_, items);
+    observed_universe_.insert(items.begin(), items.end());
   }
 }
 

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_set>
 
 #include "exec/source_call_cache.h"
 #include "exec/source_health.h"
@@ -140,6 +141,12 @@ class QuerySession {
     std::lock_guard<std::mutex> lock(knowledge_mutex_);
     return observed_result_size_.size();
   }
+  /// Distinct merge-attribute items seen in any execution so far: the
+  /// learned universe lower bound (before the default_universe floor).
+  size_t observed_universe_size() const {
+    std::lock_guard<std::mutex> lock(knowledge_mutex_);
+    return observed_universe_.size();
+  }
 
   /// Drops every memoized answer (all sources) — e.g. after bulk updates.
   /// Safe while queries are running; see SourceCallCache::Clear.
@@ -173,7 +180,14 @@ class QuerySession {
   mutable std::mutex knowledge_mutex_;
   std::map<std::pair<size_t, std::string>, double> observed_result_size_;
   std::map<size_t, double> observed_cardinality_;
-  ItemSet observed_universe_;
+  /// Every item any execution has returned, kept incrementally: a query
+  /// pays for the items it saw, not for the session's whole history. Its
+  /// size equals that of the ItemSet union of the same items, since
+  /// Value::Hash agrees with Value equality (int64 vs double included).
+  /// (The one exception is shared with ItemSet itself: int64s beyond 2^53
+  /// next to doubles they round to, where Value equality is not
+  /// transitive and no sorted-unique union is well defined.)
+  std::unordered_set<Value, ValueHash> observed_universe_;
 
   /// Last executed plan per (strategy, canonical query), FIFO-bounded. On a
   /// repeated query the memoized plan's calls are exact cache hits, so

@@ -58,15 +58,14 @@ TEST(ClientBuilderTest, RejectsTwoTargets) {
   EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
 }
 
-// The deprecated Catalog/Connect shims forward to To(), so mixing them
-// still trips the one-target rule.
-TEST(ClientBuilderTest, DeprecatedShimsForwardToTargets) {
-  auto instance = BuildDmvFigure1();
-  ASSERT_TRUE(instance.ok());
-  const auto client = Client::Builder()
-                          .Catalog(std::move(instance->catalog))
-                          .Connect("127.0.0.1:1")
-                          .Build();
+// An INI catalog path counts as a target too, so pairing it with an
+// endpoint trips the one-target rule.
+TEST(ClientBuilderTest, RejectsCatalogFileAndEndpoint) {
+  const auto client =
+      Client::Builder()
+          .To(Client::Target::EmbeddedFile("examples/data/dmv.ini"))
+          .To(Client::Target::Remote("127.0.0.1:1"))
+          .Build();
   ASSERT_FALSE(client.ok());
   EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
 #include <thread>
@@ -430,6 +431,125 @@ TEST(ItemSetKernelTest, UnionInPlaceAllDuplicateSuffixNoCorruption) {
 }
 
 // ---------------------------------------------------------------------------
+// ItemSet: UnionInPlace / UnionAll vs a generic Value reference merge
+// ---------------------------------------------------------------------------
+
+/// Value pools for the union differentials. kMixedNumeric draws int64s and
+/// half-integral doubles from one range, so integral doubles equal to
+/// int64s occur and the pools must take the generic merge.
+enum class PoolKind { kInt64, kDouble, kString, kMixedNumeric };
+
+constexpr PoolKind kPoolKinds[] = {PoolKind::kInt64, PoolKind::kDouble,
+                                   PoolKind::kString, PoolKind::kMixedNumeric};
+
+/// One value drawn from x in [lo, hi]; the value order follows x.
+Value PoolValue(Rng& rng, PoolKind kind, int64_t lo, int64_t hi) {
+  const int64_t x = rng.Uniform(lo, hi);
+  switch (kind) {
+    case PoolKind::kInt64:
+      return Value(x);
+    case PoolKind::kDouble:
+      return Value(static_cast<double>(x) / 2.0);
+    case PoolKind::kString: {
+      char buf[24];
+      std::snprintf(buf, sizeof(buf), "v%08lld", static_cast<long long>(x));
+      return Value(buf);
+    }
+    case PoolKind::kMixedNumeric:
+      return rng.Bernoulli(0.5) ? Value(x / 2)
+                                : Value(static_cast<double>(x) / 2.0);
+  }
+  return Value::Null();
+}
+
+ItemSet PoolSet(Rng& rng, PoolKind kind, size_t n, int64_t lo, int64_t hi) {
+  std::vector<Value> values;
+  for (size_t i = 0; i < n; ++i) values.push_back(PoolValue(rng, kind, lo, hi));
+  return ItemSet(std::move(values));
+}
+
+/// The generic reference: std::set_union over Value runs, folded left to
+/// right, never touching the typed kernels.
+ItemSet ReferenceUnion(const std::vector<ItemSet>& sets) {
+  std::vector<Value> acc;
+  for (const ItemSet& set : sets) {
+    std::vector<Value> next;
+    std::set_union(acc.begin(), acc.end(), set.begin(), set.end(),
+                   std::back_inserter(next));
+    acc = std::move(next);
+  }
+  return ItemSet::FromSortedUnique(std::move(acc));
+}
+
+ItemSet UnionAllOf(const std::vector<ItemSet>& sets) {
+  std::vector<const ItemSet*> inputs;
+  for (const ItemSet& set : sets) inputs.push_back(&set);
+  return ItemSet::UnionAll(inputs);
+}
+
+TEST(ItemSetKernelTest, UnionAllMatchesGenericReference) {
+  Rng rng(7301);
+  for (const PoolKind kind : kPoolKinds) {
+    for (int trial = 0; trial < 60; ++trial) {
+      // 0..8 inputs of 0..30 items each: empty inputs and empty input
+      // lists included.
+      std::vector<ItemSet> sets(static_cast<size_t>(rng.Uniform(0, 8)));
+      for (ItemSet& set : sets) {
+        set = PoolSet(rng, kind, static_cast<size_t>(rng.Uniform(0, 30)), -40,
+                      40);
+      }
+      EXPECT_EQ(UnionAllOf(sets).ToString(), ReferenceUnion(sets).ToString())
+          << "kind " << static_cast<int>(kind) << " trial " << trial;
+    }
+  }
+}
+
+TEST(ItemSetKernelTest, UnionAllOfDuplicatesAndEmpties) {
+  Rng rng(7302);
+  for (const PoolKind kind : kPoolKinds) {
+    const ItemSet base = PoolSet(rng, kind, 25, -40, 40);
+    // k copies of one set, with empty sets around and between them.
+    const std::vector<ItemSet> copies = {ItemSet(), base, base, ItemSet(),
+                                         base, ItemSet()};
+    EXPECT_EQ(UnionAllOf(copies).ToString(), base.ToString());
+    EXPECT_EQ(UnionAllOf({ItemSet(), ItemSet()}).ToString(), "{}");
+    EXPECT_EQ(UnionAllOf({}).ToString(), "{}");
+    EXPECT_EQ(UnionAllOf({base}).ToString(), base.ToString());
+  }
+}
+
+TEST(ItemSetKernelTest, UnionInPlaceMatchesGenericReference) {
+  Rng rng(7303);
+  for (const PoolKind kind : kPoolKinds) {
+    for (const bool append_only : {false, true}) {
+      // Interleaved pieces overlap one range; append-only pieces occupy
+      // rising, disjoint ranges (the per-probe accumulation shape). Every
+      // fourth piece repeats the one before it (all duplicates), and some
+      // pieces are empty.
+      ItemSet acc;
+      std::vector<ItemSet> seen;
+      for (int round = 0; round < 40; ++round) {
+        ItemSet piece;
+        if (round % 4 == 3) {
+          piece = seen.back();
+        } else if (append_only) {
+          piece = PoolSet(rng, kind, static_cast<size_t>(rng.Uniform(0, 20)),
+                          100 * round, 100 * round + 59);
+        } else {
+          piece = PoolSet(rng, kind, static_cast<size_t>(rng.Uniform(0, 20)),
+                          -60, 60);
+        }
+        acc.UnionInPlace(piece);
+        seen.push_back(std::move(piece));
+        ASSERT_EQ(acc.ToString(), ReferenceUnion(seen).ToString())
+            << "kind " << static_cast<int>(kind) << " append_only "
+            << append_only << " round " << round;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Bloom filter
 // ---------------------------------------------------------------------------
 
@@ -457,6 +577,23 @@ TEST(BloomFilterTest, CrossTypeNumericEqualityIsBloomSafe) {
   EXPECT_TRUE(filter.MayContain(Value(5.0)));
   filter.Insert(Value(7.0));
   EXPECT_TRUE(filter.MayContain(Value(int64_t{7})));
+}
+
+TEST(BloomFilterTest, CrossTypeEqualityAbove2To53IsBloomSafe) {
+  // int64 ±(2^53 + 1) rounds to the double ±2^53 and so compares equal to
+  // it; a filter fed either form must admit the other.
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  for (const int64_t sign : {int64_t{1}, int64_t{-1}}) {
+    const Value big(sign * (kTwo53 + 1));
+    const Value rounded(static_cast<double>(sign * kTwo53));
+    ASSERT_EQ(big, rounded);
+    BloomFilter ints(16, 0.01);
+    ints.Insert(big);
+    EXPECT_TRUE(ints.MayContain(rounded));
+    BloomFilter doubles(16, 0.01);
+    doubles.Insert(rounded);
+    EXPECT_TRUE(doubles.MayContain(big));
+  }
 }
 
 TEST(BloomFilterTest, EmptyFilterRejectsEverything) {

@@ -113,6 +113,15 @@ TEST(ValueTest, CrossTypeOrderingByRank) {
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value(int64_t{2}).Hash(), Value(2.0).Hash());
   EXPECT_EQ(Value("abc").Hash(), Value("abc").Hash());
+  // Above 2^53 an int64 compares equal to the double it rounds to, so it
+  // must hash like that double too.
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  for (const int64_t sign : {int64_t{1}, int64_t{-1}}) {
+    const Value big(sign * (kTwo53 + 1));
+    const Value rounded(static_cast<double>(sign * kTwo53));
+    ASSERT_EQ(big, rounded);
+    EXPECT_EQ(big.Hash(), rounded.Hash());
+  }
 }
 
 TEST(ValueTest, CheckedAccessors) {

@@ -1,5 +1,6 @@
-// Tests for session-level machinery: the source-call cache (runtime CSE)
-// and the fusiongen catalog export / fusionq import round trip.
+// Tests for session-level machinery: the source-call cache (runtime CSE),
+// the session-learned universe bound, and the fusiongen catalog export /
+// fusionq import round trip.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -10,9 +11,11 @@
 #include "exec/executor.h"
 #include "exec/source_call_cache.h"
 #include "mediator/mediator.h"
+#include "mediator/session.h"
 #include "optimizer/filter.h"
 #include "optimizer/spj_baseline.h"
 #include "relational/reference_evaluator.h"
+#include "source/simulated_source.h"
 #include "workload/synthetic.h"
 
 namespace fusion {
@@ -132,6 +135,152 @@ TEST(SourceCallCacheTest, DistinctConditionsDoNotCollide) {
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.Lookup(0, "A1 = 1")->ToString(), "{1}");
   EXPECT_EQ(cache.Lookup(0, "A1 = 2")->ToString(), "{2}");
+}
+
+// ---------------------------------------------------------------------------
+// Session-learned universe bound
+// ---------------------------------------------------------------------------
+
+/// Answers each query in turn and checks, after every one, that the
+/// session's learned universe equals the size of the ItemSet union of every
+/// per_source_items set reported so far. Returns that union.
+ItemSet CheckUniverseAfterEachQuery(QuerySession& session,
+                                    const std::vector<FusionQuery>& queries) {
+  ItemSet seen;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const auto answer = session.Answer(queries[q]);
+    EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+    if (!answer.ok()) break;
+    for (const ItemSet& items : answer->execution.per_source_items) {
+      seen = ItemSet::Union(seen, items);
+    }
+    EXPECT_EQ(session.observed_universe_size(), seen.size()) << "query " << q;
+  }
+  return seen;
+}
+
+TEST(SessionUniverseTest, TracksUnionOfObservedItems) {
+  SyntheticSpec spec;
+  spec.universe_size = 400;
+  spec.num_sources = 4;
+  spec.num_conditions = 3;
+  spec.selectivity = {0.1, 0.3, 0.5};
+  spec.frac_native_semijoin = 0.5;
+  spec.frac_passed_bindings = 0.25;
+  spec.seed = 11;
+  auto instance = GenerateSynthetic(spec);
+  ASSERT_TRUE(instance.ok());
+  const FusionQuery full = instance->query;
+  const std::vector<Condition>& conds = full.conditions();
+  const FusionQuery first_two(full.merge_attribute(), {conds[0], conds[1]});
+  const FusionQuery last_two(full.merge_attribute(), {conds[1], conds[2]});
+  const FusionQuery single(full.merge_attribute(), {conds[2]});
+  QuerySession session(Mediator(std::move(instance->catalog)), {});
+  EXPECT_EQ(session.observed_universe_size(), 0u);
+  // Fresh queries grow the universe; the repeats are cache hits.
+  const ItemSet seen = CheckUniverseAfterEachQuery(
+      session, {first_two, first_two, last_two, full, last_two, single, full,
+                single});
+  EXPECT_GT(seen.size(), 0u);
+  EXPECT_GT(session.cache().hits(), 0u);
+}
+
+/// A source whose merge keys arrive as doubles although the catalog schema
+/// types M as int64 (a wrapper over a differently typed backend): it stores
+/// each key doubled, as an int64, and answers sq with half of it. It offers
+/// only sq, so every plan reaches it through selections.
+class HalfKeyedSource : public SourceWrapper {
+ public:
+  HalfKeyedSource(std::string name, Relation doubled_keys)
+      : inner_(std::move(name), std::move(doubled_keys), SqOnly(),
+               NetworkProfile{}) {}
+
+  const std::string& name() const override { return inner_.name(); }
+  const Schema& schema() const override { return inner_.schema(); }
+  const Capabilities& capabilities() const override {
+    return inner_.capabilities();
+  }
+  Result<ItemSet> Select(const Condition& cond,
+                         const std::string& merge_attribute,
+                         CostLedger* ledger) override {
+    FUSION_ASSIGN_OR_RETURN(ItemSet doubled,
+                            inner_.Select(cond, merge_attribute, ledger));
+    // Halving keeps the order and the distinctness of the keys.
+    std::vector<Value> halves;
+    for (const Value& v : doubled) {
+      halves.emplace_back(static_cast<double>(v.int64()) / 2.0);
+    }
+    return ItemSet::FromSortedUnique(std::move(halves));
+  }
+  Result<ItemSet> SemiJoin(const Condition&, const std::string&,
+                           const ItemSet&, CostLedger*) override {
+    return Status::Unsupported("sq only");
+  }
+  Result<Relation> Load(CostLedger*) override {
+    return Status::Unsupported("sq only");
+  }
+  Result<Relation> FetchRecords(const std::string&, const ItemSet&,
+                                CostLedger*) override {
+    return Status::Unsupported("sq only");
+  }
+
+ private:
+  static Capabilities SqOnly() {
+    Capabilities caps;
+    caps.semijoin = SemijoinSupport::kUnsupported;
+    caps.supports_load = false;
+    return caps;
+  }
+  SimulatedSource inner_;
+};
+
+TEST(SessionUniverseTest, MixedInt64AndIntegralDoubleItemsCountOnce) {
+  // Source "ints" reports int64 keys 0..59, source "reals" double keys
+  // 0.0, 0.5, ..., 39.5: every integral real equals an int key, the
+  // half-integral ones match nothing. One more pair sits above 2^53: int64
+  // 2^53 + 1 equals the double 2^53 it rounds to.
+  const Schema schema({{"M", ValueType::kInt64}, {"f", ValueType::kInt64}});
+  Relation ints(schema), doubled_reals(schema);
+  for (int64_t k = 0; k < 60; ++k) {
+    ASSERT_TRUE(ints.Append({Value(k), Value(k % 5)}).ok());
+  }
+  for (int64_t k = 0; k < 80; ++k) {
+    ASSERT_TRUE(doubled_reals.Append({Value(k), Value(k % 5)}).ok());
+  }
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  ASSERT_TRUE(ints.Append({Value(kTwo53 + 1), Value(int64_t{0})}).ok());
+  ASSERT_TRUE(
+      doubled_reals.Append({Value(2 * kTwo53), Value(int64_t{0})}).ok());
+  SourceCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .Add(std::make_unique<SimulatedSource>(
+                      "ints", std::move(ints), Capabilities{},
+                      NetworkProfile{}))
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .Add(std::make_unique<HalfKeyedSource>(
+                      "reals", std::move(doubled_reals)))
+                  .ok());
+  auto at_least = [](int64_t k) {
+    return Condition::Compare("f", CompareOp::kGe, Value(k));
+  };
+  auto at_most = [](int64_t k) {
+    return Condition::Compare("f", CompareOp::kLe, Value(k));
+  };
+  const std::vector<FusionQuery> queries = {
+      FusionQuery("M", {at_least(1)}),
+      FusionQuery("M", {at_least(1)}),
+      FusionQuery("M", {at_least(2), at_most(3)}),
+      FusionQuery("M", {at_most(0)}),
+      FusionQuery("M", {at_least(0), at_most(4)}),
+      FusionQuery("M", {at_most(0)}),
+  };
+  QuerySession session(Mediator(std::move(catalog)), {});
+  const ItemSet seen = CheckUniverseAfterEachQuery(session, queries);
+  // By the fifth query every key has been seen: 61 ints plus the 40
+  // half-integral reals; the other 41 reals coincide with int keys.
+  EXPECT_EQ(seen.size(), 101u);
+  EXPECT_EQ(session.observed_universe_size(), 101u);
 }
 
 // ---------------------------------------------------------------------------
