@@ -1,8 +1,10 @@
 // Columnar data-plane microbenchmark: the batch evaluator vs the legacy
 // row-at-a-time interpreter on wide records, the sorted-run ItemSet kernels
 // vs a generic Value-merge reference (pairwise, interleaved in-place, and
-// n-ary unions), the session's learned-universe accumulation, and the Bloom
-// semijoin pre-filter.
+// n-ary unions), int-form item sets vs Value storage (SJA+'s difference
+// chain, cache-hit copies, 8-way union, learned-universe inserts), the
+// session's learned-universe accumulation, and the Bloom semijoin
+// pre-filter.
 // Every timed pair is also checked byte-identical — the data plane refactor
 // is only allowed to change *where time goes*, never an answer.
 //
@@ -211,7 +213,7 @@ void BenchUnionInPlaceInterleaved(size_t pool, size_t pieces, int repeats) {
   auto generic_fold = [&] {
     std::vector<Value> acc;
     for (const ItemSet& slice : slices) {
-      acc = ReferenceUnion(acc, slice.values());
+      acc = ReferenceUnion(acc, slice.ToValues());
     }
     return acc;
   };
@@ -265,7 +267,7 @@ void BenchUnionAll(size_t per_input, size_t ways, int repeats) {
   };
   std::vector<Value> reference;
   for (const ItemSet& input : inputs) {
-    reference = ReferenceUnion(reference, input.values());
+    reference = ReferenceUnion(reference, input.ToValues());
   }
   const std::string expected =
       ItemSet::FromSortedUnique(std::move(reference)).ToString();
@@ -331,13 +333,170 @@ void BenchUniverseAccumulation(size_t universe, size_t sources,
   }
   const double hash_ms = MillisSince(t_hash);
   FUSION_CHECK(rebuilt_sizes == hashed_sizes);
+  // What the session does while every observed set is int-form.
+  std::vector<size_t> int_sizes;
+  const auto t_int = std::chrono::steady_clock::now();
+  {
+    std::unordered_set<int64_t> seen;
+    for (const std::vector<ItemSet>& report : reports) {
+      for (const ItemSet& items : report) {
+        seen.insert(items.ints().begin(), items.ints().end());
+      }
+      int_sizes.push_back(seen.size());
+    }
+  }
+  const double int_ms = MillisSince(t_int);
+  FUSION_CHECK(int_sizes == hashed_sizes);
   std::printf(
       "  %d queries x %zu sources x %zu items, %zu-item universe\n"
       "  ItemSet rebuild     %10.2f ms\n"
-      "  hash set            %10.2f ms\n"
-      "  speedup             %10.2fx\n",
-      queries, sources, per_source, universe, rebuild_ms, hash_ms,
-      hash_ms > 0.0 ? rebuild_ms / hash_ms : 0.0);
+      "  Value hash set      %10.2f ms\n"
+      "  int64 hash set      %10.2f ms\n"
+      "  speedup             %10.2fx (Value hash set vs rebuild)\n"
+      "  speedup             %10.2fx (int64 vs Value hash set)\n",
+      queries, sources, per_source, universe, rebuild_ms, hash_ms, int_ms,
+      hash_ms > 0.0 ? rebuild_ms / hash_ms : 0.0,
+      int_ms > 0.0 ? hash_ms / int_ms : 0.0);
+}
+
+/// Value-storage set difference, the shape the item sets had before int
+/// form: a typed int64 comparison over 40-byte Value variants, then a
+/// right-sizing copy of the survivors.
+std::vector<Value> ValueFormDifference(const std::vector<Value>& a,
+                                       const std::vector<Value>& b) {
+  std::vector<Value> out;
+  out.reserve(a.size());
+  std::set_difference(
+      a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out),
+      [](const Value& x, const Value& y) { return x.int64() < y.int64(); });
+  out.shrink_to_fit();
+  return out;
+}
+
+/// Value-storage n-ary union: decode every run to int64 once, merge
+/// neighbouring runs in log2(k) passes, encode the survivors once.
+std::vector<Value> ValueFormUnionAll(
+    const std::vector<std::vector<Value>>& inputs) {
+  std::vector<std::vector<int64_t>> level;
+  for (const std::vector<Value>& input : inputs) {
+    std::vector<int64_t> run;
+    run.reserve(input.size());
+    for (const Value& v : input) run.push_back(v.int64());
+    level.push_back(std::move(run));
+  }
+  while (level.size() > 1) {
+    std::vector<std::vector<int64_t>> next;
+    for (size_t r = 0; r < level.size(); r += 2) {
+      if (r + 1 == level.size()) {
+        next.push_back(std::move(level[r]));
+        break;
+      }
+      std::vector<int64_t> merged;
+      merged.reserve(level[r].size() + level[r + 1].size());
+      std::set_union(level[r].begin(), level[r].end(), level[r + 1].begin(),
+                     level[r + 1].end(), std::back_inserter(merged));
+      next.push_back(std::move(merged));
+    }
+    level.swap(next);
+  }
+  std::vector<Value> out;
+  out.reserve(level[0].size());
+  for (const int64_t x : level[0]) out.emplace_back(x);
+  return out;
+}
+
+/// Prints one int-form vs Value-form row, per op.
+void PrintPair(const char* what, int repeats, double value_ms, double int_ms) {
+  std::printf("  %-24s Value %9.2f us   int %9.2f us   %6.2fx\n", what,
+              1000.0 * value_ms / repeats, 1000.0 * int_ms / repeats,
+              int_ms > 0.0 ? value_ms / int_ms : 0.0);
+}
+
+/// The serving path's set-op layer on an int64 merge attribute, per op:
+/// SJA+'s `pending − y_k` chain, the whole-set copy every cache hit makes,
+/// and the executors' 8-way ∪ — int-form ItemSets against the same work
+/// over Value storage.
+void BenchIntFormSetOps(size_t items, int repeats) {
+  bench::Banner("columnar: int-form item sets vs Value storage, per op");
+  Rng rng(29);
+  auto draw = [&](size_t n, int64_t range) {
+    std::vector<int64_t> xs;
+    for (size_t i = 0; i < n; ++i) xs.push_back(rng.Uniform(0, range - 1));
+    return ItemSet::FromInts(std::move(xs));
+  };
+  const int64_t range = static_cast<int64_t>(items) * 2;
+
+  // SJA+ difference chain: 6 steps, each subtracting ~1/3 as many items.
+  const ItemSet start = draw(items, range);
+  std::vector<ItemSet> ys;
+  for (int k = 0; k < 6; ++k) ys.push_back(draw(items / 3, range));
+  std::vector<std::vector<Value>> ys_values;
+  for (const ItemSet& y : ys) ys_values.push_back(y.ToValues());
+  const std::vector<Value> start_values = start.ToValues();
+  auto int_chain = [&] {
+    ItemSet pending = start;
+    for (const ItemSet& y : ys) pending = ItemSet::Difference(pending, y);
+    return pending;
+  };
+  auto value_chain = [&] {
+    std::vector<Value> pending = start_values;
+    for (const std::vector<Value>& y : ys_values) {
+      pending = ValueFormDifference(pending, y);
+    }
+    return pending;
+  };
+  FUSION_CHECK(int_chain().ToValues() == value_chain());
+  FUSION_CHECK(int_chain().is_int64());
+
+  // 8-way union of overlapping inputs.
+  std::vector<ItemSet> parts;
+  for (int w = 0; w < 8; ++w) parts.push_back(draw(items / 2, range));
+  std::vector<const ItemSet*> part_ptrs;
+  std::vector<std::vector<Value>> part_values;
+  for (const ItemSet& part : parts) {
+    part_ptrs.push_back(&part);
+    part_values.push_back(part.ToValues());
+  }
+  FUSION_CHECK(ItemSet::UnionAll(part_ptrs).ToValues() ==
+               ValueFormUnionAll(part_values));
+
+  size_t sink_value = 0, sink_int = 0;
+  auto t = std::chrono::steady_clock::now();
+  for (int i = 0; i < repeats; ++i) sink_value += value_chain().size();
+  const double chain_value_ms = MillisSince(t);
+  t = std::chrono::steady_clock::now();
+  for (int i = 0; i < repeats; ++i) sink_int += int_chain().size();
+  const double chain_int_ms = MillisSince(t);
+
+  t = std::chrono::steady_clock::now();
+  for (int i = 0; i < repeats; ++i) {
+    const std::vector<Value> copy = start_values;
+    sink_value += copy.size();
+  }
+  const double copy_value_ms = MillisSince(t);
+  t = std::chrono::steady_clock::now();
+  for (int i = 0; i < repeats; ++i) {
+    const ItemSet copy = start;
+    sink_int += copy.size();
+  }
+  const double copy_int_ms = MillisSince(t);
+
+  t = std::chrono::steady_clock::now();
+  for (int i = 0; i < repeats; ++i) {
+    sink_value += ValueFormUnionAll(part_values).size();
+  }
+  const double union_value_ms = MillisSince(t);
+  t = std::chrono::steady_clock::now();
+  for (int i = 0; i < repeats; ++i) {
+    sink_int += ItemSet::UnionAll(part_ptrs).size();
+  }
+  const double union_int_ms = MillisSince(t);
+  FUSION_CHECK(sink_value == sink_int);
+
+  std::printf("  %zu-item sets x %d repeats\n", items, repeats);
+  PrintPair("difference chain (6)", repeats, chain_value_ms, chain_int_ms);
+  PrintPair("cache-hit copy", repeats, copy_value_ms, copy_int_ms);
+  PrintPair("8-way UnionAll", repeats, union_value_ms, union_int_ms);
 }
 
 struct BloomInstance {
@@ -416,6 +575,7 @@ void Run(bool smoke) {
   BenchItemSetKernels(smoke ? 5000 : 200000, smoke ? 3 : 50);
   BenchUnionInPlaceInterleaved(smoke ? 4000 : 100000, 8, smoke ? 2 : 20);
   BenchUnionAll(smoke ? 500 : 20000, 8, smoke ? 2 : 50);
+  BenchIntFormSetOps(smoke ? 600 : 3000, smoke ? 3 : 2000);
   BenchUniverseAccumulation(20000, 8, smoke ? 200 : 1000, smoke ? 20 : 500);
   BenchBloomPrefilter(smoke ? 300 : 3000, smoke ? 50 : 500);
   if (smoke) std::printf("bench_columnar: ok\n");

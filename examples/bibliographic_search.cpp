@@ -56,7 +56,7 @@ int main() {
 
   // Phase 2: page through full records, 5 at a time (like a result screen).
   Mediator& mediator = client->session()->mediator();
-  const std::vector<Value>& ids = answer->items.values();
+  const std::vector<Value> ids = answer->items.ToValues();
   double phase2_cost = 0;
   size_t pages = 0;
   for (size_t offset = 0; offset < ids.size(); offset += 5) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
-#include <span>
 
 namespace fusion {
 
@@ -34,15 +33,11 @@ ValueType CommonScalarType(std::span<const Run> runs) {
 }
 
 // Typed orders. Over values of one scalar type, Value's order restricts to
-// the native scalar order (int64 via <, double via < with the same NaN
-// behavior, string lexicographic), so merging with these is exactly
-// equivalent to merging with Value::operator< — without dispatching through
-// the variant's type rank on every comparison.
-struct Int64Less {
-  bool operator()(const Value& x, const Value& y) const {
-    return x.int64() < y.int64();
-  }
-};
+// the native scalar order (double via < with the same NaN behavior, string
+// lexicographic), so merging with these is exactly equivalent to merging
+// with Value::operator< — without dispatching through the variant's type
+// rank on every comparison. All-int64 runs never reach them: those sets are
+// int-form and merge as raw integers.
 struct DoubleLess {
   bool operator()(const Value& x, const Value& y) const {
     return x.dbl() < y.dbl();
@@ -63,8 +58,6 @@ struct StringLess {
 template <typename Merge>
 auto WithLess(std::span<const Run> runs, Merge merge) {
   switch (CommonScalarType(runs)) {
-    case ValueType::kInt64:
-      return merge(Int64Less());
     case ValueType::kDouble:
       return merge(DoubleLess());
     case ValueType::kString:
@@ -72,36 +65,6 @@ auto WithLess(std::span<const Run> runs, Merge merge) {
     default:
       return merge(std::less<Value>());
   }
-}
-
-enum class SetOp { kUnion, kIntersect, kDifference };
-
-/// One two-run set operation over non-empty sorted runs. The result is
-/// right-sized, so overlapping merges do not keep |a| + |b| capacity.
-std::vector<Value> ApplySetOp(SetOp op, Run a, Run b) {
-  const Run runs[] = {a, b};
-  return WithLess(runs, [&](auto less) {
-    std::vector<Value> out;
-    switch (op) {
-      case SetOp::kUnion:
-        out.reserve(a.size() + b.size());
-        std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                       std::back_inserter(out), less);
-        break;
-      case SetOp::kIntersect:
-        out.reserve(std::min(a.size(), b.size()));
-        std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                              std::back_inserter(out), less);
-        break;
-      case SetOp::kDifference:
-        out.reserve(a.size());
-        std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                            std::back_inserter(out), less);
-        break;
-    }
-    out.shrink_to_fit();
-    return out;
-  });
 }
 
 /// Bottom-up union of the sorted runs stored back to back in `flat` (run i
@@ -132,8 +95,9 @@ std::vector<T> UnionFlatRuns(std::vector<T> flat, std::vector<size_t> bounds,
   return flat;
 }
 
-/// n-ary union kernel: decodes every run once into one flat scalar array,
-/// merges there, and encodes the survivors once, at exact size.
+/// n-ary union kernel over Value runs: decodes every run once into one flat
+/// scalar array, merges there, and encodes the survivors once, at exact
+/// size.
 template <typename T, typename Decode, typename Encode, typename Less>
 std::vector<Value> UnionDecoded(std::span<const Run> runs, Decode decode,
                                 Encode encode, Less less) {
@@ -156,10 +120,6 @@ std::vector<Value> UnionDecoded(std::span<const Run> runs, Decode decode,
 
 std::vector<Value> UnionRuns(std::span<const Run> runs) {
   switch (CommonScalarType(runs)) {
-    case ValueType::kInt64:
-      return UnionDecoded<int64_t>(
-          runs, [](const Value& x) { return x.int64(); },
-          [](int64_t x) { return Value(x); }, std::less<int64_t>());
     case ValueType::kDouble:
       return UnionDecoded<double>(
           runs, [](const Value& x) { return x.dbl(); },
@@ -176,141 +136,294 @@ std::vector<Value> UnionRuns(std::span<const Run> runs) {
   }
 }
 
+/// Merges sorted-unique `src` into `dst` in place, touching only dst's
+/// suffix from `prefix` on. Precondition: every element of dst before
+/// `prefix` is strictly below src.front().
+template <typename T, typename Less>
+void MergeSuffixInPlace(std::vector<T>& dst, size_t prefix,
+                        std::span<const T> src, Less less) {
+  // Two-pointer pass over the affected suffix: count elements of `src` not
+  // already present.
+  size_t fresh = 0;
+  {
+    size_t i = prefix, j = 0;
+    while (j < src.size()) {
+      if (i == dst.size()) {
+        fresh += src.size() - j;
+        break;
+      }
+      if (less(dst[i], src[j])) {
+        ++i;
+      } else if (less(src[j], dst[i])) {
+        ++fresh;
+        ++j;
+      } else {
+        ++i;
+        ++j;
+      }
+    }
+  }
+  if (fresh == 0) return;
+  const size_t old_size = dst.size();
+  dst.resize(old_size + fresh);
+  // Backward three-way merge. Invariant: w - i == fresh elements still to
+  // place. Once w == i every remaining slot already holds its final value
+  // (any leftover `src` elements are duplicates), so the loop stops there —
+  // this also rules out self-move assignments.
+  size_t i = old_size;
+  size_t j = src.size();
+  size_t w = dst.size();
+  while (w > i && j > 0 && i > prefix) {
+    const T& x = dst[i - 1];
+    const T& y = src[j - 1];
+    if (less(x, y)) {
+      dst[--w] = y;
+      --j;
+    } else if (less(y, x)) {
+      dst[--w] = std::move(dst[i - 1]);
+      --i;
+    } else {
+      dst[--w] = std::move(dst[i - 1]);
+      --i;
+      --j;
+    }
+  }
+  // If i hit the prefix with fresh elements outstanding, everything left in
+  // `src` is fresh: it sorts at or above dst[prefix] and cannot equal a
+  // prefix element (those are strictly below src.front()).
+  while (w > i && j > 0) {
+    dst[--w] = src[--j];
+  }
+}
+
 }  // namespace
 
-ItemSet::ItemSet(std::vector<Value> values) : values_(std::move(values)) {
-  std::sort(values_.begin(), values_.end());
-  values_.erase(std::unique(values_.begin(), values_.end()), values_.end());
+ItemSet::ItemSet(std::vector<Value> values) {
+  if (AllOfType(values, ValueType::kInt64)) {
+    std::vector<int64_t> ints;
+    ints.reserve(values.size());
+    for (const Value& v : values) ints.push_back(v.int64());
+    *this = FromInts(std::move(ints));
+    return;
+  }
+  // Stable, so of items that compare equal the first one in `values` wins.
+  std::stable_sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  *this = FromSortedUnique(std::move(values));
+}
+
+ItemSet ItemSet::FromInts(std::vector<int64_t> values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return FromSortedUnique(std::move(values));
+}
+
+
+ItemSet ItemSet::FromSortedUnique(std::vector<int64_t> sorted_unique) {
+  ItemSet out;
+  out.ints_ = std::move(sorted_unique);
+  return out;
 }
 
 ItemSet ItemSet::FromSortedUnique(std::vector<Value> sorted_unique) {
   ItemSet out;
-  out.values_ = std::move(sorted_unique);
+  if (AllOfType(sorted_unique, ValueType::kInt64)) {
+    out.ints_.reserve(sorted_unique.size());
+    for (const Value& v : sorted_unique) out.ints_.push_back(v.int64());
+  } else {
+    out.values_ = std::move(sorted_unique);
+  }
   return out;
 }
 
+std::vector<Value> ItemSet::ToValues() const {
+  if (!is_int64()) return values_;
+  std::vector<Value> out;
+  out.reserve(ints_.size());
+  for (const int64_t x : ints_) out.emplace_back(x);
+  return out;
+}
+
+std::span<const Value> ItemSet::ValueRun(std::vector<Value>& scratch) const {
+  if (!is_int64()) return values_;
+  scratch = ToValues();
+  return scratch;
+}
+
 bool ItemSet::Contains(const Value& v) const {
-  return std::binary_search(values_.begin(), values_.end(), v);
+  if (!is_int64()) return std::binary_search(values_.begin(), values_.end(), v);
+  if (v.type() == ValueType::kInt64) {
+    return std::binary_search(ints_.begin(), ints_.end(), v.int64());
+  }
+  // A double can equal an int64 item (2.0 == 2): search under Value order.
+  return std::binary_search(begin(), end(), v);
 }
 
 bool ItemSet::Insert(const Value& v) {
-  auto it = std::lower_bound(values_.begin(), values_.end(), v);
+  if (is_int64()) {
+    if (v.type() == ValueType::kInt64) {
+      const auto it = std::lower_bound(ints_.begin(), ints_.end(), v.int64());
+      if (it != ints_.end() && *it == v.int64()) return false;
+      ints_.insert(it, v.int64());
+      return true;
+    }
+    if (Contains(v)) return false;
+    // A new non-int64 item: the set leaves int form for good (it never
+    // drops the item again).
+    values_ = ToValues();
+    ints_ = {};
+  }
+  const auto it = std::lower_bound(values_.begin(), values_.end(), v);
   if (it != values_.end() && *it == v) return false;
   values_.insert(it, v);
   return true;
 }
 
+template <typename Kernel>
+ItemSet ItemSet::Merge(const ItemSet& a, const ItemSet& b, size_t reserve,
+                       Kernel kernel) {
+  if (a.is_int64() && b.is_int64()) {
+    std::vector<int64_t> out;
+    out.reserve(reserve);
+    kernel(a.ints_.begin(), a.ints_.end(), b.ints_.begin(), b.ints_.end(),
+           std::back_inserter(out), std::less<int64_t>());
+    out.shrink_to_fit();
+    return FromSortedUnique(std::move(out));
+  }
+  std::vector<Value> a_scratch, b_scratch;
+  const Run runs[] = {a.ValueRun(a_scratch), b.ValueRun(b_scratch)};
+  return FromSortedUnique(WithLess(runs, [&](auto less) {
+    std::vector<Value> out;
+    out.reserve(reserve);
+    kernel(runs[0].begin(), runs[0].end(), runs[1].begin(), runs[1].end(),
+           std::back_inserter(out), less);
+    out.shrink_to_fit();
+    return out;
+  }));
+}
+
 ItemSet ItemSet::Union(const ItemSet& a, const ItemSet& b) {
   if (a.empty()) return b;
   if (b.empty()) return a;
-  return FromSortedUnique(ApplySetOp(SetOp::kUnion, a.values_, b.values_));
+  return Merge(a, b, a.size() + b.size(), [](auto... args) {
+    return std::set_union(args...);
+  });
 }
 
 ItemSet ItemSet::Intersect(const ItemSet& a, const ItemSet& b) {
   if (a.empty() || b.empty()) return ItemSet();
-  return FromSortedUnique(ApplySetOp(SetOp::kIntersect, a.values_, b.values_));
+  return Merge(a, b, std::min(a.size(), b.size()), [](auto... args) {
+    return std::set_intersection(args...);
+  });
 }
 
 ItemSet ItemSet::Difference(const ItemSet& a, const ItemSet& b) {
   if (a.empty()) return ItemSet();
   if (b.empty()) return a;
-  return FromSortedUnique(ApplySetOp(SetOp::kDifference, a.values_, b.values_));
+  return Merge(a, b, a.size(), [](auto... args) {
+    return std::set_difference(args...);
+  });
 }
 
 ItemSet ItemSet::UnionAll(const std::vector<const ItemSet*>& inputs) {
-  std::vector<Run> runs;
-  runs.reserve(inputs.size());
+  std::vector<const ItemSet*> sets;
+  sets.reserve(inputs.size());
+  bool all_int = true;
   for (const ItemSet* input : inputs) {
-    if (!input->empty()) runs.emplace_back(input->values_);
+    if (input->empty()) continue;
+    sets.push_back(input);
+    all_int = all_int && input->is_int64();
   }
-  if (runs.empty()) return ItemSet();
-  if (runs.size() == 1) {
-    return FromSortedUnique(std::vector<Value>(runs[0].begin(), runs[0].end()));
+  if (sets.empty()) return ItemSet();
+  if (sets.size() == 1) return *sets[0];
+  if (all_int) {
+    std::vector<int64_t> flat;
+    std::vector<size_t> bounds = {0};
+    size_t total = 0;
+    for (const ItemSet* s : sets) total += s->ints_.size();
+    flat.reserve(total);
+    for (const ItemSet* s : sets) {
+      flat.insert(flat.end(), s->ints_.begin(), s->ints_.end());
+      bounds.push_back(flat.size());
+    }
+    std::vector<int64_t> merged = UnionFlatRuns(
+        std::move(flat), std::move(bounds), std::less<int64_t>());
+    merged.shrink_to_fit();
+    return FromSortedUnique(std::move(merged));
+  }
+  std::vector<std::vector<Value>> scratch(sets.size());
+  std::vector<Run> runs;
+  runs.reserve(sets.size());
+  for (size_t i = 0; i < sets.size(); ++i) {
+    runs.push_back(sets[i]->ValueRun(scratch[i]));
   }
   return FromSortedUnique(UnionRuns(runs));
 }
 
 void ItemSet::UnionInPlace(const ItemSet& other) {
   if (other.empty()) return;
-  if (values_.empty()) {
-    values_ = other.values_;
+  if (empty()) {
+    *this = other;
     return;
   }
-  if (values_.back() < other.values_.front()) {
-    values_.insert(values_.end(), other.begin(), other.end());
+  if (is_int64() && other.is_int64()) {
+    if (ints_.back() < other.ints_.front()) {
+      ints_.insert(ints_.end(), other.ints_.begin(), other.ints_.end());
+      return;
+    }
+    const size_t prefix = static_cast<size_t>(
+        std::lower_bound(ints_.begin(), ints_.end(), other.ints_.front()) -
+        ints_.begin());
+    MergeSuffixInPlace<int64_t>(ints_, prefix, other.ints_,
+                                std::less<int64_t>());
     return;
   }
-  // General (interleaved) case: a single backward in-place merge touching
-  // only the suffix that can interact with `other`. Elements before
-  // `prefix` are strictly below other.front() and never move.
-  const size_t prefix = static_cast<size_t>(
-      std::lower_bound(values_.begin(), values_.end(), other.values_.front()) -
-      values_.begin());
-  const Run runs[] = {Run(values_).subspan(prefix), Run(other.values_)};
-  WithLess(runs, [&](auto less) {
-    // Two-pointer pass over the affected suffix: count elements of `other`
-    // not already present.
-    size_t fresh = 0;
-    {
-      size_t i = prefix, j = 0;
-      while (j < other.size()) {
-        if (i == values_.size()) {
-          fresh += other.size() - j;
-          break;
-        }
-        const Value& x = values_[i];
-        const Value& y = other.values_[j];
-        if (less(x, y)) {
-          ++i;
-        } else if (less(y, x)) {
-          ++fresh;
-          ++j;
-        } else {
-          ++i;
-          ++j;
-        }
-      }
-    }
-    if (fresh == 0) return;
-    const size_t old_size = values_.size();
-    values_.resize(old_size + fresh);
-    // Backward three-way merge. Invariant: w - i == fresh elements still to
-    // place. Once w == i every remaining slot already holds its final value
-    // (any leftover `other` elements are duplicates), so the loop stops
-    // there — this also rules out self-move assignments.
-    size_t i = old_size;
-    size_t j = other.size();
-    size_t w = values_.size();
-    while (w > i && j > 0 && i > prefix) {
-      const Value& x = values_[i - 1];
-      const Value& y = other.values_[j - 1];
-      if (less(x, y)) {
-        values_[--w] = y;
-        --j;
-      } else if (less(y, x)) {
-        values_[--w] = std::move(values_[i - 1]);
-        --i;
-      } else {
-        values_[--w] = std::move(values_[i - 1]);
-        --i;
-        --j;
-      }
-    }
-    // If i hit the prefix with fresh elements outstanding, everything left
-    // in `other` is fresh: it sorts at or above values_[prefix] and cannot
-    // equal a prefix element (those are strictly below other.front()).
-    while (w > i && j > 0) {
-      values_[--w] = other.values_[--j];
-    }
-  });
+  std::vector<Value> scratch;
+  const Run src = other.ValueRun(scratch);
+  if (is_int64()) {
+    values_ = ToValues();
+    ints_ = {};
+  }
+  if (values_.back() < src.front()) {
+    values_.insert(values_.end(), src.begin(), src.end());
+  } else {
+    // Elements before `prefix` are strictly below src.front() and never
+    // move; the merge comparator is picked from the suffix that does.
+    const size_t prefix = static_cast<size_t>(
+        std::lower_bound(values_.begin(), values_.end(), src.front()) -
+        values_.begin());
+    const Run runs[] = {Run(values_).subspan(prefix), src};
+    WithLess(runs, [&](auto less) {
+      MergeSuffixInPlace<Value>(values_, prefix, src, less);
+    });
+  }
+  // An int-form `other` can leave only int64s behind when this set's
+  // non-int64 items all equal them numerically ({2.0} ∪ {2} keeps 2.0, but
+  // {2} ∪ {2.0} keeps 2).
+  if (AllOfType(values_, ValueType::kInt64)) *this = FromSortedUnique(std::move(values_));
+}
+
+bool ItemSet::operator==(const ItemSet& other) const {
+  if (is_int64() && other.is_int64()) return ints_ == other.ints_;
+  if (!is_int64() && !other.is_int64()) return values_ == other.values_;
+  // Mixed forms can still be equal item-wise: {2} == {2.0}.
+  return size() == other.size() && std::equal(begin(), end(), other.begin());
 }
 
 bool ItemSet::IsSubsetOf(const ItemSet& other) const {
-  return std::includes(other.begin(), other.end(), begin(), end());
+  if (is_int64() && other.is_int64()) {
+    return std::includes(other.ints_.begin(), other.ints_.end(),
+                         ints_.begin(), ints_.end());
+  }
+  std::vector<Value> scratch, other_scratch;
+  const Run mine = ValueRun(scratch);
+  const Run theirs = other.ValueRun(other_scratch);
+  return std::includes(theirs.begin(), theirs.end(), mine.begin(), mine.end());
 }
 
 size_t ItemSet::ApproxBytes() const {
-  size_t bytes = sizeof(ItemSet) + values_.capacity() * sizeof(Value);
+  size_t bytes = sizeof(ItemSet) + ints_.capacity() * sizeof(int64_t) +
+                 values_.capacity() * sizeof(Value);
   for (const Value& v : values_) {
     if (v.type() == ValueType::kString) bytes += v.str().capacity();
   }
@@ -319,9 +432,9 @@ size_t ItemSet::ApproxBytes() const {
 
 std::string ItemSet::ToString() const {
   std::string out = "{";
-  for (size_t i = 0; i < values_.size(); ++i) {
+  for (size_t i = 0; i < size(); ++i) {
     if (i > 0) out += ", ";
-    out += values_[i].ToString();
+    out += (*this)[i].ToString();
   }
   out += "}";
   return out;

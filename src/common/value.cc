@@ -31,19 +31,6 @@ const char* ValueTypeName(ValueType type) {
   return "unknown";
 }
 
-ValueType Value::type() const {
-  switch (data_.index()) {
-    case 0:
-      return ValueType::kNull;
-    case 1:
-      return ValueType::kInt64;
-    case 2:
-      return ValueType::kDouble;
-    default:
-      return ValueType::kString;
-  }
-}
-
 Result<int64_t> Value::AsInt64() const {
   if (type() == ValueType::kInt64) return int64();
   if (type() == ValueType::kDouble) return static_cast<int64_t>(dbl());

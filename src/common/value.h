@@ -36,7 +36,19 @@ class Value {
 
   static Value Null() { return Value(); }
 
-  ValueType type() const;
+  /// Inline: called per element by the set kernels and twice per Compare.
+  ValueType type() const {
+    switch (data_.index()) {
+      case 0:
+        return ValueType::kNull;
+      case 1:
+        return ValueType::kInt64;
+      case 2:
+        return ValueType::kDouble;
+      default:
+        return ValueType::kString;
+    }
+  }
   bool is_null() const { return type() == ValueType::kNull; }
 
   /// Typed accessors; calling the wrong one is undefined (checked by callers

@@ -99,10 +99,13 @@ class ParallelPlanRun {
       report_.ledger.MergeFrom(std::move(op_ledgers_[k]));
       stats.MergeFrom(op_stats_[k]);
       report_.emulated_semijoins += op_emulated_[k];
-      const int source = plan_.ops()[k].source;
-      if (source >= 0) {
-        report_.per_source_items[static_cast<size_t>(source)].UnionInPlace(
-            op_observed_[k]);
+      const PlanOp& op = plan_.ops()[k];
+      if (op.source >= 0) {
+        // An sq/sjq answer is its SSA target (assigned once, never moved
+        // from); an lq's items exist only in op_observed_.
+        report_.per_source_items[static_cast<size_t>(op.source)].UnionInPlace(
+            op.kind == PlanOpKind::kLoad ? op_observed_[k]
+                                         : *items_[op.target]);
       }
     }
     report_.answer = *items_[plan_.result()];
@@ -253,7 +256,6 @@ class ParallelPlanRun {
             src, cond, query_.merge_attribute(), options_, ledger,
             ContextFor("sq", src, k, op.source, ledger, pool));
         if (!result.ok()) return HandleSourceFailure(k, op, result.status());
-        op_observed_[k] = *result;
         items_[op.target] = std::move(result).value();
         break;
       }
@@ -269,7 +271,6 @@ class ParallelPlanRun {
         if (!result.ok()) {
           return HandleSourceFailure(k, op, result.status());
         }
-        op_observed_[k] = *result;
         items_[op.target] = std::move(result).value();
         if (emulated) {
           op_emulated_[k] = 1;
@@ -343,7 +344,7 @@ class ParallelPlanRun {
   std::vector<CostLedger> op_ledgers_;
   std::vector<CallStats> op_stats_;
   std::vector<double> op_seconds_;
-  std::vector<ItemSet> op_observed_;
+  std::vector<ItemSet> op_observed_;  // lq ops only: the loaded items
   std::vector<char> op_emulated_;
   std::vector<std::string> op_reasons_;  // non-empty iff op ∅-substituted
 

@@ -371,13 +371,13 @@ Result<ClientAnswer> Client::RemoteQuery(const std::string& sql,
     // back the original execution's outcome.
     request.request_id = MintRequestId();
   }
-  FUSION_ASSIGN_OR_RETURN(const ClientResponse response,
+  FUSION_ASSIGN_OR_RETURN(ClientResponse response,
                           RemoteExchangeLocked(request));
   if (!response.ok) {
     return Status(response.error_code, response.error_message);
   }
   ClientAnswer out;
-  for (const Value& v : response.items) out.items.Insert(v);
+  out.items = ItemSet(std::move(response.items));
   out.cost = response.cost;
   out.source_queries = response.source_queries;
   out.cache_hits = response.cache_hits;

@@ -371,7 +371,7 @@ ClientResponse QueryService::HandleParsed(const ClientRequest& request) {
       ClientResponse response;
       response.ticket = *ticket;
       response.state = "done";
-      for (const Value& v : outcome->items) response.items.push_back(v);
+      response.items = outcome->items.ToValues();
       response.cost = outcome->cost;
       response.source_queries = outcome->source_queries;
       response.cache_hits = outcome->cache_hits;
@@ -393,7 +393,7 @@ ClientResponse QueryService::HandleParsed(const ClientRequest& request) {
       ClientResponse response;
       if (status->state == "done") {
         const ClientAnswer& answer = *status->outcome;
-        for (const Value& v : answer.items) response.items.push_back(v);
+        response.items = answer.items.ToValues();
         response.cost = answer.cost;
         response.source_queries = answer.source_queries;
         response.cache_hits = answer.cache_hits;

@@ -42,7 +42,7 @@ Result<ParametricCostModel> QuerySession::BuildSessionModel(
   }
   const double universe =
       std::max<double>(options_.default_universe,
-                       static_cast<double>(observed_universe_.size()));
+                       static_cast<double>(UniverseSizeLocked()));
   return ParametricCostModel(std::move(params), universe);
 }
 
@@ -142,7 +142,15 @@ void QuerySession::Learn(const FusionQuery& query, const OptimizedPlan& plan,
     }
   }
   for (const ItemSet& items : report.per_source_items) {
-    observed_universe_.insert(items.begin(), items.end());
+    if (items.is_int64() && observed_values_.empty()) {
+      observed_ints_.insert(items.ints().begin(), items.ints().end());
+      continue;
+    }
+    if (observed_values_.empty()) {
+      for (const int64_t x : observed_ints_) observed_values_.emplace(x);
+      observed_ints_ = {};
+    }
+    observed_values_.insert(items.begin(), items.end());
   }
 }
 

@@ -145,7 +145,7 @@ class QuerySession {
   /// learned universe lower bound (before the default_universe floor).
   size_t observed_universe_size() const {
     std::lock_guard<std::mutex> lock(knowledge_mutex_);
-    return observed_universe_.size();
+    return UniverseSizeLocked();
   }
 
   /// Drops every memoized answer (all sources) — e.g. after bulk updates.
@@ -159,6 +159,12 @@ class QuerySession {
   /// Builds the per-query parametric model from session knowledge.
   /// Caller must hold knowledge_mutex_.
   Result<ParametricCostModel> BuildSessionModel(const FusionQuery& query);
+
+  /// observed_universe_size(). Caller must hold knowledge_mutex_.
+  size_t UniverseSizeLocked() const {
+    return observed_values_.empty() ? observed_ints_.size()
+                                    : observed_values_.size();
+  }
 
   /// What the cache can answer for this query's (condition, source) pairs,
   /// for cache-aware optimization.
@@ -181,13 +187,17 @@ class QuerySession {
   std::map<std::pair<size_t, std::string>, double> observed_result_size_;
   std::map<size_t, double> observed_cardinality_;
   /// Every item any execution has returned, kept incrementally: a query
-  /// pays for the items it saw, not for the session's whole history. Its
+  /// pays for the items it saw, not for the session's whole history. While
+  /// every observed set is int-form the items live raw in `observed_ints_`;
+  /// the first set holding any other item moves them, once, into
+  /// `observed_values_`, which is non-empty from then on. Either way the
   /// size equals that of the ItemSet union of the same items, since
   /// Value::Hash agrees with Value equality (int64 vs double included).
   /// (The one exception is shared with ItemSet itself: int64s beyond 2^53
   /// next to doubles they round to, where Value equality is not
   /// transitive and no sorted-unique union is well defined.)
-  std::unordered_set<Value, ValueHash> observed_universe_;
+  std::unordered_set<int64_t> observed_ints_;
+  std::unordered_set<Value, ValueHash> observed_values_;
 
   /// Last executed plan per (strategy, canonical query), FIFO-bounded. On a
   /// repeated query the memoized plan's calls are exact cache hits, so

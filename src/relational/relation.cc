@@ -118,6 +118,14 @@ Result<ItemSet> Relation::SelectItems(const Condition& cond,
       FUSION_RETURN_IF_ERROR(cond.EvaluateBatch(*table, &keep));
       const ColumnView col = table->column(idx);
       if (col.has_nulls()) keep.AndWith(col.column().valid);
+      if (col.type() == ValueType::kInt64) {
+        // Gather raw integers straight into an int-form set.
+        const int64_t* ints = col.ints();
+        std::vector<int64_t> out;
+        out.reserve(keep.CountSet());
+        keep.ForEachSet([&](size_t r) { out.push_back(ints[r]); });
+        return ItemSet::FromInts(std::move(out));
+      }
       std::vector<Value> out;
       out.reserve(keep.CountSet());
       keep.ForEachSet([&](size_t r) { out.push_back(col.GetValue(r)); });
@@ -145,6 +153,17 @@ Result<ItemSet> Relation::SemiJoinItems(const Condition& cond,
       FUSION_RETURN_IF_ERROR(cond.EvaluateBatch(*table, &keep));
       const ColumnView col = table->column(idx);
       if (col.has_nulls()) keep.AndWith(col.column().valid);
+      if (col.type() == ValueType::kInt64 && candidates.is_int64()) {
+        const int64_t* ints = col.ints();
+        const std::vector<int64_t>& wanted = candidates.ints();
+        std::vector<int64_t> out;
+        keep.ForEachSet([&](size_t r) {
+          if (std::binary_search(wanted.begin(), wanted.end(), ints[r])) {
+            out.push_back(ints[r]);
+          }
+        });
+        return ItemSet::FromInts(std::move(out));
+      }
       std::vector<Value> out;
       keep.ForEachSet([&](size_t r) {
         Value v = col.GetValue(r);

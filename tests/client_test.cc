@@ -233,6 +233,52 @@ TEST(ClientTest, RemoteClientNegotiatesObservabilityFeatures) {
   server.join();
 }
 
+TEST(ClientTest, RemoteAnswerItemsAreSortedAndDeduplicated) {
+  // A scripted FUSIONQ/1 peer answers HELLO, then one SUBMIT per wire item
+  // list: items arrive out of order and with duplicates, and the client
+  // must decode them to the sorted-unique set one Insert per item builds.
+  const std::vector<std::vector<Value>> wire_lists = {
+      {Value(int64_t{5}), Value(int64_t{1}), Value(int64_t{5}),
+       Value(int64_t{-3}), Value(int64_t{1})},
+      {Value("T21"), Value("J55"), Value("T21"), Value("A10")},
+      {}};
+  auto listener = TcpListener::Bind("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok());
+  const std::string endpoint =
+      "127.0.0.1:" + std::to_string(listener->port());
+  std::thread server([&] {
+    auto accepted = listener->Accept();
+    if (!accepted.ok()) return;
+    MessageSocket socket = std::move(accepted).value();
+    if (!socket.Receive().ok()) return;  // HELLO
+    ClientResponse hello;
+    hello.server = "scripted";
+    if (!socket.Send(SerializeClientResponse(hello)).ok()) return;
+    for (const std::vector<Value>& items : wire_lists) {
+      if (!socket.Receive().ok()) return;  // SUBMIT
+      ClientResponse done;
+      done.state = "done";
+      done.items = items;
+      if (!socket.Send(SerializeClientResponse(done)).ok()) return;
+    }
+  });
+  {
+    auto client = Client::Builder().To(Client::Target::Remote(endpoint)).Build();
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    const std::string expected[] = {"{-3, 1, 5}", "{'A10', 'J55', 'T21'}",
+                                    "{}"};
+    for (size_t i = 0; i < wire_lists.size(); ++i) {
+      const auto answer = client->QuerySql(kDuiAndSp);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      ItemSet one_at_a_time;
+      for (const Value& v : wire_lists[i]) one_at_a_time.Insert(v);
+      EXPECT_EQ(answer->items, one_at_a_time);
+      EXPECT_EQ(answer->items.ToString(), expected[i]);
+    }
+  }
+  server.join();
+}
+
 TEST(ClientTest, CancelledTokenFailsTheCall) {
   auto client = Figure1Client();
   ASSERT_TRUE(client.ok());

@@ -167,6 +167,46 @@ TEST(ColumnarTest, RandomConditionsMatchRowPathOnAllOperations) {
   }
 }
 
+TEST(ColumnarTest, IntMergeColumnItemsMatchRowPath) {
+  // An int64 merge attribute: the batch path gathers raw integers into
+  // int-form sets; answers must equal the row path's, for int-form
+  // candidates and for Value-form ones whose doubles equal some ints.
+  Rng rng(20261017);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Relation rel = RandomRelation(rng, 40 + trial * 9);
+    const Condition cond = RandomCondition(rng, rel.schema(), 3);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + cond.ToString());
+
+    const auto row_items = rel.SelectItems(cond, "i", EvalPath::kRow);
+    const auto col_items = rel.SelectItems(cond, "i", EvalPath::kColumnar);
+    ASSERT_TRUE(row_items.ok());
+    ASSERT_TRUE(col_items.ok());
+    EXPECT_EQ(row_items->ToString(), col_items->ToString());
+    EXPECT_TRUE(col_items->is_int64());
+
+    std::vector<Value> ints, mixed;
+    for (int i = 0; i < 12; ++i) {
+      const Value v = RandomValueFor(rng, ValueType::kInt64,
+                                     /*allow_null=*/false, /*allow_nan=*/false);
+      ints.push_back(v);
+      mixed.push_back(i % 3 == 0 ? Value(static_cast<double>(v.int64()))
+                                 : v);
+    }
+    mixed.push_back(Value(0.5));
+    for (const ItemSet& candidates :
+         {ItemSet(std::move(ints)), ItemSet(std::move(mixed))}) {
+      const auto row_sj =
+          rel.SemiJoinItems(cond, "i", candidates, EvalPath::kRow);
+      const auto col_sj =
+          rel.SemiJoinItems(cond, "i", candidates, EvalPath::kColumnar);
+      ASSERT_TRUE(row_sj.ok());
+      ASSERT_TRUE(col_sj.ok());
+      EXPECT_EQ(row_sj->ToString(), col_sj->ToString());
+      EXPECT_TRUE(col_sj->is_int64());
+    }
+  }
+}
+
 TEST(ColumnarTest, NumericCrossTypeAndNaNEdgeCases) {
   Schema schema({{"M", ValueType::kString}, {"x", ValueType::kDouble}});
   Relation rel(schema);
@@ -547,6 +587,153 @@ TEST(ItemSetKernelTest, UnionInPlaceMatchesGenericReference) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// ItemSet: int-form vs Value-form storage
+// ---------------------------------------------------------------------------
+
+/// Renders sorted Values the way ItemSet::ToString does, without building
+/// an ItemSet: the reference side never picks a storage form.
+std::string RenderValues(const std::vector<Value>& values) {
+  std::string out = "{";
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += values[i].ToString();
+  }
+  return out + "}";
+}
+
+/// The canonical-form rule: int form exactly when every item is an int64.
+bool IsCanonical(const ItemSet& set) {
+  bool all_int = true;
+  for (const Value& v : set) all_int = all_int && v.type() == ValueType::kInt64;
+  return set.is_int64() == all_int;
+}
+
+TEST(ItemSetKernelTest, RepresentationDifferentialMatchesValueReference) {
+  // Every pair of pool kinds, so int-form ⊕ int-form takes the raw kernels
+  // and int-form ⊕ Value-form (strings, doubles, mixed numerics) the generic
+  // path; every result must match a std:: algorithm over the Values and be
+  // in canonical form.
+  Rng rng(7401);
+  for (const PoolKind ka : kPoolKinds) {
+    for (const PoolKind kb : kPoolKinds) {
+      for (int trial = 0; trial < 25; ++trial) {
+        const ItemSet a =
+            PoolSet(rng, ka, static_cast<size_t>(rng.Uniform(0, 25)), -30, 30);
+        const ItemSet b =
+            PoolSet(rng, kb, static_cast<size_t>(rng.Uniform(0, 25)), -30, 30);
+        SCOPED_TRACE(a.ToString() + " op " + b.ToString());
+        ASSERT_TRUE(IsCanonical(a));
+        ASSERT_TRUE(IsCanonical(b));
+        const std::vector<Value> av = a.ToValues();
+        const std::vector<Value> bv = b.ToValues();
+        std::vector<Value> u, i, d;
+        std::set_union(av.begin(), av.end(), bv.begin(), bv.end(),
+                       std::back_inserter(u));
+        std::set_intersection(av.begin(), av.end(), bv.begin(), bv.end(),
+                              std::back_inserter(i));
+        std::set_difference(av.begin(), av.end(), bv.begin(), bv.end(),
+                            std::back_inserter(d));
+
+        ItemSet in_place = a;
+        in_place.UnionInPlace(b);
+        const std::pair<ItemSet, const std::vector<Value>*> results[] = {
+            {ItemSet::Union(a, b), &u},
+            {ItemSet::Intersect(a, b), &i},
+            {ItemSet::Difference(a, b), &d},
+            {ItemSet::UnionAll({&a, &b, &a}), &u},
+            {std::move(in_place), &u},
+        };
+        for (const auto& [got, want] : results) {
+          EXPECT_EQ(got.ToString(), RenderValues(*want));
+          EXPECT_TRUE(IsCanonical(got)) << got.ToString();
+        }
+
+        EXPECT_EQ(a.IsSubsetOf(b),
+                  std::includes(bv.begin(), bv.end(), av.begin(), av.end()));
+        EXPECT_EQ(a == b, av.size() == bv.size() &&
+                              std::equal(av.begin(), av.end(), bv.begin()));
+        for (const Value& v : bv) {
+          EXPECT_EQ(a.Contains(v), std::binary_search(av.begin(), av.end(), v))
+              << v.ToString();
+        }
+      }
+    }
+  }
+}
+
+TEST(ItemSetKernelTest, CanonicalFormPinnedCases) {
+  EXPECT_TRUE(ItemSet().is_int64());
+  const ItemSet one_a({Value(int64_t{1}), Value("a")});
+  EXPECT_FALSE(one_a.is_int64());
+  // Dropping the last non-int64 item returns the set to int form.
+  const ItemSet one = ItemSet::Difference(one_a, ItemSet({Value("a")}));
+  EXPECT_TRUE(one.is_int64());
+  EXPECT_EQ(one.ints(), std::vector<int64_t>{1});
+  EXPECT_TRUE(ItemSet::Intersect(one_a, one).is_int64());
+  // Value-built int sets sort and deduplicate as raw integers.
+  const ItemSet built(
+      std::vector<Value>{Value(int64_t{3}), Value(int64_t{1}), Value(int64_t{3})});
+  EXPECT_TRUE(built.is_int64());
+  EXPECT_EQ(built.ints(), (std::vector<int64_t>{1, 3}));
+  EXPECT_TRUE(ItemSet::FromSortedUnique(
+                  std::vector<Value>{Value(int64_t{1}), Value(int64_t{2})})
+                  .is_int64());
+  // {2} ∪ {2.0} keeps the int 2 (first operand wins on equal items).
+  ItemSet two = ItemSet::FromInts({2});
+  two.UnionInPlace(ItemSet({Value(2.0)}));
+  EXPECT_TRUE(two.is_int64());
+  EXPECT_EQ(two.ToString(), "{2}");
+  // Of equal items in a Value vector, the first one is kept.
+  EXPECT_TRUE(ItemSet({Value(int64_t{2}), Value(2.0)}).is_int64());
+  EXPECT_FALSE(ItemSet({Value(2.0), Value(int64_t{2})}).is_int64());
+}
+
+TEST(ItemSetKernelTest, CrossTypeSemanticsPinnedCases) {
+  const ItemSet int_two = ItemSet::FromInts({2});
+  const ItemSet double_two({Value(2.0)});
+  ASSERT_TRUE(int_two.is_int64());
+  ASSERT_FALSE(double_two.is_int64());
+  EXPECT_EQ(int_two, double_two);
+  EXPECT_EQ(double_two, int_two);
+  EXPECT_TRUE(int_two.Contains(Value(2.0)));
+  EXPECT_FALSE(int_two.Contains(Value(2.5)));
+  EXPECT_FALSE(int_two.Contains(Value("2")));
+  EXPECT_TRUE(int_two.IsSubsetOf(double_two));
+
+  ItemSet s = int_two;
+  EXPECT_FALSE(s.Insert(Value(2.0)));  // equal to 2: unchanged
+  EXPECT_TRUE(s.is_int64());
+  EXPECT_TRUE(s.Insert(Value(2.5)));
+  EXPECT_FALSE(s.is_int64());
+  EXPECT_EQ(s.ToString(), "{2, 2.5}");
+  EXPECT_TRUE(s.Insert(Value(int64_t{1})));
+  EXPECT_FALSE(s.Insert(Value(int64_t{1})));
+  EXPECT_EQ(s.ToString(), "{1, 2, 2.5}");
+  EXPECT_NE(s, ItemSet::FromInts({1, 2}));
+  EXPECT_TRUE(ItemSet::FromInts({1, 2}).IsSubsetOf(s));
+}
+
+TEST(ItemSetKernelTest, IntFormApproxBytesIsEightBytesPerItem) {
+  for (const size_t n : {0, 1, 100, 5000}) {
+    std::vector<int64_t> xs;
+    for (size_t k = 0; k < n; ++k) xs.push_back(static_cast<int64_t>(3 * k));
+    const ItemSet s = ItemSet::FromInts(xs);
+    const ItemSet u = ItemSet::Union(s, ItemSet::FromInts({1, 4}));
+    const ItemSet d = ItemSet::Difference(u, ItemSet::FromInts({0, 4}));
+    const ItemSet all = ItemSet::UnionAll({&s, &u, &d});
+    for (const ItemSet* set : {&s, &u, &d, &all}) {
+      ASSERT_TRUE(set->is_int64());
+      EXPECT_LE(set->ApproxBytes(),
+                sizeof(ItemSet) + sizeof(int64_t) * set->ints().capacity());
+    }
+  }
+  // A Value-form set of the same size is charged per Value.
+  const ItemSet ints = ItemSet::FromInts({1, 2, 3});
+  const ItemSet values({Value(int64_t{1}), Value(int64_t{2}), Value(3.5)});
+  EXPECT_LT(ints.ApproxBytes(), values.ApproxBytes());
 }
 
 // ---------------------------------------------------------------------------
