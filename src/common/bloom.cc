@@ -3,20 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/rng.h"
+
 namespace fusion {
-
-namespace {
-
-/// splitmix64 finalizer — cheap, well-distributed mixing for deriving the
-/// double-hashing pair from one 64-bit key.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 BloomFilter::BloomFilter(size_t expected_items, double target_fpp) {
   const double n = std::max<double>(1.0, static_cast<double>(expected_items));
@@ -30,8 +19,9 @@ BloomFilter::BloomFilter(size_t expected_items, double target_fpp) {
 
 void BloomFilter::InsertHash(uint64_t hash) {
   if (num_bits_ == 0) return;
-  const uint64_t h1 = Mix(hash);
-  const uint64_t h2 = Mix(h1) | 1;  // odd → probes cover the bit space
+  // The double-hashing pair, derived from one 64-bit key.
+  const uint64_t h1 = SplitMix64(hash);
+  const uint64_t h2 = SplitMix64(h1) | 1;  // odd → probes cover the bit space
   for (size_t i = 0; i < num_hashes_; ++i) {
     const uint64_t bit = (h1 + i * h2) % num_bits_;
     words_[bit >> 6] |= uint64_t{1} << (bit & 63);
@@ -40,8 +30,8 @@ void BloomFilter::InsertHash(uint64_t hash) {
 
 bool BloomFilter::MayContainHash(uint64_t hash) const {
   if (num_bits_ == 0) return false;
-  const uint64_t h1 = Mix(hash);
-  const uint64_t h2 = Mix(h1) | 1;
+  const uint64_t h1 = SplitMix64(hash);
+  const uint64_t h2 = SplitMix64(h1) | 1;
   for (size_t i = 0; i < num_hashes_; ++i) {
     const uint64_t bit = (h1 + i * h2) % num_bits_;
     if (((words_[bit >> 6] >> (bit & 63)) & 1) == 0) return false;

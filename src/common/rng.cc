@@ -25,14 +25,8 @@ const std::optional<uint64_t>& CachedGlobalSeed() {
 }  // namespace
 
 uint64_t MixSeed(uint64_t seed, uint64_t salt) {
-  // splitmix64: one round per input, then a finalizing round.
-  auto round = [](uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  };
-  return round(round(seed) ^ round(~salt));
+  // One splitmix64 round per input, then a finalizing round.
+  return SplitMix64(SplitMix64(seed) ^ SplitMix64(~salt));
 }
 
 bool HasGlobalSeed() { return CachedGlobalSeed().has_value(); }

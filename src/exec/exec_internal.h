@@ -18,10 +18,9 @@
 #include "source/cost_ledger.h"
 #include "source/source_wrapper.h"
 
-/// Source-call machinery shared by the sequential interpreter
-/// (exec/executor.cc) and the parallel executor (exec/parallel_executor.cc).
-/// Both paths must charge, retry, back off, breaker-gate, and cache
-/// identically — that is what makes their ledgers byte-comparable in tests.
+/// Source-call machinery behind the plan-op evaluator (exec/executor.cc):
+/// charging, retries, backoff, breaker gates and the cache, identical under
+/// every scheduler — that is what makes their ledgers byte-comparable.
 /// It is also where the observability layer hooks in: every wrapper call
 /// attempt gets a `source_call` span (one per ledger charge) and a
 /// source_calls_total metric tick, retries get `retry` spans (covering the
@@ -30,9 +29,9 @@
 namespace fusion {
 namespace exec_internal {
 
-/// Per-execution observability counters, surfaced on ExecutionReport. The
-/// parallel executor gives each op a private CallStats and merges them
-/// after the pool joins (same discipline as the sub-ledgers).
+/// Per-execution observability counters, surfaced on ExecutionReport. Each
+/// plan op counts into a private CallStats, merged into the report once the
+/// run is done (same discipline as the sub-ledgers).
 struct CallStats {
   size_t retries = 0;
   size_t cache_hits = 0;
@@ -113,7 +112,7 @@ struct CallContext {
   SourceHealth* health = nullptr;
   int source_index = -1;
   /// When set, backoff sleeps are bracketed with BeginBlocking/EndBlocking
-  /// so a sleeping retry does not hold one of the parallel executor's
+  /// so a sleeping retry does not hold one of the thread-pool scheduler's
   /// worker slots (ready ops keep draining at full parallelism).
   ThreadPool* blocking_pool = nullptr;
 };
@@ -270,7 +269,7 @@ Result<ItemSet> CachedSelect(SourceWrapper& source, const Condition& cond,
                              const ExecOptions& options, CostLedger& ledger,
                              CallContext ctx, const char* op_tag = "sq");
 
-/// One semijoin op's source interaction, shared by both executors: answers
+/// One semijoin op's source interaction: answers
 /// from the cache when possible (exact sjq entry, candidate-superset sjq,
 /// cached sq, or cached relation — all free), otherwise dispatches on the
 /// source's semijoin capability (native call, per-binding emulation, or

@@ -2,30 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "exec/exec_internal.h"
-#include "exec/parallel_executor.h"
-#include "exec/source_health.h"
+#include "exec/thread_pool.h"
 
 namespace fusion {
-namespace {
-
-using exec_internal::CallContext;
-using exec_internal::CallStats;
-
-/// splitmix64 finalizer: a cheap, well-mixed 64-bit hash. Used for retry
-/// jitter so the schedule is a pure function of (seed, source, attempt) —
-/// no RNG stream, hence no dependence on thread interleaving.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 double RetryPolicy::BackoffSeconds(size_t source_index, int attempt) const {
   if (attempt < 1 || initial_backoff_seconds <= 0.0) return 0.0;
@@ -35,6 +23,8 @@ double RetryPolicy::BackoffSeconds(size_t source_index, int attempt) const {
     backoff = max_backoff_seconds;
   }
   if (jitter_fraction > 0.0) {
+    // A pure function of (seed, source, attempt) — no RNG stream, hence no
+    // dependence on thread interleaving.
     uint64_t h = SplitMix64(jitter_seed);
     h = SplitMix64(h ^ static_cast<uint64_t>(source_index));
     h = SplitMix64(h ^ static_cast<uint64_t>(attempt));
@@ -126,122 +116,116 @@ Status ValidateExecOptions(const ExecOptions& options) {
 
 namespace {
 
-/// Shared interpreter for eager and lazy execution. In lazy mode, variables
-/// are evaluated on demand starting from the plan result, and empty
-/// accumulators cut off remaining operand subtrees.
-class PlanInterpreter {
+using Clock = std::chrono::steady_clock;
+
+double SecondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// One plan execution: a single op evaluator plus the three schedulers that
+/// drive it.
+///
+/// Each op evaluates into its own slot (sub-ledger, call stats, stopwatch,
+/// lq observation, emulated flag, degradation reason) and its SSA target
+/// variable, so per-op cost, time and cache provenance are exclusive by
+/// construction and concurrent workers never write a shared location.
+/// Finalize merges the slots into the report in the order the scheduler
+/// completed them: plan order for the serial and pool schedulers, demand
+/// completion order for the lazy one. Every op books its own charges after
+/// its demands have completed, so either way the merged ledger is
+/// charge-for-charge the sequence of calls the sources saw.
+class PlanRun {
  public:
-  PlanInterpreter(const Plan& plan, const SourceCatalog& catalog,
-                  const FusionQuery& query, const ExecOptions& options,
-                  exec_internal::FaultState* fault, ExecutionReport& report)
+  PlanRun(const Plan& plan, const SourceCatalog& catalog,
+          const FusionQuery& query, const ExecOptions& options,
+          exec_internal::FaultState* fault)
       : plan_(plan),
         catalog_(catalog),
         query_(query),
         options_(options),
         fault_(fault),
-        report_(report) {
-    report_.per_source_items.assign(catalog.size(), ItemSet());
-    report_.per_op_cost.assign(plan.num_ops(), 0.0);
-    report_.per_op_seconds.assign(plan.num_ops(), 0.0);
-    report_.per_op_cache.assign(plan.num_ops(), '-');
-    items_.resize(plan.vars().size());
-    relations_.resize(plan.vars().size());
-    defining_op_.assign(plan.vars().size(), -1);
-    for (size_t k = 0; k < plan.ops().size(); ++k) {
-      defining_op_[static_cast<size_t>(plan.ops()[k].target)] =
-          static_cast<int>(k);
+        slots_(plan.num_ops()),
+        items_(plan.vars().size()),
+        relations_(plan.vars().size()),
+        defining_op_(plan.vars().size(), 0) {
+    for (size_t k = 0; k < plan.num_ops(); ++k) {
+      defining_op_[static_cast<size_t>(plan.ops()[k].target)] = k;
     }
-    reasons_.assign(plan.num_ops(), "");
     if (options.on_source_failure == SourceFailurePolicy::kDegrade) {
       degradable_ = exec_internal::DegradableOps(plan);
     }
+    order_.reserve(plan.num_ops());
   }
 
-  Status RunEager() {
-    for (size_t k = 0; k < plan_.ops().size(); ++k) {
-      FUSION_RETURN_IF_ERROR(EvalOp(k, /*lazy=*/false));
+  /// Serial scheduler (the serving path): every op in plan order.
+  Status RunSerial() {
+    for (size_t k = 0; k < plan_.num_ops(); ++k) {
+      FUSION_RETURN_IF_ERROR(Eval(k, nullptr));
+      order_.push_back(k);
     }
-    report_.answer = *items_[plan_.result()];
-    ExportStats();
     return Status::Ok();
   }
 
+  /// Lazy scheduler: demand-driven recursion from the plan result. Ops no
+  /// demand reaches are never evaluated.
   Status RunLazy() {
-    FUSION_RETURN_IF_ERROR(EvalVar(plan_.result(), /*lazy=*/true));
-    report_.answer = *items_[plan_.result()];
-    // Everything never demanded counts as skipped, plus ops that were
-    // answered locally without their source call.
-    report_.skipped_ops = short_circuited_;
-    for (size_t k = 0; k < plan_.ops().size(); ++k) {
-      const int target = plan_.ops()[k].target;
-      if (!items_[target].has_value() && !relations_[target].has_value()) {
-        ++report_.skipped_ops;
-      }
-    }
-    ExportStats();
-    return Status::Ok();
+    lazy_ = true;
+    return Demand(plan_.result());
   }
+
+  /// Thread-pool scheduler: walks the op dependency DAG, overlapping
+  /// data-independent ops. Same-source ops serialize in plan order (a source
+  /// answers one query at a time — the model ComputeResponseTime prices, and
+  /// what keeps per-source wrapper state deterministic).
+  Status RunPool();
+
+  void Finalize(ExecutionReport& report);
 
  private:
-  void ExportStats() {
-    report_.retries_total = stats_.retries;
-    report_.cache_hits = stats_.cache_hits;
-    report_.cache_misses = stats_.cache_misses;
-    report_.cache_containment_hits = stats_.cache_containment_hits;
-    report_.breaker_fast_fails = stats_.breaker_fast_fails;
-    report_.semijoin_probes_skipped = stats_.semijoin_probes_skipped;
-    exec_internal::BuildCompletenessReport(plan_, reasons_,
-                                           &report_.completeness);
+  /// Op-private evaluation state; written only by the op's own evaluation.
+  struct OpSlot {
+    CostLedger ledger;
+    exec_internal::CallStats stats;
+    /// Exclusive wall clock: evaluation plus simulated latency, minus any
+    /// time spent in lazily demanded ops.
+    double seconds = 0.0;
+    ItemSet observed;  // lq only: the loaded relation's items
+    bool emulated = false;
+    std::string degraded;  // non-empty iff the op was ∅-substituted
+  };
+
+  bool Defined(int var) const {
+    return items_[static_cast<size_t>(var)].has_value() ||
+           relations_[static_cast<size_t>(var)].has_value();
   }
 
-  /// The fault-tolerance call context for op k's source interactions.
-  /// CachedSelect / EmulateSemiJoin override op/source_name/ledger.
-  CallContext ContextFor(const char* op_name, const SourceWrapper& src,
-                         int source) {
-    CallContext ctx;
-    ctx.op = op_name;
-    ctx.source_name = &src.name();
-    ctx.ledger = &report_.ledger;
-    ctx.stats = &stats_;
-    ctx.retry = &options_.retry;
-    ctx.fault = fault_;
-    ctx.health = options_.health;
-    ctx.source_index = source;
-    return ctx;
-  }
-
-  /// Degraded-mode absorption of an exhausted source call: substitutes ∅
-  /// (or an empty relation) for op k and records the exclusion when that is
-  /// provably sound; otherwise returns `status`, failing the query.
-  Status HandleSourceFailure(size_t k, const PlanOp& op, const Status& status) {
-    if (options_.on_source_failure != SourceFailurePolicy::kDegrade ||
-        degradable_.empty() || degradable_[k] == 0 ||
-        !exec_internal::IsDegradableFailure(status)) {
-      return status;
-    }
-    reasons_[k] = status.ToString();
-    if (op.kind == PlanOpKind::kLoad) {
-      relations_[op.target] = Relation(
-          catalog_.source(static_cast<size_t>(op.source)).schema());
-    } else {
-      items_[op.target] = ItemSet();
-    }
+  /// Evaluates the op defining `var` (lazy scheduler).
+  Status Demand(int var) {
+    const size_t k = defining_op_[static_cast<size_t>(var)];
+    FUSION_RETURN_IF_ERROR(Eval(k, nullptr));
+    order_.push_back(k);
     return Status::Ok();
   }
 
-  /// Ensures the op defining `var` has run (recursively, in lazy mode).
-  Status EvalVar(int var, bool lazy) {
-    if (items_[var].has_value() || relations_[var].has_value()) {
-      return Status::Ok();
-    }
-    return EvalOp(static_cast<size_t>(defining_op_[var]), lazy);
+  /// The evaluator's demand hook: makes `var` available to the op owning
+  /// `slot`. Under the serial and pool schedulers every input is already
+  /// evaluated, so this is a no-op; under the lazy scheduler it evaluates
+  /// the defining op, with the demanding op's stopwatch stopped meanwhile.
+  Status Need(OpSlot& slot, int var) {
+    if (Defined(var)) return Status::Ok();
+    const Clock::time_point start = Clock::now();
+    const Status status = Demand(var);
+    slot.seconds -= SecondsSince(start);
+    return status;
   }
 
-  Status EvalOp(size_t k, bool lazy) {
+  /// The one op evaluator. `pool` is the scheduler's thread pool (null when
+  /// serial), so retry backoff sleeps release their worker slot.
+  Status Eval(size_t k, ThreadPool* pool) {
     const PlanOp& op = plan_.ops()[k];
-    if (items_[op.target].has_value() || relations_[op.target].has_value()) {
-      return Status::Ok();
-    }
+    OpSlot& slot = slots_[k];
+    // The plan_op span covers the evaluation *and* the simulated-latency
+    // sleep, so traced parallel runs show real wall-clock overlap.
     ScopedSpan span(SpanCategory::kPlanOp, PlanOpKindName(op.kind));
     if (span.active()) {
       span.AddAttr("op", static_cast<int64_t>(k));
@@ -252,102 +236,46 @@ class PlanInterpreter {
       }
       if (op.cond >= 0) span.AddAttr("cond", static_cast<int64_t>(op.cond));
     }
-    // Attribute only this op's direct charges: nested evaluations (lazy
-    // mode) book their own costs, which `attributed_` subtracts out. Time
-    // and cache interactions use the same subtraction so EXPLAIN's per-op
-    // annotations stay child-exclusive too.
-    const double unattributed_before = report_.ledger.total() - attributed_;
-    const double attr_secs_before = attributed_seconds_;
-    const size_t hits_before = stats_.cache_hits;
-    const size_t misses_before = stats_.cache_misses;
-    const size_t containment_before = stats_.cache_containment_hits;
-    const size_t attr_hits_before = attributed_hits_;
-    const size_t attr_misses_before = attributed_misses_;
-    const size_t attr_containment_before = attributed_containment_;
-    const auto op_start = std::chrono::steady_clock::now();
-    FUSION_RETURN_IF_ERROR(EvalOpBody(k, op, lazy));
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      op_start)
-            .count();
-    report_.per_op_seconds[k] =
-        elapsed - (attributed_seconds_ - attr_secs_before);
-    attributed_seconds_ = attr_secs_before + elapsed;
-    const size_t own_hits = (stats_.cache_hits - hits_before) -
-                            (attributed_hits_ - attr_hits_before);
-    const size_t own_misses = (stats_.cache_misses - misses_before) -
-                              (attributed_misses_ - attr_misses_before);
-    const size_t own_containment =
-        (stats_.cache_containment_hits - containment_before) -
-        (attributed_containment_ - attr_containment_before);
-    attributed_hits_ = attr_hits_before + (stats_.cache_hits - hits_before);
-    attributed_misses_ =
-        attr_misses_before + (stats_.cache_misses - misses_before);
-    attributed_containment_ =
-        attr_containment_before +
-        (stats_.cache_containment_hits - containment_before);
-    // Containment hits are double-counted inside misses (the exact key did
-    // miss), so a "real" miss is a miss beyond the containment count.
-    if (own_misses > own_containment) {
-      report_.per_op_cache[k] = 'm';
-    } else if (own_containment > 0) {
-      report_.per_op_cache[k] = 'c';
-    } else if (own_hits > 0) {
-      report_.per_op_cache[k] = 'h';
-    }
-    const double own_cost =
-        (report_.ledger.total() - attributed_) - unattributed_before;
-    report_.per_op_cost[k] = own_cost;
-    attributed_ += own_cost;
-    span.AddAttr("cost", own_cost);
-    if (!reasons_[k].empty()) span.AddAttr("degraded", reasons_[k]);
-    exec_internal::SleepForCost(own_cost, options_);
+    const Clock::time_point start = Clock::now();
+    FUSION_RETURN_IF_ERROR(EvalBody(k, op, slot, pool));
+    const double cost = slot.ledger.total();
+    span.AddAttr("cost", cost);
+    if (!slot.degraded.empty()) span.AddAttr("degraded", slot.degraded);
+    // The op "takes" as long as it cost (scaled): dependents and the next
+    // query to this source wait for it, so makespans compose.
+    exec_internal::SleepForCost(cost, options_);
+    slot.seconds += SecondsSince(start);
     return Status::Ok();
   }
 
-  Status EvalOpBody(size_t k, const PlanOp& op, bool lazy) {
+  Status EvalBody(size_t k, const PlanOp& op, OpSlot& slot, ThreadPool* pool) {
     switch (op.kind) {
       case PlanOpKind::kSelect: {
         SourceWrapper& src = catalog_.source(static_cast<size_t>(op.source));
-        const Condition& cond =
-            query_.conditions()[static_cast<size_t>(op.cond)];
-        // Cache consultation, single-flight dedup, retries, and memo
-        // publication all live in CachedSelect (shared with the parallel
-        // executor). Cache hits charge nothing; witness knowledge stays
-        // valid either way.
         Result<ItemSet> result = exec_internal::CachedSelect(
-            src, cond, query_.merge_attribute(), options_, report_.ledger,
-            ContextFor("sq", src, op.source));
+            src, query_.conditions()[static_cast<size_t>(op.cond)],
+            query_.merge_attribute(), options_, slot.ledger,
+            ContextFor(op, slot, pool));
         if (!result.ok()) return HandleSourceFailure(k, op, result.status());
-        Observe(op.source, *result);
         items_[op.target] = std::move(result).value();
         break;
       }
       case PlanOpKind::kSemiJoin: {
-        if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(op.input, lazy));
+        FUSION_RETURN_IF_ERROR(Need(slot, op.input));
         const ItemSet& candidates = *items_[op.input];
-        if (lazy && candidates.empty()) {
+        if (lazy_ && candidates.empty()) {
           items_[op.target] = ItemSet();  // ∅ semijoin needs no source call
           ++short_circuited_;
           break;
         }
-        SourceWrapper& src = catalog_.source(static_cast<size_t>(op.source));
-        const Condition& cond =
-            query_.conditions()[static_cast<size_t>(op.cond)];
-        // Cache lookup (exact or containment-derived), capability dispatch
-        // (native / emulated / unsupported), and memo publication all live
-        // in CachedSemiJoin (shared with the parallel executor).
-        bool emulated = false;
         Result<ItemSet> result = exec_internal::CachedSemiJoin(
-            src, cond, query_.merge_attribute(), candidates, options_,
-            report_.ledger, ContextFor("sjq", src, op.source), &emulated);
-        if (!result.ok()) {
-          return HandleSourceFailure(k, op, result.status());
-        }
-        Observe(op.source, *result);
+            catalog_.source(static_cast<size_t>(op.source)),
+            query_.conditions()[static_cast<size_t>(op.cond)],
+            query_.merge_attribute(), candidates, options_, slot.ledger,
+            ContextFor(op, slot, pool), &slot.emulated);
+        if (!result.ok()) return HandleSourceFailure(k, op, result.status());
         items_[op.target] = std::move(result).value();
-        if (emulated) {
-          ++report_.emulated_semijoins;
+        if (slot.emulated) {
           static Counter& counter =
               MetricsRegistry::Global().counter(metrics::kEmulatedSemijoins);
           counter.Increment();
@@ -355,19 +283,18 @@ class PlanInterpreter {
         break;
       }
       case PlanOpKind::kLoad: {
-        SourceWrapper& src = catalog_.source(static_cast<size_t>(op.source));
         Result<Relation> loaded = exec_internal::CachedLoad(
-            src, options_, report_.ledger, ContextFor("lq", src, op.source));
+            catalog_.source(static_cast<size_t>(op.source)), options_,
+            slot.ledger, ContextFor(op, slot, pool));
         if (!loaded.ok()) return HandleSourceFailure(k, op, loaded.status());
         FUSION_ASSIGN_OR_RETURN(
-            ItemSet all_items,
+            slot.observed,
             loaded->SelectItems(Condition::True(), query_.merge_attribute()));
-        Observe(op.source, all_items);
         relations_[op.target] = std::move(loaded).value();
         break;
       }
       case PlanOpKind::kLocalSelect: {
-        if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(op.input, lazy));
+        FUSION_RETURN_IF_ERROR(Need(slot, op.input));
         if (!relations_[op.input].has_value()) {
           return Status::Internal("local select over unloaded relation var");
         }
@@ -380,19 +307,17 @@ class PlanInterpreter {
         break;
       }
       case PlanOpKind::kUnion: {
-        if (lazy) {
-          for (int v : op.inputs) FUSION_RETURN_IF_ERROR(EvalVar(v, lazy));
-        }
+        for (const int v : op.inputs) FUSION_RETURN_IF_ERROR(Need(slot, v));
         items_[op.target] = exec_internal::UnionOfVars(op.inputs, items_);
         break;
       }
       case PlanOpKind::kIntersect: {
         std::optional<ItemSet> acc;
-        for (int v : op.inputs) {
-          if (lazy && acc.has_value() && acc->empty()) {
-            break;  // sound cut: ∅ ∩ anything = ∅; skip remaining subtrees
-          }
-          if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(v, lazy));
+        for (const int v : op.inputs) {
+          // Sound cut: ∅ ∩ anything = ∅, so the remaining operands (and,
+          // when lazy, their whole subtrees) are skipped.
+          if (acc.has_value() && acc->empty()) break;
+          FUSION_RETURN_IF_ERROR(Need(slot, v));
           acc = acc.has_value() ? ItemSet::Intersect(*acc, *items_[v])
                                 : *items_[v];
         }
@@ -400,13 +325,13 @@ class PlanInterpreter {
         break;
       }
       case PlanOpKind::kDifference: {
-        if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(op.inputs[0], lazy));
+        FUSION_RETURN_IF_ERROR(Need(slot, op.inputs[0]));
         const ItemSet& lhs = *items_[op.inputs[0]];
-        if (lazy && lhs.empty()) {
-          items_[op.target] = ItemSet();  // ∅ − X = ∅; skip rhs subtree
+        if (lhs.empty()) {
+          items_[op.target] = ItemSet();  // ∅ − X = ∅; skip the rhs
           break;
         }
-        if (lazy) FUSION_RETURN_IF_ERROR(EvalVar(op.inputs[1], lazy));
+        FUSION_RETURN_IF_ERROR(Need(slot, op.inputs[1]));
         items_[op.target] = ItemSet::Difference(lhs, *items_[op.inputs[1]]);
         break;
       }
@@ -414,9 +339,36 @@ class PlanInterpreter {
     return Status::Ok();
   }
 
-  void Observe(int source, const ItemSet& received) {
-    report_.per_source_items[static_cast<size_t>(source)].UnionInPlace(
-        received);
+  /// The fault-tolerance call context for one source op. CachedSelect /
+  /// CachedSemiJoin / CachedLoad set the op tag, source name and ledger.
+  exec_internal::CallContext ContextFor(const PlanOp& op, OpSlot& slot,
+                                        ThreadPool* pool) const {
+    exec_internal::CallContext ctx;
+    ctx.stats = &slot.stats;
+    ctx.retry = &options_.retry;
+    ctx.fault = fault_;
+    ctx.health = options_.health;
+    ctx.source_index = op.source;
+    ctx.blocking_pool = pool;
+    return ctx;
+  }
+
+  /// Degraded-mode absorption of an exhausted source call: substitutes ∅
+  /// (or an empty relation) for op k and records the exclusion when that is
+  /// provably sound; otherwise returns `status`, failing the query.
+  Status HandleSourceFailure(size_t k, const PlanOp& op, const Status& status) {
+    if (degradable_.empty() || degradable_[k] == 0 ||
+        !exec_internal::IsDegradableFailure(status)) {
+      return status;
+    }
+    slots_[k].degraded = status.ToString();
+    if (op.kind == PlanOpKind::kLoad) {
+      relations_[op.target] = Relation(
+          catalog_.source(static_cast<size_t>(op.source)).schema());
+    } else {
+      items_[op.target] = ItemSet();
+    }
+    return Status::Ok();
   }
 
   const Plan& plan_;
@@ -424,22 +376,178 @@ class PlanInterpreter {
   const FusionQuery& query_;
   const ExecOptions& options_;
   exec_internal::FaultState* fault_;
-  ExecutionReport& report_;
-  std::vector<std::optional<ItemSet>> items_;
-  std::vector<std::optional<Relation>> relations_;
-  std::vector<int> defining_op_;
-  size_t short_circuited_ = 0;
-  double attributed_ = 0.0;  // ledger cost already assigned to some op
-  // Per-op attribution state for EXPLAIN: elapsed time and cache
-  // interactions already assigned to some (nested) op.
-  double attributed_seconds_ = 0.0;
-  size_t attributed_hits_ = 0;
-  size_t attributed_misses_ = 0;
-  size_t attributed_containment_ = 0;
-  CallStats stats_;  // per-execution retry/cache/breaker counters
-  std::vector<char> degradable_;     // empty unless on_source_failure=kDegrade
-  std::vector<std::string> reasons_;  // non-empty iff op was ∅-substituted
+  /// The evaluator's only mode bit: the ∅-candidate semijoin cut skips a
+  /// metered call, so only the lazy scheduler enables it.
+  bool lazy_ = false;
+  std::vector<OpSlot> slots_;
+  std::vector<std::optional<ItemSet>> items_;       // per SSA variable
+  std::vector<std::optional<Relation>> relations_;  // per SSA variable
+  std::vector<size_t> defining_op_;                 // per SSA variable
+  std::vector<char> degradable_;  // empty unless on_source_failure=kDegrade
+  std::vector<size_t> order_;     // evaluated ops, in merge order
+  size_t short_circuited_ = 0;    // lazy ∅-candidate semijoins
 };
+
+/// The pool scheduler's bookkeeping. Each op's completion is ordered before
+/// the dispatch of its dependents by `mu_`, which makes the dependents'
+/// reads of the op's outputs race-free.
+class PoolScheduler {
+ public:
+  using EvalFn = std::function<Status(size_t, ThreadPool*)>;
+
+  PoolScheduler(const Plan& plan, int parallelism, EvalFn eval)
+      : parallelism_(parallelism),
+        eval_(std::move(eval)),
+        dependents_(plan.num_ops()),
+        pending_(plan.num_ops(), 0) {
+    std::vector<int> var_def(plan.vars().size(), -1);
+    std::vector<int> last_on_source;
+    for (size_t k = 0; k < plan.num_ops(); ++k) {
+      const PlanOp& op = plan.ops()[k];
+      std::vector<int> deps;
+      if (op.input >= 0) deps.push_back(var_def[op.input]);
+      for (const int v : op.inputs) deps.push_back(var_def[v]);
+      if (op.source >= 0) {
+        if (static_cast<size_t>(op.source) >= last_on_source.size()) {
+          last_on_source.resize(static_cast<size_t>(op.source) + 1, -1);
+        }
+        int& last = last_on_source[static_cast<size_t>(op.source)];
+        if (last >= 0) deps.push_back(last);
+        last = static_cast<int>(k);
+      }
+      std::sort(deps.begin(), deps.end());
+      deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+      for (const int d : deps) {
+        dependents_[static_cast<size_t>(d)].push_back(static_cast<int>(k));
+        ++pending_[k];
+      }
+      var_def[op.target] = static_cast<int>(k);
+    }
+  }
+
+  Status Run() {
+    const size_t num_ops = pending_.size();
+    {
+      // Everything ready at the outset is dispatched immediately; the rest
+      // unlocks as dependencies finish.
+      ThreadPool pool(parallelism_);
+      std::unique_lock<std::mutex> lock(mu_);
+      pool_ = &pool;
+      for (size_t k = 0; k < num_ops; ++k) {
+        if (pending_[k] == 0) Dispatch(k);
+      }
+      done_cv_.wait(lock, [&] {
+        return finished_ == scheduled_ && (failed_ || finished_ == num_ops);
+      });
+      pool_ = nullptr;
+    }  // pool joins here: every dispatched task has completed
+    return failed_ ? error_ : Status::Ok();
+  }
+
+ private:
+  /// Requires mu_ held.
+  void Dispatch(size_t k) {
+    ++scheduled_;
+    // The pool pointer rides in the task (not read from the member) so the
+    // backoff-compensation hook needs no lock in the workers.
+    pool_->Submit([this, k, pool = pool_] { RunOp(k, pool); });
+  }
+
+  void RunOp(size_t k, ThreadPool* pool) {
+    bool failed;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      failed = failed_;
+    }
+    // Ops still queued when the run fails drain as no-ops: no source
+    // contact, breaker tick or cache fill for a query already lost.
+    const Status status = failed ? Status::Ok() : eval_(k, pool);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!status.ok()) {
+      if (!failed_) {
+        failed_ = true;
+        error_ = status;
+      }
+    } else if (!failed_) {
+      for (const int d : dependents_[k]) {
+        if (--pending_[static_cast<size_t>(d)] == 0) {
+          Dispatch(static_cast<size_t>(d));
+        }
+      }
+    }
+    ++finished_;
+    done_cv_.notify_all();
+  }
+
+  const int parallelism_;
+  const EvalFn eval_;
+  std::vector<std::vector<int>> dependents_;  // immutable after construction
+
+  // Guarded by mu_.
+  std::mutex mu_;
+  std::condition_variable done_cv_;
+  std::vector<int> pending_;  // unmet dependency counts
+  ThreadPool* pool_ = nullptr;
+  size_t scheduled_ = 0;
+  size_t finished_ = 0;
+  bool failed_ = false;
+  Status error_;
+};
+
+Status PlanRun::RunPool() {
+  PoolScheduler scheduler(
+      plan_, options_.parallelism,
+      [this](size_t k, ThreadPool* pool) { return Eval(k, pool); });
+  FUSION_RETURN_IF_ERROR(scheduler.Run());
+  for (size_t k = 0; k < plan_.num_ops(); ++k) order_.push_back(k);
+  return Status::Ok();
+}
+
+void PlanRun::Finalize(ExecutionReport& report) {
+  const size_t num_ops = plan_.num_ops();
+  report.per_source_items.assign(catalog_.size(), ItemSet());
+  report.per_op_cost.assign(num_ops, 0.0);
+  report.per_op_seconds.assign(num_ops, 0.0);
+  report.per_op_cache.assign(num_ops, '-');
+  exec_internal::CallStats stats;
+  std::vector<std::string> reasons(num_ops);
+  for (const size_t k : order_) {
+    OpSlot& slot = slots_[k];
+    report.per_op_cost[k] = slot.ledger.total();
+    report.per_op_seconds[k] = slot.seconds;
+    // Containment hits are double-counted inside misses (the exact key did
+    // miss), so a "real" miss is a miss beyond the containment count.
+    const exec_internal::CallStats& s = slot.stats;
+    if (s.cache_misses > s.cache_containment_hits) {
+      report.per_op_cache[k] = 'm';
+    } else if (s.cache_containment_hits > 0) {
+      report.per_op_cache[k] = 'c';
+    } else if (s.cache_hits > 0) {
+      report.per_op_cache[k] = 'h';
+    }
+    report.ledger.MergeFrom(std::move(slot.ledger));
+    stats.MergeFrom(s);
+    if (slot.emulated) ++report.emulated_semijoins;
+    reasons[k] = std::move(slot.degraded);
+    const PlanOp& op = plan_.ops()[k];
+    if (op.source >= 0) {
+      // Witness knowledge: an sq/sjq answer is its SSA target; an lq's
+      // items live in the slot.
+      report.per_source_items[static_cast<size_t>(op.source)].UnionInPlace(
+          op.kind == PlanOpKind::kLoad ? slot.observed : *items_[op.target]);
+    }
+  }
+  report.answer = std::move(*items_[static_cast<size_t>(plan_.result())]);
+  // Never-demanded ops, plus semijoins answered ∅ without their call.
+  report.skipped_ops = short_circuited_ + (num_ops - order_.size());
+  report.retries_total = stats.retries;
+  report.cache_hits = stats.cache_hits;
+  report.cache_misses = stats.cache_misses;
+  report.cache_containment_hits = stats.cache_containment_hits;
+  report.breaker_fast_fails = stats.breaker_fast_fails;
+  report.semijoin_probes_skipped = stats.semijoin_probes_skipped;
+  exec_internal::BuildCompletenessReport(plan_, reasons, &report.completeness);
+}
 
 }  // namespace
 
@@ -457,16 +565,17 @@ Result<ExecutionReport> ExecutePlan(const Plan& plan,
   // One fault state per execution: the deadline clock starts here, and the
   // cost budget covers every ledger (all ops, failed attempts included).
   exec_internal::FaultState fault(options);
-  if (options.parallelism > 1 && !options.lazy_short_circuit) {
-    FUSION_RETURN_IF_ERROR(
-        ExecutePlanParallel(plan, catalog, query, options, &fault, report));
+  PlanRun run(plan, catalog, query, options, &fault);
+  // Lazy evaluation is inherently serial (its payoff is skipping work, not
+  // overlapping it), so it wins over parallelism.
+  if (options.lazy_short_circuit) {
+    FUSION_RETURN_IF_ERROR(run.RunLazy());
+  } else if (options.parallelism > 1) {
+    FUSION_RETURN_IF_ERROR(run.RunPool());
   } else {
-    // parallelism == 1, or lazy mode: demand-driven evaluation is
-    // inherently serial (its payoff is skipping work, not overlapping it).
-    PlanInterpreter interpreter(plan, catalog, query, options, &fault, report);
-    FUSION_RETURN_IF_ERROR(options.lazy_short_circuit ? interpreter.RunLazy()
-                                                      : interpreter.RunEager());
+    FUSION_RETURN_IF_ERROR(run.RunSerial());
   }
+  run.Finalize(report);
   report.wall_clock_makespan =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -104,7 +104,9 @@ struct ExecutionReport {
   /// ComputeResponseTime(plan, report.per_op_cost).
   std::vector<double> per_op_cost;
   /// Wall-clock seconds each plan op spent evaluating, aligned with
-  /// Plan::ops() (0 for ops skipped by lazy short-circuiting). Measured with
+  /// Plan::ops(): its own work plus its simulated latency
+  /// (ExecOptions::simulated_seconds_per_cost), excluding ops it demanded
+  /// lazily (0 for ops skipped by lazy short-circuiting). Measured with
   /// the steady clock independently of the tracer, so EXPLAIN can annotate
   /// the executed plan with per-op timings even when tracing is disabled.
   std::vector<double> per_op_seconds;
@@ -219,15 +221,14 @@ struct ExecOptions {
   /// internally synchronized and single-flight deduplicated, so it may be
   /// shared by concurrent workers and concurrent executions.
   SourceCallCache* cache = nullptr;
-  /// Worker count for the parallel plan executor. 1 (the default) runs the
-  /// classic sequential interpreter and preserves its semantics exactly;
-  /// > 1 walks the plan's op dependency DAG with a thread pool, overlapping
-  /// data-independent source calls (queries to the *same* source still
-  /// serialize in plan order, matching plan/response_time.h's model). The
-  /// answer, per-op costs, and merged ledger are identical to sequential
-  /// execution. Combined with lazy_short_circuit the lazy sequential
-  /// interpreter runs instead (demand-driven evaluation is inherently
-  /// serial; its payoff is skipping work, not overlapping it).
+  /// Worker count. 1 (the default) evaluates ops one after another in plan
+  /// order; > 1 walks the plan's op dependency DAG with a thread pool,
+  /// overlapping data-independent source calls (queries to the *same*
+  /// source still serialize in plan order, matching plan/response_time.h's
+  /// model). The answer, per-op costs, and merged ledger are identical
+  /// either way. Combined with lazy_short_circuit the lazy scheduler runs
+  /// instead (demand-driven evaluation is inherently serial; its payoff is
+  /// skipping work, not overlapping it).
   int parallelism = 1;
   /// When > 0, every plan op additionally sleeps for
   /// (its metered cost) * this many seconds, turning the abstract cost units
@@ -252,12 +253,16 @@ struct ExecOptions {
 /// ExecutePlan; exposed for callers that want to validate eagerly.
 Status ValidateExecOptions(const ExecOptions& options);
 
-/// The mediator's plan interpreter: runs `plan` for `query` against the
-/// catalog's sources, metering every source interaction. Semijoin queries to
-/// sources with only passed-binding support are emulated as one
-/// `c AND M = m` selection per candidate item (Section 2.3); sources with no
-/// binding support at all fail the plan with kUnsupported. Local operations
-/// (∪, ∩, −, selection over loaded relations) run at the mediator for free.
+/// The mediator's plan executor: runs `plan` for `query` against the
+/// catalog's sources, metering every source interaction. One op evaluator
+/// serves three schedulers — serial (plan order), lazy (demand-driven from
+/// the result) and thread pool (dependency DAG) — and each op's cost, time
+/// and cache provenance in the report are its own, exclusive of the ops it
+/// demanded. Semijoin queries to sources with only passed-binding support
+/// are emulated as one `c AND M = m` selection per candidate item
+/// (Section 2.3); sources with no binding support at all fail the plan with
+/// kUnsupported. Local operations (∪, ∩, −, selection over loaded
+/// relations) run at the mediator for free.
 Result<ExecutionReport> ExecutePlan(const Plan& plan,
                                     const SourceCatalog& catalog,
                                     const FusionQuery& query);

@@ -27,8 +27,8 @@ namespace fusion {
 ///   open ──(open_cooldown_rejections fast-fails)──▶ half-open (one probe)
 ///   half-open ──probe ok──▶ closed          half-open ──probe fails──▶ open
 ///
-/// Thread-safety: all methods are internally synchronized; the parallel
-/// executor's workers may Admit/Record concurrently. During half-open,
+/// Thread-safety: all methods are internally synchronized; the thread-pool
+/// scheduler's workers may Admit/Record concurrently. During half-open,
 /// exactly one caller is admitted as the probe — concurrent callers keep
 /// fast-failing until the probe settles, so a recovering source is not
 /// stampeded.

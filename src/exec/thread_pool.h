@@ -11,8 +11,9 @@
 namespace fusion {
 
 /// A fixed-size worker pool executing submitted closures in FIFO order.
-/// Built for the parallel plan executor: one pool per plan execution, sized
-/// by ExecOptions::parallelism, so concurrent source round-trips overlap.
+/// Built for the thread-pool plan scheduler: one pool per plan execution,
+/// sized by ExecOptions::parallelism, so concurrent source round-trips
+/// overlap.
 ///
 /// Thread-safety contract: Submit may be called from any thread (including
 /// pool workers, which is how the dependency scheduler fans out newly ready

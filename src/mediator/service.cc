@@ -327,8 +327,9 @@ void QueryService::RecordSlo(const Request& request,
 }
 
 std::string QueryService::StatsText() const {
-  return RenderStatsText(MetricsRegistry::Global().Snapshot(),
-                         slo_.Snapshot());
+  MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
+  metrics.counters[metrics::kSloTenantOverflowTotal] = slo_.overflowed();
+  return RenderStatsText(metrics, slo_.Snapshot());
 }
 
 ClientResponse QueryService::HandleParsed(const ClientRequest& request) {

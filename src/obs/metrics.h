@@ -146,6 +146,9 @@ inline constexpr char kServiceCancelledTotal[] = "service_cancelled_total";
 inline constexpr char kServiceQueueDepth[] = "service_queue_depth";  // gauge
 inline constexpr char kServiceActiveClients[] =
     "service_active_clients";  // gauge
+/// Per-service, rendered into STATS from SloRegistry::overflowed() (not a
+/// registry metric): tenant lookups folded into the overflow tenant row.
+inline constexpr char kSloTenantOverflowTotal[] = "slo_tenant_overflow_total";
 inline constexpr char kBreakerOpensTotal[] = "breaker_opens_total";
 inline constexpr char kBreakerFastFailsTotal[] = "breaker_fast_fails_total";
 inline constexpr char kCacheHits[] = "cache_hits_total";

@@ -4,9 +4,22 @@ namespace fusion {
 
 SloRegistry::Tenant& SloRegistry::Slot(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = tenants_[tenant];
-  if (slot == nullptr) slot = std::make_unique<Tenant>();
-  return *slot;
+  auto it = tenants_.find(tenant);
+  if (it != tenants_.end()) return *it->second;
+  if (named_tenants_ < kMaxTenants) {
+    ++named_tenants_;
+    return *tenants_.emplace(tenant, std::make_unique<Tenant>())
+                .first->second;
+  }
+  ++overflowed_;
+  auto& overflow = tenants_[kOverflowTenant];
+  if (overflow == nullptr) overflow = std::make_unique<Tenant>();
+  return *overflow;
+}
+
+uint64_t SloRegistry::overflowed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return overflowed_;
 }
 
 void SloRegistry::Register(const std::string& tenant) { Slot(tenant); }

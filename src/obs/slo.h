@@ -46,6 +46,12 @@ class SloRegistry {
  public:
   /// Completions considered by the rolling error rate.
   static constexpr size_t kErrorWindow = 256;
+  /// Named tenants kept. Tenant names come from outside the program (the
+  /// HELLO client name) and each row costs ~1 KB (latency histogram plus
+  /// the error window), so past this many names every new one folds into
+  /// the kOverflowTenant row and the table stays bounded.
+  static constexpr size_t kMaxTenants = 256;
+  static constexpr char kOverflowTenant[] = "other";
 
   /// Ensures `tenant` exists (the HELLO path), so a connected-but-idle
   /// client is visible in STATS with zero counts.
@@ -63,8 +69,13 @@ class SloRegistry {
   /// skew the latency histogram or the rolling error rate.
   void RecordShed(const std::string& tenant);
 
-  /// Every tenant's current accounting, sorted by tenant name.
+  /// Every tenant's current accounting, sorted by tenant name. At most
+  /// kMaxTenants named rows plus the kOverflowTenant row.
   std::vector<TenantSloSnapshot> Snapshot() const;
+
+  /// Registrations and recordings that were folded into kOverflowTenant
+  /// because the named-tenant table was full.
+  uint64_t overflowed() const;
 
  private:
   struct Tenant {
@@ -85,8 +96,10 @@ class SloRegistry {
 
   Tenant& Slot(const std::string& tenant);
 
-  mutable std::mutex mu_;  // guards the map, not per-tenant state
+  mutable std::mutex mu_;  // guards the map and counts, not tenant state
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
+  size_t named_tenants_ = 0;  // rows created for their own name
+  uint64_t overflowed_ = 0;
 };
 
 }  // namespace fusion

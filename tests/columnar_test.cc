@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -781,6 +782,28 @@ TEST(BloomFilterTest, CrossTypeEqualityAbove2To53IsBloomSafe) {
     doubles.Insert(rounded);
     EXPECT_TRUE(doubles.MayContain(big));
   }
+}
+
+TEST(BloomFilterTest, MembershipPatternIsPinned) {
+  // A one-hash filter answers MayContainHash(h) from a single bit chosen by
+  // the key mixer, so this pattern pins the mixer's every output bit that
+  // reaches the bit index.
+  BloomFilter filter(64, 0.5);
+  ASSERT_EQ(filter.num_bits(), 93u);
+  ASSERT_EQ(filter.num_hashes(), 1u);
+  for (uint64_t h = 0; h < 20; ++h) filter.InsertHash(h * 7919);
+  std::string mask;
+  for (uint64_t h = 1000; h < 1256; h += 4) {
+    int nibble = 0;
+    for (int b = 0; b < 4; ++b) {
+      if (filter.MayContainHash(h + static_cast<uint64_t>(b))) {
+        nibble |= 1 << b;
+      }
+    }
+    mask += "0123456789abcdef"[nibble];
+  }
+  EXPECT_EQ(mask,
+            "450000680908014160141302200c0000c1800002405214102428000812270848");
 }
 
 TEST(BloomFilterTest, EmptyFilterRejectsEverything) {

@@ -265,6 +265,14 @@ TEST(RngTest, DeterministicForSeed) {
   }
 }
 
+TEST(MixSeedTest, GoldenValues) {
+  // Seeds derived through MixSeed are replayed across runs and processes;
+  // pin the exact mixing so a refactor cannot silently reseed everything.
+  EXPECT_EQ(MixSeed(1, 2), 4626852571372329720ull);
+  EXPECT_EQ(MixSeed(42, 0), 4281161784462384440ull);
+  EXPECT_EQ(MixSeed(0, ~0ull), 16294208416658607535ull);
+}
+
 TEST(RngTest, UniformRespectsBounds) {
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {

@@ -2,6 +2,7 @@
 
 #include "cost/oracle_cost_model.h"
 #include "exec/executor.h"
+#include "exec/source_call_cache.h"
 #include "optimizer/filter.h"
 #include "optimizer/postopt.h"
 #include "optimizer/sja.h"
@@ -204,6 +205,128 @@ TEST_P(OracleFidelityTest, EstimateMatchesMeteredExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleFidelityTest,
                          ::testing::Range<uint64_t>(0, 10));
+
+// ---------------------------------------------------------------------------
+// EXPLAIN's per-op annotations under every scheduler
+// ---------------------------------------------------------------------------
+
+/// The Figure 2(b) semijoin plan over Figure 1: three sq(dui) feeding a
+/// union, whose result is the candidate set of three sjq(sp).
+Plan DmvSemijoinPlan() {
+  Plan plan;
+  std::vector<int> dui;
+  for (int j = 0; j < 3; ++j) dui.push_back(plan.EmitSelect(0, j));
+  const int x1 = plan.EmitUnion(dui, "X1");
+  std::vector<int> sp;
+  for (int j = 0; j < 3; ++j) sp.push_back(plan.EmitSemiJoin(1, j, x1));
+  plan.SetResult(plan.EmitUnion(sp, "X2"));
+  return plan;
+}
+
+bool IsSourceOp(const PlanOp& op) { return op.source >= 0; }
+
+struct Scheduler {
+  const char* name;
+  bool lazy;
+  int parallelism;
+};
+
+constexpr Scheduler kSchedulers[] = {
+    {"serial", false, 1}, {"lazy", true, 1}, {"pool", false, 4}};
+
+TEST(ExplainAnnotationTest, ColdMissesThenWarmHitsUnderEveryScheduler) {
+  const auto instance = BuildDmvFigure1();
+  ASSERT_TRUE(instance.ok());
+  const Plan plan = DmvSemijoinPlan();
+  for (const Scheduler& scheduler : kSchedulers) {
+    SCOPED_TRACE(scheduler.name);
+    SourceCallCache cache;
+    ExecOptions options;
+    options.lazy_short_circuit = scheduler.lazy;
+    options.parallelism = scheduler.parallelism;
+    options.cache = &cache;
+    const auto cold =
+        ExecutePlan(plan, instance->catalog, instance->query, options);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    const auto warm =
+        ExecutePlan(plan, instance->catalog, instance->query, options);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(warm->answer, cold->answer);
+    EXPECT_EQ(warm->ledger.total(), 0.0);
+    ASSERT_EQ(cold->per_op_cache.size(), plan.num_ops());
+    ASSERT_EQ(warm->per_op_cache.size(), plan.num_ops());
+    for (size_t k = 0; k < plan.num_ops(); ++k) {
+      SCOPED_TRACE("op " + std::to_string(k));
+      if (IsSourceOp(plan.ops()[k])) {
+        EXPECT_EQ(cold->per_op_cache[k], 'm');
+        EXPECT_GT(cold->per_op_cost[k], 0.0);
+        EXPECT_EQ(warm->per_op_cache[k], 'h');
+        EXPECT_EQ(warm->per_op_cost[k], 0.0);
+      } else {
+        EXPECT_EQ(cold->per_op_cache[k], '-');
+        EXPECT_EQ(warm->per_op_cache[k], '-');
+      }
+    }
+  }
+}
+
+TEST(ExplainAnnotationTest, LazySkippedOpsShowNoCacheAndNoTime) {
+  // X1 − X1 = ∅ starves the semijoin and then cuts the intersection, so
+  // the lazy run never evaluates sq(sp, R3) and answers the semijoin
+  // without its source call.
+  const auto instance = BuildDmvFigure1();
+  ASSERT_TRUE(instance.ok());
+  Plan plan;
+  const int a = plan.EmitSelect(0, 0, "A");
+  const int d = plan.EmitDifference(a, a, "D");
+  const int s = plan.EmitSemiJoin(1, 1, d, "S");
+  const int b = plan.EmitSelect(1, 2, "B");
+  plan.SetResult(plan.EmitIntersect({s, b}, "X"));
+  SourceCallCache cache;
+  ExecOptions options;
+  options.lazy_short_circuit = true;
+  options.cache = &cache;
+  const auto report =
+      ExecutePlan(plan, instance->catalog, instance->query, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->answer.empty());
+  EXPECT_EQ(report->skipped_ops, 2u);
+  EXPECT_EQ(report->ledger.num_queries(), 1u);
+  EXPECT_EQ(report->per_op_cache[0], 'm');
+  for (const size_t k : {size_t{2}, size_t{3}}) {
+    SCOPED_TRACE("op " + std::to_string(k));
+    EXPECT_EQ(report->per_op_cache[k], '-');
+    EXPECT_EQ(report->per_op_cost[k], 0.0);
+  }
+  // The never-demanded op took no time at all.
+  EXPECT_EQ(report->per_op_seconds[3], 0.0);
+}
+
+TEST(ExplainAnnotationTest, LazyOpSecondsAreExclusiveOfDemandedOps) {
+  // Under simulated latency each op sleeps its own cost × scale. The lazy
+  // scheduler evaluates X1's three selections *inside* the first semijoin's
+  // demand, yet every op's seconds must track only its own cost.
+  constexpr double kScale = 2e-3;
+  constexpr double kSlack = 0.03;  // well under one selection's ~22 ms
+  const auto instance = BuildDmvFigure1();
+  ASSERT_TRUE(instance.ok());
+  const Plan plan = DmvSemijoinPlan();
+  ExecOptions options;
+  options.lazy_short_circuit = true;
+  options.simulated_seconds_per_cost = kScale;
+  const auto report =
+      ExecutePlan(plan, instance->catalog, instance->query, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  double total_seconds = 0.0;
+  for (size_t k = 0; k < plan.num_ops(); ++k) {
+    SCOPED_TRACE("op " + std::to_string(k));
+    const double own = report->per_op_cost[k] * kScale;
+    EXPECT_GE(report->per_op_seconds[k], own);
+    EXPECT_LE(report->per_op_seconds[k], own + kSlack);
+    total_seconds += report->per_op_seconds[k];
+  }
+  EXPECT_LE(total_seconds, report->wall_clock_makespan);
+}
 
 }  // namespace
 }  // namespace fusion

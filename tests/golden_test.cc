@@ -1,11 +1,17 @@
 // Golden tests: exact textual form of the plans the structured builder
 // produces for the paper's Figure 2 and Figure 5 shapes. These lock both
 // the builder's op layout and the printer's paper notation — a change that
-// shuffles steps or renames variables should be a conscious decision.
+// shuffles steps or renames variables should be a conscious decision. The
+// ledger goldens lock lazy execution's charge order: a demanded op books
+// its charges before the op that demanded it.
 #include <gtest/gtest.h>
 
+#include "cost/oracle_cost_model.h"
 #include "cost/parametric_cost_model.h"
+#include "exec/executor.h"
 #include "optimizer/optimizer.h"
+#include "optimizer/postopt.h"
+#include "workload/dmv.h"
 
 namespace fusion {
 namespace {
@@ -135,6 +141,66 @@ TEST(GoldenPlanTest, QueryToSqlGolden) {
   names.sources = {"CA"};
   EXPECT_EQ(plan.ToString(names),
             " 1) X11 := sq(V = 'dui', CA)\nresult: X11\n");
+}
+
+TEST(GoldenLedgerTest, LazySjaPlusOnDmvFigure1) {
+  const auto instance = BuildDmvFigure1();
+  ASSERT_TRUE(instance.ok());
+  const auto model =
+      OracleCostModel::Create(instance->simulated, instance->query);
+  ASSERT_TRUE(model.ok());
+  const auto sja_plus = OptimizeSjaPlus(*model);
+  ASSERT_TRUE(sja_plus.ok());
+  ExecOptions options;
+  options.lazy_short_circuit = true;
+  const auto report = ExecutePlan(sja_plus->plan, instance->catalog,
+                                  instance->query, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->answer.ToString(), "{'J55', 'T21'}");
+  EXPECT_EQ(report->ledger.Report(), 
+            "R1         lq       sent=0      recv=3      scan=3       "
+            "cost=19.030     lq(R1)\n"
+            "R2         lq       sent=0      recv=3      scan=3       "
+            "cost=19.030     lq(R2)\n"
+            "R3         lq       sent=0      recv=3      scan=3       "
+            "cost=19.030     lq(R3)\n"
+            "TOTAL: 3 queries, cost 57.090\n");
+}
+
+TEST(GoldenLedgerTest, LazyLoadPlanBooksChargesInDemandOrder) {
+  // lq(R3) is op 1 but is first demanded by X13, after the two sq(c1, ·)
+  // calls: the lazy ledger lists it third, not first.
+  const auto instance = BuildDmvFigure1();
+  ASSERT_TRUE(instance.ok());
+  Plan plan;
+  const int y = plan.EmitLoad(2, "Y3");
+  const int a0 = plan.EmitSelect(0, 0);
+  const int a1 = plan.EmitSelect(0, 1);
+  const int a2 = plan.EmitLocalSelect(0, y, "X13");
+  const int x1 = plan.EmitUnion({a0, a1, a2}, "X1");
+  const int b0 = plan.EmitSemiJoin(1, 0, x1);
+  const int b1 = plan.EmitSemiJoin(1, 1, x1);
+  const int b2 = plan.EmitLocalSelect(1, y, "X23");
+  const int u2 = plan.EmitUnion({b0, b1, b2}, "U2");
+  plan.SetResult(plan.EmitIntersect({x1, u2}, "X2"));
+  ExecOptions options;
+  options.lazy_short_circuit = true;
+  const auto report =
+      ExecutePlan(plan, instance->catalog, instance->query, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->answer.ToString(), "{'J55', 'T21'}");
+  EXPECT_EQ(report->ledger.Report(), 
+            "R1         sq       sent=0      recv=2      scan=3       "
+            "cost=12.030     V = 'dui'\n"
+            "R2         sq       sent=0      recv=1      scan=3       "
+            "cost=11.030     V = 'dui'\n"
+            "R3         lq       sent=0      recv=3      scan=3       "
+            "cost=19.030     lq(R3)\n"
+            "R1         sjq      sent=3      recv=1      scan=3       "
+            "cost=14.030     V = 'sp'\n"
+            "R2         sjq      sent=3      recv=1      scan=3       "
+            "cost=14.030     V = 'sp'\n"
+            "TOTAL: 5 queries, cost 70.150\n");
 }
 
 }  // namespace

@@ -780,6 +780,38 @@ TEST(SloRegistryTest, ErrorRateIsRollingNotLifetime) {
   EXPECT_EQ(snap.errors, SloRegistry::kErrorWindow);  // lifetime count stays
 }
 
+TEST(SloRegistryTest, TenantTableIsBoundedAndLosesNoCounts) {
+  // Tenant names arrive from outside (HELLO); past the cap every new name
+  // shares the overflow row, and its traffic is still accounted there.
+  constexpr size_t kNames = SloRegistry::kMaxTenants + 50;
+  SloRegistry slo;
+  for (size_t i = 0; i < kNames; ++i) {
+    const std::string name = "tenant" + std::to_string(i);
+    slo.Register(name);
+    slo.RecordCompletion(name, 1.0, 2.0, true, StatusCode::kOk, true);
+  }
+  const std::vector<TenantSloSnapshot> tenants = slo.Snapshot();
+  ASSERT_EQ(tenants.size(), SloRegistry::kMaxTenants + 1);
+  uint64_t requests = 0;
+  double cost = 0.0;
+  const TenantSloSnapshot* overflow = nullptr;
+  for (const TenantSloSnapshot& t : tenants) {
+    requests += t.requests;
+    cost += t.metered_cost;
+    if (t.tenant == SloRegistry::kOverflowTenant) overflow = &t;
+  }
+  EXPECT_EQ(requests, kNames);
+  EXPECT_DOUBLE_EQ(cost, 2.0 * kNames);
+  ASSERT_NE(overflow, nullptr);
+  EXPECT_EQ(overflow->requests, 50u);
+  EXPECT_EQ(overflow->latency_ms.count, 50u);
+  // Each folded name was looked up twice: its HELLO and its completion.
+  EXPECT_EQ(slo.overflowed(), 100u);
+  // A name admitted before the table filled keeps its own row.
+  slo.RecordCompletion("tenant0", 1.0, 2.0, true, StatusCode::kOk, true);
+  EXPECT_EQ(slo.overflowed(), 100u);
+}
+
 // ---------------------------------------------------------------------------
 // Logging thread safety
 // ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ Plan LoadPlan() {
 }
 
 /// Asserts that a parallel report is indistinguishable from the sequential
-/// one: answer, emulation count, witness knowledge, per-op costs, and the
+/// one: answer, emulation count, witness knowledge, exact per-op costs, and the
 /// ledger charge-for-charge (Report() prints every charge in order, so
 /// string equality is the strongest practical check — even floating-point
 /// totals must agree because both sides accumulate in plan-op order).
@@ -96,12 +96,9 @@ void ExpectSameExecution(const ExecutionReport& seq,
   EXPECT_EQ(seq.emulated_semijoins, par.emulated_semijoins);
   EXPECT_EQ(seq.ledger.Report(), par.ledger.Report());
   EXPECT_DOUBLE_EQ(seq.ledger.total(), par.ledger.total());
-  ASSERT_EQ(seq.per_op_cost.size(), par.per_op_cost.size());
-  for (size_t k = 0; k < seq.per_op_cost.size(); ++k) {
-    EXPECT_NEAR(seq.per_op_cost[k], par.per_op_cost[k],
-                1e-9 * (1.0 + seq.per_op_cost[k]))
-        << "op " << k;
-  }
+  // Each op's cost is its own sub-ledger's total under every scheduler, so
+  // the per-op costs agree exactly, not just within rounding.
+  EXPECT_EQ(seq.per_op_cost, par.per_op_cost);
   ASSERT_EQ(seq.per_source_items.size(), par.per_source_items.size());
   for (size_t j = 0; j < seq.per_source_items.size(); ++j) {
     EXPECT_EQ(seq.per_source_items[j], par.per_source_items[j])
@@ -497,6 +494,112 @@ TEST(SingleFlightTest, AbandonedFlightPromotesAWaiter) {
   const std::shared_ptr<const ItemSet> entry = cache.Lookup(0, "c");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->ToString(), "{'x'}");
+}
+
+// ---------------------------------------------------------------------------
+// A failed run stops issuing source calls
+// ---------------------------------------------------------------------------
+
+/// Decorator for the failure-drain test. Counts Select calls; in kFail mode
+/// every Select fails permanently (kUnavailable) and opens `*failed`; in
+/// kHold mode the call waits for `*failed`, then lingers long enough for the
+/// executor to record the failure before this worker takes another op.
+class LatchedSource : public SourceWrapper {
+ public:
+  enum class Mode { kPass, kFail, kHold };
+
+  LatchedSource(std::unique_ptr<SourceWrapper> inner, Mode mode,
+                std::atomic<bool>* failed)
+      : inner_(std::move(inner)), mode_(mode), failed_(failed) {}
+
+  int select_calls() const { return select_calls_.load(); }
+
+  const std::string& name() const override { return inner_->name(); }
+  const Schema& schema() const override { return inner_->schema(); }
+  const Capabilities& capabilities() const override {
+    return inner_->capabilities();
+  }
+
+  Result<ItemSet> Select(const Condition& cond,
+                         const std::string& merge_attribute,
+                         CostLedger* ledger) override {
+    select_calls_.fetch_add(1);
+    if (mode_ == Mode::kFail) {
+      failed_->store(true);
+      return Status::Unavailable("source '" + name() + "' is down");
+    }
+    if (mode_ == Mode::kHold) {
+      while (!failed_->load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    return inner_->Select(cond, merge_attribute, ledger);
+  }
+  Result<ItemSet> SemiJoin(const Condition& cond,
+                           const std::string& merge_attribute,
+                           const ItemSet& candidates,
+                           CostLedger* ledger) override {
+    return inner_->SemiJoin(cond, merge_attribute, candidates, ledger);
+  }
+  Result<Relation> Load(CostLedger* ledger) override {
+    return inner_->Load(ledger);
+  }
+  Result<Relation> FetchRecords(const std::string& merge_attribute,
+                                const ItemSet& items,
+                                CostLedger* ledger) override {
+    return inner_->FetchRecords(merge_attribute, items, ledger);
+  }
+
+ private:
+  std::unique_ptr<SourceWrapper> inner_;
+  const Mode mode_;
+  std::atomic<bool>* failed_;
+  std::atomic<int> select_calls_{0};
+};
+
+TEST(ParallelExecTest, QueuedOpsMakeNoSourceCallsAfterAFailure) {
+  // Seven independent selections on two workers: op 0's source is down, op
+  // 1 holds the other worker until that failure is in, and ops 2-6 sit in
+  // the pool's queue. Once the run has failed they must drain without
+  // contacting their sources (no charges, breaker ticks, or cache fills for
+  // a query whose answer is already lost).
+  constexpr size_t kSources = 7;
+  SyntheticSpec spec;
+  spec.universe_size = 100;
+  spec.num_sources = kSources;
+  spec.num_conditions = 2;
+  spec.seed = 9;
+  const auto instance = GenerateSynthetic(spec);
+  ASSERT_TRUE(instance.ok());
+  std::atomic<bool> failed{false};
+  std::vector<const LatchedSource*> sources;
+  SourceCatalog catalog;
+  for (size_t j = 0; j < kSources; ++j) {
+    const SimulatedSource* sim = instance->catalog.source(j).AsSimulated();
+    ASSERT_NE(sim, nullptr);
+    const LatchedSource::Mode mode = j == 0   ? LatchedSource::Mode::kFail
+                                     : j == 1 ? LatchedSource::Mode::kHold
+                                              : LatchedSource::Mode::kPass;
+    auto source = std::make_unique<LatchedSource>(
+        std::make_unique<SimulatedSource>(*sim), mode, &failed);
+    sources.push_back(source.get());
+    ASSERT_TRUE(catalog.Add(std::move(source)).ok());
+  }
+  Plan plan;
+  std::vector<int> selects;
+  for (size_t j = 0; j < kSources; ++j) {
+    selects.push_back(plan.EmitSelect(0, static_cast<int>(j)));
+  }
+  plan.SetResult(plan.EmitUnion(selects, "X1"));
+
+  ExecOptions options;
+  options.parallelism = 2;
+  const auto report = ExecutePlan(plan, catalog, instance->query, options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(sources[0]->select_calls(), 1);
+  for (size_t j = 2; j < kSources; ++j) {
+    EXPECT_EQ(sources[j]->select_calls(), 0) << "source " << j;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -361,6 +361,26 @@ TEST(BackoffTest, JitterIsDeterministicPerSeedSourceAndAttempt) {
   EXPECT_TRUE(any_differs_across_seeds);
 }
 
+TEST(BackoffTest, JitterScheduleIsPinned) {
+  // Golden values: any change to the jitter hash (or its mixing order)
+  // moves these bits.
+  RetryPolicy retry;
+  retry.initial_backoff_seconds = 0.1;
+  retry.jitter_fraction = 0.3;
+  retry.jitter_seed = 42;
+  const double expected[3][3] = {
+      {0.11277612023714796, 0.24389966200528368, 0.32077289498290801},
+      {0.090383325732940833, 0.25444565408349229, 0.4194430478977248},
+      {0.1176361480014347, 0.15694009633569547, 0.30687642308461643}};
+  for (size_t source = 0; source < 3; ++source) {
+    for (int attempt = 1; attempt <= 3; ++attempt) {
+      EXPECT_EQ(retry.BackoffSeconds(source, attempt),
+                expected[source][attempt - 1])
+          << "source " << source << " attempt " << attempt;
+    }
+  }
+}
+
 TEST(BackoffTest, RetriesActuallySleep) {
   FlakySource::Options options;
   options.fail_first_k = 2;

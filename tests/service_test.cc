@@ -536,6 +536,28 @@ TEST(QueryServiceTest, SloRegistryCountsShedsAndCancels) {
   EXPECT_EQ(tenants[2].requests, 0u);  // shed is not a completion
 }
 
+TEST(QueryServiceTest, StatsCountsTenantOverflow) {
+  auto service = Figure1Service({});
+  auto overflow_total = [&] {
+    const auto stats = ParseStatsText(service->StatsText());
+    EXPECT_TRUE(stats.ok());
+    const StatsSample* sample =
+        stats.ok() ? stats->Find(metrics::kSloTenantOverflowTotal) : nullptr;
+    return sample != nullptr ? sample->value : -1.0;
+  };
+  EXPECT_EQ(overflow_total(), 0.0);
+  for (size_t i = 0; i <= SloRegistry::kMaxTenants; ++i) {
+    ClientRequest hello;
+    hello.kind = ClientRequest::Kind::kHello;
+    hello.client_id = "client" + std::to_string(i);
+    ASSERT_TRUE(
+        ParseClientResponse(service->Handle(SerializeClientRequest(hello)))
+            ->ok);
+  }
+  EXPECT_EQ(overflow_total(), 1.0);
+  EXPECT_EQ(service->slo().Snapshot().size(), SloRegistry::kMaxTenants + 1);
+}
+
 TEST(QueryServiceTest, SubmitAdoptsTheInboundTraceContext) {
   Tracer::Global().Clear();
   Tracer::Global().Enable();

@@ -1,6 +1,5 @@
 // Sharded-fleet tests (the `shard` ctest label): the FUSIONQ/1 feature
-// registry, the rendezvous shard map, the INVALIDATE coherence verb, the
-// distributed plan split, the in-process distributed executor, and the
+// registry, the rendezvous shard map, the INVALIDATE coherence verb, and the
 // fusionrd QueryRouter end to end over real sockets — k shards behind one
 // router must answer byte-identically to a single serial mediator, keep
 // repeated queries warm regardless of which client connection asks, fail
@@ -16,12 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "exec/executor.h"
-#include "exec/source_call_cache.h"
 #include "mediator/client.h"
-#include "mediator/distributed.h"
 #include "mediator/service.h"
-#include "plan/plan_split.h"
 #include "protocol/client_protocol.h"
 #include "protocol/features.h"
 #include "protocol/socket.h"
@@ -223,144 +218,6 @@ TEST(ServiceInvalidateTest, HandlesTheWireVerb) {
   ASSERT_TRUE(response.ok());
   EXPECT_TRUE(response->ok);
   EXPECT_EQ(response->state, "stale");
-}
-
-// ---------------------------------------------------------------------------
-// Plan split + distributed execution
-// ---------------------------------------------------------------------------
-
-/// The paper's semijoin plan over Figure 1: ∪_j sq(dui, R_j) feeding
-/// per-source semijoins for 'sp'. Three sources, so a 2-shard split puts
-/// sources {0, 1} on shard 0 and source {2} on shard 1.
-Plan SemiJoinPlan() {
-  Plan plan;
-  std::vector<int> dui;
-  for (int j = 0; j < 3; ++j) dui.push_back(plan.EmitSelect(0, j));
-  const int x1 = plan.EmitUnion(dui, "X1");
-  std::vector<int> sp;
-  for (int j = 0; j < 3; ++j) sp.push_back(plan.EmitSemiJoin(1, j, x1));
-  plan.SetResult(plan.EmitUnion(sp, "X2"));
-  return plan;
-}
-
-TEST(PlanSplitTest, PlacesSourceOpsOnTheirHomeShard) {
-  const Plan plan = SemiJoinPlan();
-  const std::vector<size_t> source_shard = {0, 0, 1};
-  auto split = SplitPlanBySource(plan, source_shard, 2);
-  ASSERT_TRUE(split.ok()) << split.status().ToString();
-  ASSERT_EQ(split->op_shard.size(), plan.ops().size());
-  for (size_t k = 0; k < plan.ops().size(); ++k) {
-    const PlanOp& op = plan.ops()[k];
-    if (op.source >= 0) {
-      EXPECT_EQ(split->op_shard[k],
-                source_shard[static_cast<size_t>(op.source)])
-          << "op " << k;
-    }
-  }
-  // Every cut variable is a merge-attribute item set — the invariant that
-  // keeps inter-shard traffic proportional to answers, not sources.
-  EXPECT_GT(split->num_cut_vars(), 0u);
-  for (const PlanCutEdge& edge : split->cut_edges) {
-    EXPECT_EQ(plan.var(edge.var).type, PlanVarType::kItems);
-    EXPECT_NE(edge.producer_shard, edge.consumer_shard);
-  }
-  // Fragments partition the ops in order.
-  size_t covered = 0;
-  for (const PlanFragment& fragment : split->fragments) {
-    for (const size_t k : fragment.ops) {
-      EXPECT_EQ(k, covered++);
-      EXPECT_EQ(split->op_shard[k], fragment.shard);
-    }
-  }
-  EXPECT_EQ(covered, plan.ops().size());
-}
-
-TEST(PlanSplitTest, PinsLocalSelectsToTheLoadShard) {
-  Plan plan;
-  const int rel = plan.EmitLoad(2, "R3");
-  const int local = plan.EmitLocalSelect(0, rel, "Y1");
-  const int remote = plan.EmitSelect(1, 0, "Y2");
-  plan.SetResult(plan.EmitIntersect({local, remote}, "X"));
-  auto split = SplitPlanBySource(plan, {0, 0, 1}, 2);
-  ASSERT_TRUE(split.ok()) << split.status().ToString();
-  EXPECT_EQ(split->op_shard[0], 1u);  // load runs at source 2's shard
-  EXPECT_EQ(split->op_shard[1], 1u);  // local select pinned to the load
-  // Only item sets cross: the loaded relation variable never appears as a
-  // cut edge.
-  for (const PlanCutEdge& edge : split->cut_edges) {
-    EXPECT_NE(edge.var, rel);
-  }
-}
-
-TEST(PlanSplitTest, SingleShardHasNoCutEdges) {
-  const Plan plan = SemiJoinPlan();
-  auto split = SplitPlanBySource(plan, {0, 0, 0}, 1);
-  ASSERT_TRUE(split.ok());
-  EXPECT_EQ(split->num_cut_vars(), 0u);
-  EXPECT_EQ(split->fragments.size(), 1u);
-}
-
-TEST(DistributedExecTest, MatchesTheSerialInterpreterByteForByte) {
-  // Serial oracle over one replica…
-  auto serial_instance = BuildDmvFigure1();
-  ASSERT_TRUE(serial_instance.ok());
-  const Plan plan = SemiJoinPlan();
-  const auto serial =
-      ExecutePlan(plan, serial_instance->catalog, serial_instance->query);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  // …vs the same plan split across two shards, each with its own replica
-  // and its own memo.
-  auto replica_a = BuildDmvFigure1();
-  auto replica_b = BuildDmvFigure1();
-  ASSERT_TRUE(replica_a.ok() && replica_b.ok());
-  SourceCallCache cache_a, cache_b;
-  const std::vector<ShardExecutor> shards = {
-      {&replica_a->catalog, &cache_a}, {&replica_b->catalog, &cache_b}};
-  auto split = SplitPlanBySource(plan, {0, 1, 0}, 2);
-  ASSERT_TRUE(split.ok());
-  const auto distributed = ExecutePlanDistributed(
-      plan, replica_a->query, *split, shards, ExecOptions{});
-  ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
-
-  EXPECT_EQ(distributed->answer.ToString(), serial->answer.ToString());
-  // The merged ledger is charge-for-charge identical: same sources, same
-  // conditions, same costs, same order.
-  EXPECT_EQ(distributed->ledger.Report(), serial->ledger.Report());
-  EXPECT_GT(distributed->cross_shard_vars, 0u);
-  EXPECT_GT(distributed->cross_shard_items, 0u);
-  // Both shards did real work.
-  ASSERT_EQ(distributed->per_shard_ops.size(), 2u);
-  EXPECT_GT(distributed->per_shard_ops[0], 0u);
-  EXPECT_GT(distributed->per_shard_ops[1], 0u);
-
-  // Re-running the same split is answered entirely from the shard memos:
-  // zero new charges.
-  const auto warm = ExecutePlanDistributed(plan, replica_a->query, *split,
-                                           shards, ExecOptions{});
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->answer.ToString(), serial->answer.ToString());
-  EXPECT_EQ(warm->ledger.total(), 0.0);
-  EXPECT_GT(warm->cache_hits, 0u);
-}
-
-TEST(DistributedExecTest, RejectsUnsupportedModes) {
-  auto instance = BuildDmvFigure1();
-  ASSERT_TRUE(instance.ok());
-  const Plan plan = SemiJoinPlan();
-  auto split = SplitPlanBySource(plan, {0, 0, 0}, 1);
-  ASSERT_TRUE(split.ok());
-  const std::vector<ShardExecutor> shards = {{&instance->catalog, nullptr}};
-  ExecOptions lazy;
-  lazy.lazy_short_circuit = true;
-  EXPECT_FALSE(
-      ExecutePlanDistributed(plan, instance->query, *split, shards, lazy)
-          .ok());
-  ExecOptions parallel;
-  parallel.parallelism = 4;
-  EXPECT_FALSE(
-      ExecutePlanDistributed(plan, instance->query, *split, shards, parallel)
-          .ok());
 }
 
 // ---------------------------------------------------------------------------
