@@ -13,14 +13,27 @@
 //   warm max  — the most expensive of the k concurrent warm clients
 //   ratio     — warm max / cold (the acceptance bound is <= 0.10)
 //   combined  — total metered cost across all k clients
+//
+// E19 — the FUSIONQ/1 answer codec, the layer under every served answer:
+// microseconds per answer of ~650, ~950 and ~5000 int items to serialize
+// (from the session's ItemSet), parse (into the client's ItemSet), and
+// relay (the router's ticket rewrite of a shard frame), with round-trip
+// and byte equality asserted on every size.
+//
+//   bench_service           E14, then E19
+//   bench_service --smoke   E19 only, few repetitions (the ctest entry)
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/item_set.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "mediator/service.h"
 #include "protocol/client_protocol.h"
 #include "workload/dmv.h"
@@ -49,7 +62,7 @@ ClientResponse SubmitOverWire(QueryService& service,
   return std::move(response).value();
 }
 
-void Run() {
+void RunSharedService() {
   bench::Banner(
       "E14: concurrent clients on one fusionqd service (shared session)");
 
@@ -108,7 +121,78 @@ void Run() {
       "per-client mediators would pay the full cost k+1 times.\n");
 }
 
+/// Median over `rounds` of the mean microseconds per `op()` over `iters`.
+template <typename Op>
+double MedianMicros(int rounds, int iters, Op&& op) {
+  std::vector<double> means;
+  for (int r = 0; r < rounds; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) op();
+    const std::chrono::duration<double, std::micro> elapsed =
+        std::chrono::steady_clock::now() - start;
+    means.push_back(elapsed.count() / iters);
+  }
+  std::sort(means.begin(), means.end());
+  return means[means.size() / 2];
+}
+
+void RunCodec(bool smoke) {
+  bench::Banner("E19: FUSIONQ/1 answer codec (serialize, parse, relay)");
+  std::printf("%8s %8s | %14s %14s %14s\n", "items", "bytes", "serialize us",
+              "parse us", "relay us");
+  size_t sink = 0;
+  for (const size_t n : {650, 950, 5000}) {
+    // An answer like the serving workloads': ascending int ids, spread out.
+    Rng rng(n);
+    std::vector<int64_t> ids;
+    int64_t id = rng.Uniform(0, 1000);
+    for (size_t i = 0; i < n; ++i) ids.push_back(id += rng.Uniform(1, 400));
+    const ItemSet answer = ItemSet::FromInts(ids);
+    ClientResponse response;
+    response.ticket = 4631;
+    response.state = "done";
+    response.cost = 412.25;
+    response.source_queries = 3;
+    response.cache_hits = 2;
+    response.items_sent = 120;
+    response.items_received = 2 * n;
+    response.items = answer.ToValues();
+    const std::string wire = SerializeClientResponse(response);
+
+    auto parsed = ParseClientResponse(wire);
+    FUSION_CHECK(parsed.ok());
+    FUSION_CHECK(SerializeClientResponse(*parsed) == wire);
+    FUSION_CHECK(ItemSet(parsed->items) == answer);
+    const auto relayed = RelayClientResponse(wire, 3);
+    FUSION_CHECK(relayed.ok());
+    response.ticket = (4631 << 8) | 3;
+    FUSION_CHECK(*relayed == SerializeClientResponse(response));
+
+    const int rounds = smoke ? 3 : 15;
+    const int iters = smoke ? 3 : (n > 1000 ? 100 : 500);
+    const double serialize_us = MedianMicros(rounds, iters, [&] {
+      response.items = answer.ToValues();
+      sink += SerializeClientResponse(response).size();
+    });
+    const double parse_us = MedianMicros(rounds, iters, [&] {
+      auto p = ParseClientResponse(wire);
+      sink += ItemSet(std::move(p->items)).size();
+    });
+    const double relay_us = MedianMicros(rounds, iters, [&] {
+      sink += RelayClientResponse(wire, 3)->size();
+    });
+    std::printf("%8zu %8zu | %14.2f %14.2f %14.2f\n", n, wire.size(),
+                serialize_us, parse_us, relay_us);
+  }
+  FUSION_CHECK(sink > 0);
+  if (smoke) std::printf("bench_service codec: ok\n");
+}
+
 }  // namespace
 }  // namespace fusion
 
-int main() { fusion::Run(); }
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  if (!smoke) fusion::RunSharedService();
+  fusion::RunCodec(smoke);
+}

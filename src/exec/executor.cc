@@ -6,6 +6,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -35,6 +36,13 @@ double RetryPolicy::BackoffSeconds(size_t source_index, int attempt) const {
     backoff *= 1.0 - jitter_fraction + 2.0 * jitter_fraction * unit;
   }
   return backoff;
+}
+
+void RetryPolicy::Backoff(size_t source_index, int attempt) const {
+  const double seconds = BackoffSeconds(source_index, attempt);
+  if (seconds > 0.0) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  }
 }
 
 std::vector<int> CompletenessReport::ExcludedSources(int condition) const {

@@ -165,6 +165,8 @@ struct RetryPolicy {
   /// The (jittered, capped) sleep before re-attempt `attempt` (1-based).
   /// Pure function of the policy, the source, and the attempt number.
   double BackoffSeconds(size_t source_index, int attempt) const;
+  /// Sleeps BackoffSeconds(source_index, attempt).
+  void Backoff(size_t source_index, int attempt) const;
 };
 
 /// What the executor does when a source call is *exhausted* — retries spent

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "cli/catalog_config.h"
 #include "common/rng.h"
@@ -30,12 +28,6 @@ const char* CacheProvenanceName(char provenance) {
     default:
       return "-";
   }
-}
-
-void SleepSeconds(double seconds) {
-  if (seconds <= 0.0) return;
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(seconds));
 }
 
 /// Transport-level failures a redial can cure. Protocol-level failures
@@ -173,9 +165,7 @@ Result<Client> Client::Builder::Build() {
     const int attempts = std::max(1, reconnect_.max_attempts);
     Result<HelloResult> hello = Status::Unavailable("never dialed");
     for (int attempt = 1; attempt <= attempts; ++attempt) {
-      if (attempt > 1) {
-        SleepSeconds(reconnect_.BackoffSeconds(0, attempt - 1));
-      }
+      if (attempt > 1) reconnect_.Backoff(0, attempt - 1);
       remote->active =
           static_cast<size_t>(attempt - 1) % remote->endpoints.size();
       hello = DialAndHello(remote->endpoints[remote->active], client_id_);
@@ -267,7 +257,7 @@ Result<ClientResponse> Client::RemoteExchangeLocked(
   Status last_error = Status::Unavailable("connection lost");
   for (int attempt = 1; attempt <= attempts; ++attempt) {
     if (attempt > 1) {
-      SleepSeconds(remote.reconnect.BackoffSeconds(0, attempt - 1));
+      remote.reconnect.Backoff(0, attempt - 1);
       const Status redial = RemoteReconnectLocked();
       if (!redial.ok()) {
         if (!IsHelloRetryable(redial)) return redial;

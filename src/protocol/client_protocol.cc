@@ -1,97 +1,20 @@
 #include "protocol/client_protocol.h"
 
-#include <cstdlib>
-
-#include "common/str_util.h"
-#include "protocol/message.h"
+#include "protocol/wire.h"
 
 namespace fusion {
 namespace {
 
-constexpr char kMagic[] = "FUSIONQ/1";
+constexpr WireDialect kDialect = {"FUSIONQ/1", kMaxClientProtocolLineBytes};
 
-const char* RequestKindName(ClientRequest::Kind kind) {
-  switch (kind) {
-    case ClientRequest::Kind::kHello:
-      return "HELLO";
-    case ClientRequest::Kind::kSubmit:
-      return "SUBMIT";
-    case ClientRequest::Kind::kStatus:
-      return "STATUS";
-    case ClientRequest::Kind::kCancel:
-      return "CANCEL";
-    case ClientRequest::Kind::kStats:
-      return "STATS";
-    case ClientRequest::Kind::kInvalidate:
-      return "INVALIDATE";
-  }
-  return "?";
-}
-
-Result<ClientRequest::Kind> ParseRequestKind(const std::string& name) {
-  if (name == "HELLO") return ClientRequest::Kind::kHello;
-  if (name == "SUBMIT") return ClientRequest::Kind::kSubmit;
-  if (name == "STATUS") return ClientRequest::Kind::kStatus;
-  if (name == "CANCEL") return ClientRequest::Kind::kCancel;
-  if (name == "STATS") return ClientRequest::Kind::kStats;
-  if (name == "INVALIDATE") return ClientRequest::Kind::kInvalidate;
-  return Status::ParseError("unknown client request kind: " + name);
-}
-
-std::string JoinFeatures(const std::vector<std::string>& features) {
-  std::string out;
-  for (const std::string& f : features) {
-    if (!out.empty()) out += ",";
-    out += f;
-  }
-  return out;
-}
-
-std::vector<std::string> SplitFeatures(const std::string& text) {
-  std::vector<std::string> out;
-  for (const std::string& f : StrSplit(text, ',')) {
-    if (!f.empty()) out.push_back(f);
-  }
-  return out;
-}
-
-Result<uint64_t> ParseU64(const std::string& key, const std::string& text) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::ParseError("bad " + key + ": " + text);
-  }
-  return static_cast<uint64_t>(std::strtoull(text.c_str(), nullptr, 10));
-}
-
-Result<uint64_t> ParseTicket(const std::string& text) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::ParseError("bad ticket: " + text);
-  }
-  return static_cast<uint64_t>(std::strtoull(text.c_str(), nullptr, 10));
-}
-
-Result<size_t> ParseCount(const std::string& key, const std::string& text) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::ParseError("bad " + key + " count: " + text);
-  }
-  return static_cast<size_t>(std::strtoull(text.c_str(), nullptr, 10));
-}
-
-/// Splits `text` into lines, rejecting any line over the protocol's cap.
-Result<std::vector<std::string>> SplitBoundedLines(const std::string& text,
-                                                   const char* what) {
-  std::vector<std::string> lines = StrSplit(text, '\n');
-  for (const std::string& line : lines) {
-    if (line.size() > kMaxClientProtocolLineBytes) {
-      return Status::ParseError(
-          StrFormat("oversized %s line (%zu bytes; limit %zu)", what,
-                    line.size(), kMaxClientProtocolLineBytes));
-    }
-  }
-  return lines;
-}
+constexpr WireWords<ClientRequest::Kind> kKindNames[] = {
+    {ClientRequest::Kind::kHello, "HELLO"},
+    {ClientRequest::Kind::kSubmit, "SUBMIT"},
+    {ClientRequest::Kind::kStatus, "STATUS"},
+    {ClientRequest::Kind::kCancel, "CANCEL"},
+    {ClientRequest::Kind::kStats, "STATS"},
+    {ClientRequest::Kind::kInvalidate, "INVALIDATE"},
+};
 
 }  // namespace
 
@@ -100,215 +23,187 @@ std::vector<std::string> ClientProtocolFeatures() {
 }
 
 std::string SerializeClientRequest(const ClientRequest& request) {
-  std::string out =
-      std::string(kMagic) + " " + RequestKindName(request.kind) + "\n";
-  if (!request.client_id.empty()) {
-    out += "client " + EscapeWireText(request.client_id) + "\n";
+  using Kind = ClientRequest::Kind;
+  WireWriter out(kDialect.magic, WireWordFor(request.kind, kKindNames),
+                 request.sql.size());
+  if (!request.client_id.empty()) out.EscapedField("client", request.client_id);
+  if (!request.sql.empty()) out.EscapedField("sql", request.sql);
+  if (request.kind == Kind::kStatus || request.kind == Kind::kCancel) {
+    out.U64Field("ticket", request.ticket);
   }
-  if (!request.sql.empty()) {
-    out += "sql " + EscapeWireText(request.sql) + "\n";
-  }
-  if (request.kind == ClientRequest::Kind::kStatus ||
-      request.kind == ClientRequest::Kind::kCancel) {
-    out += "ticket " + std::to_string(request.ticket) + "\n";
-  }
-  if (request.kind == ClientRequest::Kind::kSubmit && !request.wait) {
-    out += "wait no\n";
-  }
-  if (request.kind == ClientRequest::Kind::kSubmit && request.explain) {
-    out += "explain yes\n";
-  }
-  if (request.kind == ClientRequest::Kind::kHello &&
-      !request.features.empty()) {
-    out += "features " + JoinFeatures(request.features) + "\n";
-  }
-  if (request.kind == ClientRequest::Kind::kSubmit && request.trace_id != 0) {
-    out += "trace-id " + std::to_string(request.trace_id) + "\n";
-    if (request.parent_span != 0) {
-      out += "parent-span " + std::to_string(request.parent_span) + "\n";
+  if (request.kind == Kind::kSubmit) {
+    if (!request.wait) out.Field("wait", "no");
+    if (request.explain) out.Field("explain", "yes");
+    if (request.trace_id != 0) {
+      out.U64Field("trace-id", request.trace_id);
+      if (request.parent_span != 0) {
+        out.U64Field("parent-span", request.parent_span);
+      }
     }
+    if (request.request_id != 0) out.U64Field("request-id", request.request_id);
   }
-  if (request.kind == ClientRequest::Kind::kSubmit && request.request_id != 0) {
-    out += "request-id " + std::to_string(request.request_id) + "\n";
+  if (request.kind == Kind::kHello && !request.features.empty()) {
+    out.FeaturesField(request.features);
   }
-  if (request.kind == ClientRequest::Kind::kInvalidate) {
-    out += "source " + EscapeWireText(request.source) + "\n";
-    if (request.version != 0) {
-      out += "version " + std::to_string(request.version) + "\n";
-    }
+  if (request.kind == Kind::kInvalidate) {
+    out.EscapedField("source", request.source);
+    if (request.version != 0) out.U64Field("version", request.version);
   }
-  out += "end\n";
-  return out;
+  return out.Finish();
 }
 
 Result<ClientRequest> ParseClientRequest(const std::string& text) {
-  FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitBoundedLines(text, "client request"));
-  if (lines.empty()) return Status::ParseError("empty client request");
-  const auto [magic, kind_name] = SplitWireKeyValue(lines[0]);
-  if (magic != kMagic) {
-    return Status::ParseError("bad protocol magic: " + magic);
-  }
   ClientRequest request;
-  FUSION_ASSIGN_OR_RETURN(request.kind, ParseRequestKind(kind_name));
-  bool terminated = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    if (lines[i] == "end") {
-      terminated = true;
-      break;
-    }
-    const auto [key, value] = SplitWireKeyValue(lines[i]);
-    if (key == "client") {
-      FUSION_ASSIGN_OR_RETURN(request.client_id, UnescapeWireText(value));
-    } else if (key == "sql") {
-      FUSION_ASSIGN_OR_RETURN(request.sql, UnescapeWireText(value));
-    } else if (key == "ticket") {
-      FUSION_ASSIGN_OR_RETURN(request.ticket, ParseTicket(value));
-    } else if (key == "wait") {
-      request.wait = value != "no";
-    } else if (key == "explain") {
-      request.explain = value == "yes";
-    } else if (key == "features") {
-      request.features = SplitFeatures(value);
-    } else if (key == "trace-id") {
-      FUSION_ASSIGN_OR_RETURN(request.trace_id, ParseU64(key, value));
-    } else if (key == "parent-span") {
-      FUSION_ASSIGN_OR_RETURN(request.parent_span, ParseU64(key, value));
-    } else if (key == "request-id") {
-      FUSION_ASSIGN_OR_RETURN(request.request_id, ParseU64(key, value));
-    } else if (key == "source") {
-      FUSION_ASSIGN_OR_RETURN(request.source, UnescapeWireText(value));
-    } else if (key == "version") {
-      FUSION_ASSIGN_OR_RETURN(request.version, ParseU64(key, value));
-    }
-    // Unknown fields are ignored: a newer peer may send fields this build
-    // does not know, and must be able to do so without negotiating first
-    // (negotiation itself rides on HELLO fields).
-  }
-  if (!terminated) return Status::ParseError("client request missing 'end'");
+  FUSION_RETURN_IF_ERROR(ParseWireFrame(
+      text, kDialect, "client request",
+      [&](std::string_view word) {
+        return ParseWireWord(word, kKindNames, "request kind", &request.kind);
+      },
+      [&](const WireField& f) {
+        if (f.key == "client") {
+          FUSION_ASSIGN_OR_RETURN(request.client_id, UnescapeWireText(f.value));
+        } else if (f.key == "sql") {
+          FUSION_ASSIGN_OR_RETURN(request.sql, UnescapeWireText(f.value));
+        } else if (f.key == "ticket") {
+          return ParseWireNumberField(f.key, f.value, &request.ticket);
+        } else if (f.key == "wait") {
+          request.wait = f.value != "no";
+        } else if (f.key == "explain") {
+          request.explain = f.value == "yes";
+        } else if (f.key == "features") {
+          request.features = SplitWireFeatures(f.value);
+        } else if (f.key == "trace-id") {
+          return ParseWireNumberField(f.key, f.value, &request.trace_id);
+        } else if (f.key == "parent-span") {
+          return ParseWireNumberField(f.key, f.value, &request.parent_span);
+        } else if (f.key == "request-id") {
+          return ParseWireNumberField(f.key, f.value, &request.request_id);
+        } else if (f.key == "source") {
+          FUSION_ASSIGN_OR_RETURN(request.source, UnescapeWireText(f.value));
+        } else if (f.key == "version") {
+          return ParseWireNumberField(f.key, f.value, &request.version);
+        }
+        // Unknown fields are ignored: a newer peer may send fields this
+        // build does not know, and must be able to do so without
+        // negotiating first (negotiation itself rides on HELLO fields).
+        return Status::Ok();
+      }));
   return request;
 }
 
 std::string SerializeClientResponse(const ClientResponse& response) {
-  std::string out = std::string(kMagic) + " " +
-                    (response.ok ? "OK" : "ERROR") + "\n";
+  WireWriter out(kDialect.magic, response.ok ? "OK" : "ERROR",
+                 response.items.size() * 24);
   if (!response.ok) {
-    out += StrFormat("error %s %s\n", StatusCodeName(response.error_code),
-                     EscapeWireText(response.error_message).c_str());
+    out.ErrorField(response.error_code, response.error_message);
   }
-  if (!response.server.empty()) {
-    out += "server " + EscapeWireText(response.server) + "\n";
-  }
-  if (response.ticket != 0) {
-    out += "ticket " + std::to_string(response.ticket) + "\n";
-  }
-  if (!response.state.empty()) out += "state " + response.state + "\n";
-  for (const Value& v : response.items) {
-    out += "item " + SerializeValue(v) + "\n";
-  }
+  if (!response.server.empty()) out.EscapedField("server", response.server);
+  if (response.ticket != 0) out.U64Field("ticket", response.ticket);
+  if (!response.state.empty()) out.Field("state", response.state);
+  out.ValueFields("item", response.items);
   if (response.source_queries > 0 || !response.items.empty() ||
       response.cost > 0.0) {
-    out += StrFormat("cost %.17g\n", response.cost);
-    out += StrFormat("source-queries %zu\n", response.source_queries);
-    out += StrFormat("cache-hits %zu\n", response.cache_hits);
-    out += StrFormat("cache-misses %zu\n", response.cache_misses);
-    out += StrFormat("items-sent %zu\n", response.items_sent);
-    out += StrFormat("items-received %zu\n", response.items_received);
+    out.DoubleField("cost", response.cost)
+        .U64Field("source-queries", response.source_queries)
+        .U64Field("cache-hits", response.cache_hits)
+        .U64Field("cache-misses", response.cache_misses)
+        .U64Field("items-sent", response.items_sent)
+        .U64Field("items-received", response.items_received);
   }
   if (response.cache_containment_hits > 0) {
-    out += StrFormat("cache-containment %zu\n",
-                     response.cache_containment_hits);
+    out.U64Field("cache-containment", response.cache_containment_hits);
   }
   if (response.calibration_cost > 0.0) {
-    out += StrFormat("calibration-cost %.17g\n", response.calibration_cost);
+    out.DoubleField("calibration-cost", response.calibration_cost);
   }
-  if (!response.complete) out += "complete no\n";
-  if (!response.features.empty()) {
-    out += "features " + JoinFeatures(response.features) + "\n";
-  }
+  if (!response.complete) out.Field("complete", "no");
+  if (!response.features.empty()) out.FeaturesField(response.features);
   for (const std::string& line : response.stats_lines) {
-    out += "stats " + EscapeWireText(line) + "\n";
+    out.EscapedField("stats", line);
   }
   for (const std::string& line : response.explain_lines) {
-    out += "explain " + EscapeWireText(line) + "\n";
+    out.EscapedField("explain", line);
   }
-  out += "end\n";
-  return out;
+  return out.Finish();
 }
 
 Result<ClientResponse> ParseClientResponse(const std::string& text) {
-  FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitBoundedLines(text, "client response"));
-  if (lines.empty()) return Status::ParseError("empty client response");
-  const auto [magic, status_name] = SplitWireKeyValue(lines[0]);
-  if (magic != kMagic) {
-    return Status::ParseError("bad protocol magic: " + magic);
-  }
   ClientResponse response;
-  if (status_name == "OK") {
-    response.ok = true;
-  } else if (status_name == "ERROR") {
-    response.ok = false;
-  } else {
-    return Status::ParseError("bad client response status: " + status_name);
-  }
-  bool terminated = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    if (lines[i] == "end") {
-      terminated = true;
-      break;
-    }
-    const auto [key, value] = SplitWireKeyValue(lines[i]);
-    if (key == "error") {
-      const auto [code_text, message] = SplitWireKeyValue(value);
-      FUSION_ASSIGN_OR_RETURN(response.error_code,
-                              ParseWireStatusCode(code_text));
-      FUSION_ASSIGN_OR_RETURN(response.error_message,
-                              UnescapeWireText(message));
-    } else if (key == "server") {
-      FUSION_ASSIGN_OR_RETURN(response.server, UnescapeWireText(value));
-    } else if (key == "ticket") {
-      FUSION_ASSIGN_OR_RETURN(response.ticket, ParseTicket(value));
-    } else if (key == "state") {
-      response.state = value;
-    } else if (key == "item") {
-      FUSION_ASSIGN_OR_RETURN(Value v, ParseSerializedValue(value));
-      response.items.push_back(std::move(v));
-    } else if (key == "cost") {
-      response.cost = std::atof(value.c_str());
-    } else if (key == "source-queries") {
-      FUSION_ASSIGN_OR_RETURN(response.source_queries,
-                              ParseCount(key, value));
-    } else if (key == "cache-hits") {
-      FUSION_ASSIGN_OR_RETURN(response.cache_hits, ParseCount(key, value));
-    } else if (key == "cache-misses") {
-      FUSION_ASSIGN_OR_RETURN(response.cache_misses, ParseCount(key, value));
-    } else if (key == "items-sent") {
-      FUSION_ASSIGN_OR_RETURN(response.items_sent, ParseCount(key, value));
-    } else if (key == "items-received") {
-      FUSION_ASSIGN_OR_RETURN(response.items_received, ParseCount(key, value));
-    } else if (key == "cache-containment") {
-      FUSION_ASSIGN_OR_RETURN(response.cache_containment_hits,
-                              ParseCount(key, value));
-    } else if (key == "calibration-cost") {
-      response.calibration_cost = std::atof(value.c_str());
-    } else if (key == "complete") {
-      response.complete = value != "no";
-    } else if (key == "features") {
-      response.features = SplitFeatures(value);
-    } else if (key == "stats") {
-      FUSION_ASSIGN_OR_RETURN(std::string line, UnescapeWireText(value));
-      response.stats_lines.push_back(std::move(line));
-    } else if (key == "explain") {
-      FUSION_ASSIGN_OR_RETURN(std::string line, UnescapeWireText(value));
-      response.explain_lines.push_back(std::move(line));
-    }
-    // Unknown fields are ignored (see ParseClientRequest).
-  }
-  if (!terminated) return Status::ParseError("client response missing 'end'");
+  FUSION_RETURN_IF_ERROR(ParseWireFrame(
+      text, kDialect, "client response",
+      [&](std::string_view word) {
+        return ParseWireWord(word, kWireOutcomes, "response status",
+                             &response.ok);
+      },
+      [&](const WireField& f) {
+        if (f.key == "item") {
+          return AppendDecodedValue(text, f.value, &response.items);
+        } else if (f.key == "error") {
+          return ParseWireError(f.value, &response.error_code,
+                                &response.error_message);
+        } else if (f.key == "server") {
+          FUSION_ASSIGN_OR_RETURN(response.server, UnescapeWireText(f.value));
+        } else if (f.key == "ticket") {
+          return ParseWireNumberField(f.key, f.value, &response.ticket);
+        } else if (f.key == "state") {
+          response.state = f.value;
+        } else if (f.key == "cost") {
+          return ParseWireNumberField(f.key, f.value, &response.cost);
+        } else if (f.key == "source-queries") {
+          return ParseWireNumberField(f.key, f.value, &response.source_queries);
+        } else if (f.key == "cache-hits") {
+          return ParseWireNumberField(f.key, f.value, &response.cache_hits);
+        } else if (f.key == "cache-misses") {
+          return ParseWireNumberField(f.key, f.value, &response.cache_misses);
+        } else if (f.key == "items-sent") {
+          return ParseWireNumberField(f.key, f.value, &response.items_sent);
+        } else if (f.key == "items-received") {
+          return ParseWireNumberField(f.key, f.value, &response.items_received);
+        } else if (f.key == "cache-containment") {
+          return ParseWireNumberField(f.key, f.value,
+                                      &response.cache_containment_hits);
+        } else if (f.key == "calibration-cost") {
+          return ParseWireNumberField(f.key, f.value,
+                                      &response.calibration_cost);
+        } else if (f.key == "complete") {
+          response.complete = f.value != "no";
+        } else if (f.key == "features") {
+          response.features = SplitWireFeatures(f.value);
+        } else if (f.key == "stats" || f.key == "explain") {
+          FUSION_ASSIGN_OR_RETURN(std::string line, UnescapeWireText(f.value));
+          (f.key == "stats" ? response.stats_lines : response.explain_lines)
+              .push_back(std::move(line));
+        }
+        // Unknown fields are ignored (see ParseClientRequest).
+        return Status::Ok();
+      }));
   return response;
+}
+
+Result<std::string> RelayClientResponse(std::string_view frame,
+                                        uint8_t shard) {
+  std::string out;
+  out.reserve(frame.size() + 8);
+  size_t copied = 0;  // frame bytes already in `out`
+  bool ok = true;
+  FUSION_RETURN_IF_ERROR(ParseWireFrame(
+      frame, kDialect, "client response",
+      [&](std::string_view word) {
+        return ParseWireWord(word, kWireOutcomes, "response status", &ok);
+      },
+      [&](const WireField& f) {
+        uint64_t ticket = 0;
+        if (f.key != "ticket") return Status::Ok();
+        FUSION_RETURN_IF_ERROR(ParseWireNumberField(f.key, f.value, &ticket));
+        if (ticket == 0) return Status::Ok();
+        const size_t at = static_cast<size_t>(f.value.data() - frame.data());
+        out.append(frame.substr(copied, at - copied));
+        AppendWireInt(out, (ticket << 8) | shard);
+        copied = at + f.value.size();
+        return Status::Ok();
+      }));
+  out.append(frame.substr(copied));
+  return out;
 }
 
 ClientResponse ClientErrorResponse(const Status& status) {

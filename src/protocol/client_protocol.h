@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -144,8 +145,8 @@ struct ClientResponse {
   std::vector<std::string> explain_lines;
 };
 
-/// Longest line either FUSIONQ/1 parser accepts (64 KiB): longer lines are
-/// rejected with kParseError before any per-field work happens.
+/// Longest line either FUSIONQ/1 parser accepts (64 KiB): a longer line is
+/// rejected with kParseError, and no line is ever copied to be checked.
 inline constexpr size_t kMaxClientProtocolLineBytes = 64 * 1024;
 
 /// The feature tokens this build of the protocol speaks, advertised on
@@ -161,6 +162,13 @@ Result<ClientRequest> ParseClientRequest(const std::string& text);
 
 std::string SerializeClientResponse(const ClientResponse& response);
 Result<ClientResponse> ParseClientResponse(const std::string& text);
+
+/// The router's relay of a shard's whole response frame, without decoding
+/// the answer: checks the header line, rewrites each nonzero `ticket` t to
+/// (t << 8) | shard, and copies every other byte unchanged. The client's
+/// ParseClientResponse still validates every line. kParseError for a bad
+/// header, a bad ticket line, an oversized line or a missing `end`.
+Result<std::string> RelayClientResponse(std::string_view frame, uint8_t shard);
 
 /// Builds the ERROR response for `status` (which must not be OK).
 ClientResponse ClientErrorResponse(const Status& status);

@@ -1,46 +1,33 @@
 #include "protocol/features.h"
 
+#include "protocol/wire.h"
+
 namespace fusion {
 namespace {
 
 /// Registry order: also the order Names() emits, so HELLO lines are stable
 /// across builds and tests can match them verbatim.
-constexpr Feature kAllFeatures[] = {
-    Feature::kTrace,       Feature::kStats,    Feature::kExplain,
-    Feature::kIdempotency, Feature::kSharding,
+constexpr WireWords<Feature> kFeatureWords[] = {
+    {Feature::kTrace, "trace"},
+    {Feature::kStats, "stats"},
+    {Feature::kExplain, "explain"},
+    {Feature::kIdempotency, "idempotency"},
+    {Feature::kSharding, "sharding"},
 };
 
 }  // namespace
 
 const char* FeatureName(Feature feature) {
-  switch (feature) {
-    case Feature::kTrace:
-      return "trace";
-    case Feature::kStats:
-      return "stats";
-    case Feature::kExplain:
-      return "explain";
-    case Feature::kIdempotency:
-      return "idempotency";
-    case Feature::kSharding:
-      return "sharding";
-  }
-  return "?";
+  return WireWordFor(feature, kFeatureWords);
 }
 
 bool ParseFeatureName(const std::string& name, Feature* out) {
-  for (Feature f : kAllFeatures) {
-    if (name == FeatureName(f)) {
-      *out = f;
-      return true;
-    }
-  }
-  return false;
+  return ParseWireWord(name, kFeatureWords, "feature", out).ok();
 }
 
 FeatureSet FeatureSet::All() {
   FeatureSet set;
-  for (Feature f : kAllFeatures) set.Add(f);
+  for (const auto& [f, name] : kFeatureWords) set.Add(f);
   return set;
 }
 
@@ -55,8 +42,8 @@ FeatureSet FeatureSet::FromNames(const std::vector<std::string>& names) {
 
 std::vector<std::string> FeatureSet::Names() const {
   std::vector<std::string> out;
-  for (Feature f : kAllFeatures) {
-    if (Has(f)) out.push_back(FeatureName(f));
+  for (const auto& [f, name] : kFeatureWords) {
+    if (Has(f)) out.push_back(name);
   }
   return out;
 }

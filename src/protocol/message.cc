@@ -1,329 +1,145 @@
 #include "protocol/message.h"
 
-#include <cstdlib>
-
-#include "common/str_util.h"
-
 namespace fusion {
 namespace {
 
-constexpr char kMagic[] = "FUSIONP/1";
+constexpr WireDialect kDialect = {"FUSIONP/1", kMaxSourceProtocolLineBytes};
 
-const char* RequestKindName(SourceRequest::Kind kind) {
-  switch (kind) {
-    case SourceRequest::Kind::kHello:
-      return "HELLO";
-    case SourceRequest::Kind::kSelect:
-      return "SELECT";
-    case SourceRequest::Kind::kSemiJoin:
-      return "SEMIJOIN";
-    case SourceRequest::Kind::kLoad:
-      return "LOAD";
-    case SourceRequest::Kind::kFetch:
-      return "FETCH";
+constexpr WireWords<SourceRequest::Kind> kKindNames[] = {
+    {SourceRequest::Kind::kHello, "HELLO"},
+    {SourceRequest::Kind::kSelect, "SELECT"},
+    {SourceRequest::Kind::kSemiJoin, "SEMIJOIN"},
+    {SourceRequest::Kind::kLoad, "LOAD"},
+    {SourceRequest::Kind::kFetch, "FETCH"},
+};
+
+/// "<kind> <sent> <recv> <scanned> <cost>".
+Status ParseCharge(std::string_view value, ChargeSummary* charge) {
+  WireField field = SplitWireField(value);
+  charge->kind = field.key;
+  for (size_t* count : {&charge->items_sent, &charge->items_received,
+                        &charge->tuples_scanned}) {
+    field = SplitWireField(field.value);
+    if (!ParseWireNumber(field.key, count)) return BadWireField("charge line", value);
   }
-  return "?";
-}
-
-Result<SourceRequest::Kind> ParseRequestKind(const std::string& name) {
-  if (name == "HELLO") return SourceRequest::Kind::kHello;
-  if (name == "SELECT") return SourceRequest::Kind::kSelect;
-  if (name == "SEMIJOIN") return SourceRequest::Kind::kSemiJoin;
-  if (name == "LOAD") return SourceRequest::Kind::kLoad;
-  if (name == "FETCH") return SourceRequest::Kind::kFetch;
-  return Status::ParseError("unknown request kind: " + name);
-}
-
-std::string EscapeText(const std::string& s) { return EscapeWireText(s); }
-
-Result<std::string> UnescapeText(const std::string& s) {
-  return UnescapeWireText(s);
-}
-
-std::pair<std::string, std::string> SplitKeyValue(const std::string& line) {
-  return SplitWireKeyValue(line);
-}
-
-/// Splits `text` into lines, rejecting any line over the dialect's cap
-/// (the FUSIONQ/1 parsers do the same via kMaxClientProtocolLineBytes).
-Result<std::vector<std::string>> SplitBoundedSourceLines(
-    const std::string& text, const char* what) {
-  std::vector<std::string> lines = StrSplit(text, '\n');
-  for (const std::string& line : lines) {
-    if (line.size() > kMaxSourceProtocolLineBytes) {
-      return Status::ParseError(
-          StrFormat("oversized %s line (%zu bytes; limit %zu)", what,
-                    line.size(), kMaxSourceProtocolLineBytes));
-    }
+  if (!ParseWireNumber(field.value, &charge->cost)) {
+    return BadWireField("charge line", value);
   }
-  return lines;
+  return Status::Ok();
 }
 
 }  // namespace
 
-std::string EscapeWireText(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-Result<std::string> UnescapeWireText(const std::string& s) {
-  std::string out;
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\') {
-      out += s[i];
-      continue;
-    }
-    if (i + 1 >= s.size()) return Status::ParseError("dangling escape");
-    ++i;
-    if (s[i] == 'n') {
-      out += '\n';
-    } else if (s[i] == '\\') {
-      out += '\\';
-    } else {
-      return Status::ParseError("bad escape sequence");
-    }
-  }
-  return out;
-}
-
-std::pair<std::string, std::string> SplitWireKeyValue(const std::string& line) {
-  const size_t space = line.find(' ');
-  if (space == std::string::npos) return {line, ""};
-  return {line.substr(0, space), line.substr(space + 1)};
-}
-
-Result<StatusCode> ParseWireStatusCode(const std::string& text) {
-  if (!text.empty() && text.find_first_not_of("0123456789") ==
-                           std::string::npos) {
-    const int raw = std::atoi(text.c_str());
-    const size_t count = sizeof(kAllStatusCodes) / sizeof(kAllStatusCodes[0]);
-    if (raw < 0 || static_cast<size_t>(raw) >= count) {
-      return Status::ParseError("status code integer out of range: " + text);
-    }
-    return static_cast<StatusCode>(raw);
-  }
-  return StatusCodeFromName(text);
-}
-
-std::string SerializeValue(const Value& value) {
-  switch (value.type()) {
-    case ValueType::kNull:
-      return "null";
-    case ValueType::kInt64:
-      return "i:" + std::to_string(value.int64());
-    case ValueType::kDouble:
-      return "d:" + StrFormat("%.17g", value.dbl());
-    case ValueType::kString:
-      return "s:" + EscapeText(value.str());
-  }
-  return "null";
-}
-
-Result<Value> ParseSerializedValue(const std::string& text) {
-  if (text == "null") return Value::Null();
-  if (text.size() < 2 || text[1] != ':') {
-    return Status::ParseError("bad serialized value: " + text);
-  }
-  const std::string payload = text.substr(2);
-  switch (text[0]) {
-    case 'i': {
-      char* end = nullptr;
-      const long long v = std::strtoll(payload.c_str(), &end, 10);
-      if (end != payload.c_str() + payload.size() || payload.empty()) {
-        return Status::ParseError("bad int64 payload: " + payload);
-      }
-      return Value(static_cast<int64_t>(v));
-    }
-    case 'd': {
-      char* end = nullptr;
-      const double v = std::strtod(payload.c_str(), &end);
-      if (end != payload.c_str() + payload.size() || payload.empty()) {
-        return Status::ParseError("bad double payload: " + payload);
-      }
-      return Value(v);
-    }
-    case 's': {
-      FUSION_ASSIGN_OR_RETURN(std::string unescaped, UnescapeText(payload));
-      return Value(std::move(unescaped));
-    }
-    default:
-      return Status::ParseError("unknown value tag: " + text);
-  }
-}
-
 std::string SerializeRequest(const SourceRequest& request) {
-  std::string out = std::string(kMagic) + " " + RequestKindName(request.kind) +
-                    "\n";
+  WireWriter out(kDialect.magic, WireWordFor(request.kind, kKindNames),
+                 request.bindings.size() * 24);
   if (!request.merge_attribute.empty()) {
-    out += "merge " + request.merge_attribute + "\n";
+    out.Field("merge", request.merge_attribute);
   }
   if (!request.condition_text.empty()) {
-    out += "cond " + EscapeText(request.condition_text) + "\n";
+    out.EscapedField("cond", request.condition_text);
   }
-  for (const Value& v : request.bindings) {
-    out += "bind " + SerializeValue(v) + "\n";
-  }
+  out.ValueFields("bind", request.bindings);
   if (request.trace_id != 0) {
-    out += StrFormat("trace %llu %llu\n",
-                     static_cast<unsigned long long>(request.trace_id),
-                     static_cast<unsigned long long>(request.parent_span));
+    std::string trace;
+    AppendWireInt(trace, request.trace_id);
+    trace += ' ';
+    AppendWireInt(trace, request.parent_span);
+    out.Field("trace", trace);
   }
-  out += "end\n";
-  return out;
+  return out.Finish();
 }
 
 Result<SourceRequest> ParseRequest(const std::string& text) {
-  FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitBoundedSourceLines(text, "source request"));
-  if (lines.empty()) return Status::ParseError("empty request");
-  const auto [magic, kind_name] = SplitKeyValue(lines[0]);
-  if (magic != kMagic) {
-    return Status::ParseError("bad protocol magic: " + magic);
-  }
   SourceRequest request;
-  FUSION_ASSIGN_OR_RETURN(request.kind, ParseRequestKind(kind_name));
-  bool terminated = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    if (lines[i] == "end") {
-      terminated = true;
-      break;
-    }
-    const auto [key, value] = SplitKeyValue(lines[i]);
-    if (key == "merge") {
-      request.merge_attribute = value;
-    } else if (key == "cond") {
-      FUSION_ASSIGN_OR_RETURN(request.condition_text, UnescapeText(value));
-    } else if (key == "bind") {
-      FUSION_ASSIGN_OR_RETURN(Value v, ParseSerializedValue(value));
-      request.bindings.push_back(std::move(v));
-    } else if (key == "trace") {
-      const auto [trace_text, span_text] = SplitKeyValue(value);
-      if (trace_text.empty() ||
-          trace_text.find_first_not_of("0123456789") != std::string::npos) {
-        return Status::ParseError("bad trace line: " + value);
-      }
-      request.trace_id = std::strtoull(trace_text.c_str(), nullptr, 10);
-      if (!span_text.empty()) {
-        if (span_text.find_first_not_of("0123456789") != std::string::npos) {
-          return Status::ParseError("bad trace line: " + value);
+  FUSION_RETURN_IF_ERROR(ParseWireFrame(
+      text, kDialect, "source request",
+      [&](std::string_view word) {
+        return ParseWireWord(word, kKindNames, "request kind", &request.kind);
+      },
+      [&](const WireField& f) {
+        if (f.key == "bind") {
+          return AppendDecodedValue(text, f.value, &request.bindings);
+        } else if (f.key == "merge") {
+          request.merge_attribute = f.value;
+        } else if (f.key == "cond") {
+          FUSION_ASSIGN_OR_RETURN(request.condition_text,
+                                  UnescapeWireText(f.value));
+        } else if (f.key == "trace") {
+          const WireField ids = SplitWireField(f.value);
+          if (!ParseWireNumber(ids.key, &request.trace_id) ||
+              (!ids.value.empty() &&
+               !ParseWireNumber(ids.value, &request.parent_span))) {
+            return BadWireField("trace line", f.value);
+          }
         }
-        request.parent_span = std::strtoull(span_text.c_str(), nullptr, 10);
-      }
-    }
-    // Unknown fields are ignored for forward compatibility: peers act on
-    // optional capabilities only after HELLO `features` negotiation.
-  }
-  if (!terminated) return Status::ParseError("request missing 'end'");
+        // Unknown fields are ignored for forward compatibility: peers act
+        // on optional capabilities only after HELLO `features` negotiation.
+        return Status::Ok();
+      }));
   return request;
 }
 
 std::string SerializeResponse(const SourceResponse& response) {
-  std::string out = std::string(kMagic) + " " +
-                    (response.ok ? "OK" : "ERROR") + "\n";
+  WireWriter out(kDialect.magic, response.ok ? "OK" : "ERROR",
+                 response.items.size() * 24);
   if (!response.ok) {
-    // Codes travel by name (the shared StatusCode taxonomy), so a reader of
-    // the wire sees "error Unavailable ..." rather than a magic number.
-    out += StrFormat("error %s %s\n", StatusCodeName(response.error_code),
-                     EscapeText(response.error_message).c_str());
+    out.ErrorField(response.error_code, response.error_message);
   }
-  for (const Value& v : response.items) {
-    out += "item " + SerializeValue(v) + "\n";
-  }
+  out.ValueFields("item", response.items);
   for (const std::string& line : response.relation_lines) {
-    out += "relation-line " + EscapeText(line) + "\n";
+    out.EscapedField("relation-line", line);
   }
-  if (!response.name.empty()) out += "name " + response.name + "\n";
+  if (!response.name.empty()) out.Field("name", response.name);
   if (!response.semijoin_support.empty()) {
-    out += "semijoin " + response.semijoin_support + "\n";
+    out.Field("semijoin", response.semijoin_support);
   }
-  out += std::string("load ") + (response.supports_load ? "yes" : "no") + "\n";
-  if (!response.features.empty()) {
-    std::string joined;
-    for (const std::string& f : response.features) {
-      if (!joined.empty()) joined += ",";
-      joined += f;
-    }
-    out += "features " + joined + "\n";
-  }
+  out.Field("load", response.supports_load ? "yes" : "no");
+  if (!response.features.empty()) out.FeaturesField(response.features);
   for (const ChargeSummary& c : response.charges) {
-    out += StrFormat("charge %s %zu %zu %zu %.17g\n", c.kind.c_str(),
-                     c.items_sent, c.items_received, c.tuples_scanned, c.cost);
+    std::string charge = c.kind;
+    for (const size_t count : {c.items_sent, c.items_received, c.tuples_scanned}) {
+      charge += ' ';
+      AppendWireInt(charge, count);
+    }
+    charge += ' ';
+    AppendWireDouble(charge, c.cost);
+    out.Field("charge", charge);
   }
-  out += "end\n";
-  return out;
+  return out.Finish();
 }
 
 Result<SourceResponse> ParseResponse(const std::string& text) {
-  FUSION_ASSIGN_OR_RETURN(const std::vector<std::string> lines,
-                          SplitBoundedSourceLines(text, "source response"));
-  if (lines.empty()) return Status::ParseError("empty response");
-  const auto [magic, status_name] = SplitKeyValue(lines[0]);
-  if (magic != kMagic) {
-    return Status::ParseError("bad protocol magic: " + magic);
-  }
   SourceResponse response;
-  if (status_name == "OK") {
-    response.ok = true;
-  } else if (status_name == "ERROR") {
-    response.ok = false;
-  } else {
-    return Status::ParseError("bad response status: " + status_name);
-  }
-  bool terminated = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].empty()) continue;
-    if (lines[i] == "end") {
-      terminated = true;
-      break;
-    }
-    const auto [key, value] = SplitKeyValue(lines[i]);
-    if (key == "error") {
-      const auto [code_text, message] = SplitKeyValue(value);
-      FUSION_ASSIGN_OR_RETURN(response.error_code,
-                              ParseWireStatusCode(code_text));
-      FUSION_ASSIGN_OR_RETURN(response.error_message, UnescapeText(message));
-    } else if (key == "item") {
-      FUSION_ASSIGN_OR_RETURN(Value v, ParseSerializedValue(value));
-      response.items.push_back(std::move(v));
-    } else if (key == "relation-line") {
-      FUSION_ASSIGN_OR_RETURN(std::string line, UnescapeText(value));
-      response.relation_lines.push_back(std::move(line));
-    } else if (key == "name") {
-      response.name = value;
-    } else if (key == "semijoin") {
-      response.semijoin_support = value;
-    } else if (key == "load") {
-      response.supports_load = value == "yes";
-    } else if (key == "features") {
-      for (const std::string& f : StrSplit(value, ',')) {
-        if (!f.empty()) response.features.push_back(f);
-      }
-    } else if (key == "charge") {
-      const std::vector<std::string> parts = StrSplit(value, ' ');
-      if (parts.size() != 5) {
-        return Status::ParseError("bad charge line: " + value);
-      }
-      ChargeSummary c;
-      c.kind = parts[0];
-      c.items_sent = static_cast<size_t>(std::atoll(parts[1].c_str()));
-      c.items_received = static_cast<size_t>(std::atoll(parts[2].c_str()));
-      c.tuples_scanned = static_cast<size_t>(std::atoll(parts[3].c_str()));
-      c.cost = std::atof(parts[4].c_str());
-      response.charges.push_back(std::move(c));
-    }
-    // Unknown fields are ignored (see ParseRequest).
-  }
-  if (!terminated) return Status::ParseError("response missing 'end'");
+  FUSION_RETURN_IF_ERROR(ParseWireFrame(
+      text, kDialect, "source response",
+      [&](std::string_view word) {
+        return ParseWireWord(word, kWireOutcomes, "response status",
+                             &response.ok);
+      },
+      [&](const WireField& f) {
+        if (f.key == "item") {
+          return AppendDecodedValue(text, f.value, &response.items);
+        } else if (f.key == "error") {
+          return ParseWireError(f.value, &response.error_code,
+                                &response.error_message);
+        } else if (f.key == "relation-line") {
+          FUSION_ASSIGN_OR_RETURN(std::string line, UnescapeWireText(f.value));
+          response.relation_lines.push_back(std::move(line));
+        } else if (f.key == "name") {
+          response.name = f.value;
+        } else if (f.key == "semijoin") {
+          response.semijoin_support = f.value;
+        } else if (f.key == "load") {
+          response.supports_load = f.value == "yes";
+        } else if (f.key == "features") {
+          response.features = SplitWireFeatures(f.value);
+        } else if (f.key == "charge") {
+          return ParseCharge(f.value, &response.charges.emplace_back());
+        }
+        // Unknown fields are ignored (see ParseRequest).
+        return Status::Ok();
+      }));
   return response;
 }
 

@@ -6,6 +6,8 @@
 
 #include "common/status.h"
 #include "common/value.h"
+#include "protocol/wire.h"
+#include "source/capabilities.h"
 
 namespace fusion {
 
@@ -78,26 +80,16 @@ struct SourceResponse {
   std::vector<ChargeSummary> charges;
 };
 
-/// Serializes a Value for a protocol line: `null`, `i:<n>`, `d:<repr>`, or
-/// `s:<escaped>` with backslash escapes for newline/backslash.
-std::string SerializeValue(const Value& value);
-Result<Value> ParseSerializedValue(const std::string& text);
-
-/// Shared line-format helpers, used identically by both dialects (FUSIONP/1
-/// to wrappers, FUSIONQ/1 to clients) so their wire idioms cannot drift.
-/// Backslash escapes for newline/backslash, one "key rest-of-line" field per
-/// line, and error codes travelling by StatusCodeName.
-std::string EscapeWireText(const std::string& text);
-Result<std::string> UnescapeWireText(const std::string& text);
-/// Splits "key rest-of-line" on the first space ({line, ""} when none).
-std::pair<std::string, std::string> SplitWireKeyValue(const std::string& line);
-/// Decodes an error-line status code: a StatusCodeName, or (for
-/// compatibility with pre-taxonomy peers) a bare enum integer.
-Result<StatusCode> ParseWireStatusCode(const std::string& text);
+/// The HELLO `semijoin` capability words.
+inline constexpr WireWords<SemijoinSupport> kSemijoinWireWords[] = {
+    {SemijoinSupport::kNative, "native"},
+    {SemijoinSupport::kPassedBindingsOnly, "bindings"},
+    {SemijoinSupport::kUnsupported, "none"},
+};
 
 /// Longest line either FUSIONP/1 parser accepts (256 KiB — relation CSV
 /// lines are wide, but not unbounded): longer lines are rejected with a
-/// clean kParseError before any per-field work, mirroring FUSIONQ/1's
+/// clean kParseError, mirroring FUSIONQ/1's
 /// kMaxClientProtocolLineBytes so a malicious or corrupted peer cannot
 /// drive an allocation storm through either dialect.
 inline constexpr size_t kMaxSourceProtocolLineBytes = 256 * 1024;

@@ -1,8 +1,6 @@
 #include "protocol/remote_source.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/str_util.h"
 #include "obs/metrics.h"
@@ -20,42 +18,14 @@ constexpr double kTcpStallDeadlineSeconds = 10.0;
 /// ships, low enough that a garbage-spewing peer is cut off cleanly.
 constexpr size_t kTcpReceiveLimitBytes = 64 * 1024 * 1024;
 
-void SleepSeconds(double seconds) {
-  if (seconds <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
-
-const char* RequestKindName(SourceRequest::Kind kind) {
-  switch (kind) {
-    case SourceRequest::Kind::kHello:
-      return "hello";
-    case SourceRequest::Kind::kSelect:
-      return "sq";
-    case SourceRequest::Kind::kSemiJoin:
-      return "sjq";
-    case SourceRequest::Kind::kLoad:
-      return "lq";
-    case SourceRequest::Kind::kFetch:
-      return "fetch";
-  }
-  return "?";
-}
-
-Result<Capabilities> CapabilitiesFromWire(const std::string& semijoin,
-                                          bool supports_load) {
-  Capabilities caps;
-  if (semijoin == "native") {
-    caps.semijoin = SemijoinSupport::kNative;
-  } else if (semijoin == "bindings") {
-    caps.semijoin = SemijoinSupport::kPassedBindingsOnly;
-  } else if (semijoin == "none") {
-    caps.semijoin = SemijoinSupport::kUnsupported;
-  } else {
-    return Status::ParseError("bad semijoin capability on wire: " + semijoin);
-  }
-  caps.supports_load = supports_load;
-  return caps;
-}
+/// Span-name suffixes per request kind ("rpc.sjq").
+constexpr WireWords<SourceRequest::Kind> kSpanNames[] = {
+    {SourceRequest::Kind::kHello, "hello"},
+    {SourceRequest::Kind::kSelect, "sq"},
+    {SourceRequest::Kind::kSemiJoin, "sjq"},
+    {SourceRequest::Kind::kLoad, "lq"},
+    {SourceRequest::Kind::kFetch, "fetch"},
+};
 
 Result<Relation> RelationFromLines(const std::vector<std::string>& lines) {
   std::string csv;
@@ -71,7 +41,7 @@ Result<Relation> RelationFromLines(const std::vector<std::string>& lines) {
 Result<SourceResponse> RemoteSource::RoundTrip(SourceRequest& request,
                                                CostLedger* ledger) {
   ScopedSpan span(SpanCategory::kRpc,
-                  std::string("rpc.") + RequestKindName(request.kind));
+                  std::string("rpc.") + WireWordFor(request.kind, kSpanNames));
   if (peer_traces_) {
     // Forward the ambient context (which the rpc span just joined/extended
     // when tracing is on, and which a TraceContextScope upstream installed
@@ -144,9 +114,10 @@ Status RemoteSource::AdoptHello(const SourceResponse& response) {
   for (const std::string& feature : response.features) {
     if (feature == "trace") peer_traces_ = true;
   }
-  FUSION_ASSIGN_OR_RETURN(
-      capabilities_,
-      CapabilitiesFromWire(response.semijoin_support, response.supports_load));
+  FUSION_RETURN_IF_ERROR(ParseWireWord(response.semijoin_support,
+                                       kSemijoinWireWords, "semijoin capability",
+                                       &capabilities_.semijoin));
+  capabilities_.supports_load = response.supports_load;
   FUSION_ASSIGN_OR_RETURN(const Relation schema_relation,
                           RelationFromLines(response.relation_lines));
   schema_ = schema_relation.schema();
@@ -192,9 +163,7 @@ Result<std::unique_ptr<RemoteSource>> RemoteSource::ConnectTcp(
                  static_cast<int>(source->endpoints_.size()));
     Status dialed = Status::Unavailable("never dialed");
     for (int attempt = 1; attempt <= attempts; ++attempt) {
-      if (attempt > 1) {
-        SleepSeconds(policy.BackoffSeconds(source->active_, attempt - 1));
-      }
+      if (attempt > 1) policy.Backoff(source->active_, attempt - 1);
       dialed = source->TcpDialActiveLocked();
       if (dialed.ok()) break;
       source->TcpAdvanceReplicaLocked();
@@ -217,31 +186,24 @@ Status RemoteSource::TcpDialActiveLocked() {
   // source (same name) rather than a misconfigured endpoint.
   SourceRequest hello;
   hello.kind = SourceRequest::Kind::kHello;
-  Status sent = socket_.Send(SerializeRequest(hello));
-  if (!sent.ok()) {
-    socket_.Close();
-    return sent;
-  }
-  Result<std::string> reply = socket_.Receive();
-  if (!reply.ok()) {
-    socket_.Close();
-    return reply.status();
-  }
-  Result<SourceResponse> parsed = ParseResponse(reply.value());
+  Result<SourceResponse> parsed = [&]() -> Result<SourceResponse> {
+    FUSION_RETURN_IF_ERROR(socket_.Send(SerializeRequest(hello)));
+    FUSION_ASSIGN_OR_RETURN(const std::string reply, socket_.Receive());
+    FUSION_ASSIGN_OR_RETURN(SourceResponse response, ParseResponse(reply));
+    if (!response.ok) {
+      return Status(response.error_code,
+                    "replica hello: " + response.error_message);
+    }
+    if (!name_.empty() && response.name != name_) {
+      return Status::Internal("replica " + endpoints_[active_] +
+                              " serves source '" + response.name +
+                              "', expected '" + name_ + "'");
+    }
+    return response;
+  }();
   if (!parsed.ok()) {
     socket_.Close();
     return parsed.status();
-  }
-  if (!parsed.value().ok) {
-    socket_.Close();
-    return Status(parsed.value().error_code,
-                  "replica hello: " + parsed.value().error_message);
-  }
-  if (!name_.empty() && parsed.value().name != name_) {
-    socket_.Close();
-    return Status::Internal("replica " + endpoints_[active_] +
-                            " serves source '" + parsed.value().name +
-                            "', expected '" + name_ + "'");
   }
   last_hello_ = std::move(parsed).value();
   if (dialed_once_) ++reconnects_;
@@ -264,9 +226,7 @@ Result<std::string> RemoteSource::TcpExchangeLocked(
                                 static_cast<int>(endpoints_.size()));
   Status last_error = Status::Unavailable("never sent");
   for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) {
-      SleepSeconds(failover_.BackoffSeconds(active_, attempt - 1));
-    }
+    if (attempt > 1) failover_.Backoff(active_, attempt - 1);
     if (!socket_.valid()) {
       const Status dialed = TcpDialActiveLocked();
       if (!dialed.ok()) {
@@ -316,9 +276,8 @@ Result<ItemSet> RemoteSource::Select(const Condition& cond,
   request.kind = SourceRequest::Kind::kSelect;
   request.merge_attribute = merge_attribute;
   request.condition_text = cond.ToString();
-  FUSION_ASSIGN_OR_RETURN(const SourceResponse response,
-                          RoundTrip(request, ledger));
-  return ItemSet(response.items);
+  FUSION_ASSIGN_OR_RETURN(SourceResponse response, RoundTrip(request, ledger));
+  return ItemSet(std::move(response.items));
 }
 
 Result<ItemSet> RemoteSource::SemiJoin(const Condition& cond,
@@ -330,9 +289,8 @@ Result<ItemSet> RemoteSource::SemiJoin(const Condition& cond,
   request.merge_attribute = merge_attribute;
   request.condition_text = cond.ToString();
   request.bindings.assign(candidates.begin(), candidates.end());
-  FUSION_ASSIGN_OR_RETURN(const SourceResponse response,
-                          RoundTrip(request, ledger));
-  return ItemSet(response.items);
+  FUSION_ASSIGN_OR_RETURN(SourceResponse response, RoundTrip(request, ledger));
+  return ItemSet(std::move(response.items));
 }
 
 Result<Relation> RemoteSource::Load(CostLedger* ledger) {

@@ -22,12 +22,13 @@ Status Errno(const std::string& what) {
 /// Finds the end of the first complete message in `buffer`: the offset one
 /// past its "end\n" terminator line, or npos. Messages start with a magic
 /// line, so a terminator is either "...\nend\n" or the whole buffer "end\n"
-/// (degenerate, tolerated).
-size_t FindMessageEnd(const std::string& buffer) {
-  if (buffer.rfind("end\n", 0) == 0) return 4;
-  const size_t pos = buffer.find("\nend\n");
-  if (pos == std::string::npos) return std::string::npos;
-  return pos + 5;
+/// (degenerate, tolerated). The first `from` bytes are known to hold no
+/// terminator, so each byte of a message is searched about once however
+/// many reads it arrives in.
+size_t FindMessageEnd(const std::string& buffer, size_t from) {
+  if (from == 0 && buffer.rfind("end\n", 0) == 0) return 4;
+  const size_t pos = buffer.find("\nend\n", from < 4 ? 0 : from - 4);
+  return pos == std::string::npos ? pos : pos + 5;
 }
 
 Result<sockaddr_in> ResolveV4(const std::string& host, int port) {
@@ -102,14 +103,23 @@ Status MessageSocket::Send(const std::string& message) {
 
 Result<std::string> MessageSocket::Receive() {
   if (!valid()) return Status::Internal("receive on closed socket");
-  char chunk[4096];
+  char chunk[64 * 1024];
+  size_t scanned = 0;  // bytes of buffer_ known to hold no terminator
   for (;;) {
-    const size_t end = FindMessageEnd(buffer_);
+    const size_t end = FindMessageEnd(buffer_, scanned);
+    if (end == buffer_.size()) return std::exchange(buffer_, std::string());
     if (end != std::string::npos) {
       std::string message = buffer_.substr(0, end);
       buffer_.erase(0, end);
       return message;
     }
+    if (receive_limit_ > 0 && buffer_.size() > receive_limit_) {
+      return Status::ParseError(
+          "oversized message: " + std::to_string(buffer_.size()) +
+          " bytes without a terminator (limit " +
+          std::to_string(receive_limit_) + ")");
+    }
+    scanned = buffer_.size();
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -131,13 +141,6 @@ Result<std::string> MessageSocket::Receive() {
       return Status::ParseError("connection closed mid-message");
     }
     buffer_.append(chunk, static_cast<size_t>(n));
-    if (receive_limit_ > 0 && buffer_.size() > receive_limit_ &&
-        FindMessageEnd(buffer_) == std::string::npos) {
-      return Status::ParseError(
-          "oversized message: " + std::to_string(buffer_.size()) +
-          " bytes without a terminator (limit " +
-          std::to_string(receive_limit_) + ")");
-    }
   }
 }
 

@@ -21,13 +21,8 @@ SourceResponse ErrorResponse(const Status& status) {
 
 void AttachCharges(const CostLedger& ledger, SourceResponse& response) {
   for (const Charge& c : ledger.charges()) {
-    ChargeSummary summary;
-    summary.kind = ChargeKindName(c.kind);
-    summary.items_sent = c.items_sent;
-    summary.items_received = c.items_received;
-    summary.tuples_scanned = c.tuples_scanned;
-    summary.cost = c.cost;
-    response.charges.push_back(std::move(summary));
+    response.charges.push_back({ChargeKindName(c.kind), c.items_sent,
+                                c.items_received, c.tuples_scanned, c.cost});
   }
 }
 
@@ -35,18 +30,6 @@ void AttachRelation(const Relation& relation, SourceResponse& response) {
   for (const std::string& line : StrSplit(RelationToCsv(relation), '\n')) {
     if (!line.empty()) response.relation_lines.push_back(line);
   }
-}
-
-const char* SemijoinWireName(SemijoinSupport s) {
-  switch (s) {
-    case SemijoinSupport::kNative:
-      return "native";
-    case SemijoinSupport::kPassedBindingsOnly:
-      return "bindings";
-    case SemijoinSupport::kUnsupported:
-      return "none";
-  }
-  return "none";
 }
 
 }  // namespace
@@ -57,7 +40,7 @@ SourceResponse SourceServer::HandleParsed(const SourceRequest& request) {
     case SourceRequest::Kind::kHello: {
       response.name = impl_->name();
       response.semijoin_support =
-          SemijoinWireName(impl_->capabilities().semijoin);
+          WireWordFor(impl_->capabilities().semijoin, kSemijoinWireWords);
       response.supports_load = impl_->capabilities().supports_load;
       response.features = {"trace"};
       // Ship the schema as a CSV header line.
@@ -65,40 +48,28 @@ SourceResponse SourceServer::HandleParsed(const SourceRequest& request) {
       AttachRelation(empty, response);
       return response;
     }
-    case SourceRequest::Kind::kSelect: {
-      auto cond = ParseCondition(request.condition_text);
-      if (!cond.ok()) return ErrorResponse(cond.status());
-      CostLedger ledger;
-      auto items =
-          impl_->Select(*cond, request.merge_attribute, &ledger);
-      if (!items.ok()) return ErrorResponse(items.status());
-      response.items.assign(items->begin(), items->end());
-      AttachCharges(ledger, response);
-      return response;
-    }
+    case SourceRequest::Kind::kSelect:
     case SourceRequest::Kind::kSemiJoin: {
       auto cond = ParseCondition(request.condition_text);
       if (!cond.ok()) return ErrorResponse(cond.status());
       CostLedger ledger;
-      auto items = impl_->SemiJoin(*cond, request.merge_attribute,
-                                   ItemSet(request.bindings), &ledger);
+      auto items = request.kind == SourceRequest::Kind::kSelect
+                       ? impl_->Select(*cond, request.merge_attribute, &ledger)
+                       : impl_->SemiJoin(*cond, request.merge_attribute,
+                                         ItemSet(request.bindings), &ledger);
       if (!items.ok()) return ErrorResponse(items.status());
       response.items.assign(items->begin(), items->end());
       AttachCharges(ledger, response);
       return response;
     }
-    case SourceRequest::Kind::kLoad: {
-      CostLedger ledger;
-      auto relation = impl_->Load(&ledger);
-      if (!relation.ok()) return ErrorResponse(relation.status());
-      AttachRelation(*relation, response);
-      AttachCharges(ledger, response);
-      return response;
-    }
+    case SourceRequest::Kind::kLoad:
     case SourceRequest::Kind::kFetch: {
       CostLedger ledger;
-      auto relation = impl_->FetchRecords(
-          request.merge_attribute, ItemSet(request.bindings), &ledger);
+      auto relation = request.kind == SourceRequest::Kind::kLoad
+                          ? impl_->Load(&ledger)
+                          : impl_->FetchRecords(request.merge_attribute,
+                                                ItemSet(request.bindings),
+                                                &ledger);
       if (!relation.ok()) return ErrorResponse(relation.status());
       AttachRelation(*relation, response);
       AttachCharges(ledger, response);

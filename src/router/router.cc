@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/rng.h"
@@ -23,11 +21,6 @@ constexpr size_t kMaxIdleLinksPerShard = 8;
 /// cleared (stats restart cold; routing is stateless and unaffected).
 constexpr size_t kMaxWarmEntries = 64 * 1024;
 
-void SleepSeconds(double seconds) {
-  if (seconds <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-}
-
 /// Transport-level failures a redial (or a failover to the next-ranked
 /// shard) can cure; protocol-level failures are final.
 bool IsTransportError(const Status& status) {
@@ -36,9 +29,8 @@ bool IsTransportError(const Status& status) {
          status.code() == StatusCode::kInternal;
 }
 
-bool IsHelloRetryable(const Status& status) {
-  return IsTransportError(status) ||
-         status.code() == StatusCode::kParseError;
+std::string ErrorFrame(const Status& status) {
+  return SerializeClientResponse(ClientErrorResponse(status));
 }
 
 /// Router-minted SUBMIT idempotency keys, for forwards whose client sent
@@ -133,19 +125,32 @@ void QueryRouter::ReleaseLink(size_t shard, std::unique_ptr<Link> link) {
   // else: dropped — the destructor closes the connection.
 }
 
-Result<ClientResponse> QueryRouter::Exchange(size_t shard,
-                                             const ClientRequest& request) {
+void QueryRouter::Count(size_t Counters::*field, Counter& metric) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++(counters_.*field);
+  }
+  metric.Increment();
+}
+
+Status QueryRouter::ShardError(size_t shard, const Status& status) const {
+  return Status(status.code(), status.message() + " (shard " +
+                                   shards_.shard(shard).name + " at " +
+                                   shards_.shard(shard).endpoint + ")");
+}
+
+Result<std::string> QueryRouter::Exchange(size_t shard,
+                                          const ClientRequest& request) {
   const std::string wire = SerializeClientRequest(request);
   const int attempts = std::max(1, options_.reconnect.max_attempts);
   Status last_error = Status::Unavailable("never dialed");
   for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) {
-      SleepSeconds(options_.reconnect.BackoffSeconds(0, attempt - 1));
-    }
+    if (attempt > 1) options_.reconnect.Backoff(0, attempt - 1);
     Result<std::unique_ptr<Link>> link = AcquireLink(shard);
     if (!link.ok()) {
       last_error = link.status();
-      if (!IsHelloRetryable(last_error)) break;
+      const bool garbled_hello = last_error.code() == StatusCode::kParseError;
+      if (!IsTransportError(last_error) && !garbled_hello) break;
       continue;
     }
     // Resend safety mirrors the client's rule: a SUBMIT is only re-sent
@@ -162,8 +167,6 @@ Result<ClientResponse> QueryRouter::Exchange(size_t shard,
       frame_sent = true;
       Result<std::string> reply = link.value()->socket.Receive();
       if (reply.ok()) {
-        Result<ClientResponse> parsed = ParseClientResponse(reply.value());
-        if (!parsed.ok()) break;  // a whole-but-malformed frame is final
         {
           std::lock_guard<std::mutex> lock(mutex_);
           counters_.forward_bytes += wire.size();
@@ -172,7 +175,7 @@ Result<ClientResponse> QueryRouter::Exchange(size_t shard,
             metrics::kRouterForwardBytes);
         bytes.Increment(wire.size());
         ReleaseLink(shard, std::move(link.value()));
-        return parsed;
+        return reply;
       }
       // A failed Receive is a transport event (including the kParseError a
       // torn frame produces) — the pooled connection may simply have gone
@@ -185,47 +188,42 @@ Result<ClientResponse> QueryRouter::Exchange(size_t shard,
     // Transport failure: this upstream connection is dead; do not pool it.
     if (frame_sent && !resend_safe) break;
   }
-  return Status(last_error.code(),
-                last_error.message() + " (shard " +
-                    shards_.shard(shard).name + " at " +
-                    shards_.shard(shard).endpoint + ")");
+  return ShardError(shard, last_error);
 }
 
-ClientResponse QueryRouter::ForwardSubmit(const ClientRequest& request) {
+std::string QueryRouter::Relay(size_t shard, const std::string& reply) const {
+  // A whole frame whose header or ticket is malformed is final: the shard
+  // answered, so failing over would only hide the fault.
+  Result<std::string> relayed =
+      RelayClientResponse(reply, static_cast<uint8_t>(shard));
+  if (relayed.ok()) return std::move(relayed).value();
+  return ErrorFrame(ShardError(shard, relayed.status()));
+}
+
+std::string QueryRouter::ForwardSubmit(const ClientRequest& request) {
   if (request.sql.empty()) {
-    return ClientErrorResponse(
-        Status::InvalidArgument("SUBMIT requires an sql line"));
+    return ErrorFrame(Status::InvalidArgument("SUBMIT requires an sql line"));
   }
   const std::string key = CanonicalQueryKey(request.sql);
   const std::vector<size_t> ranked = shards_.Ranked(key);
   ClientRequest forward = request;
   if (forward.request_id == 0) forward.request_id = MintRouterRequestId();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++counters_.forwards;
-  }
   static Counter& forwards =
       MetricsRegistry::Global().counter(metrics::kRouterForwardsTotal);
-  forwards.Increment();
+  Count(&Counters::forwards, forwards);
   Status last_error = Status::Unavailable("no shards");
   for (size_t i = 0; i < ranked.size(); ++i) {
     const size_t shard = ranked[i];
-    Result<ClientResponse> response = Exchange(shard, forward);
-    if (!response.ok()) {
-      last_error = response.status();
-      if (!IsTransportError(last_error)) {
-        return ClientErrorResponse(last_error);
-      }
+    Result<std::string> reply = Exchange(shard, forward);
+    if (!reply.ok()) {
+      last_error = reply.status();
+      if (!IsTransportError(last_error)) break;
       if (i + 1 < ranked.size()) {
         // Owner down: the next-ranked shard serves this key (cold cache at
         // worst — queries are read-only, so never a wrong answer).
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++counters_.failovers;
-        }
         static Counter& failovers = MetricsRegistry::Global().counter(
             metrics::kRouterFailoversTotal);
-        failovers.Increment();
+        Count(&Counters::failovers, failovers);
       }
       continue;
     }
@@ -253,31 +251,22 @@ ClientResponse QueryRouter::ForwardSubmit(const ClientRequest& request) {
     }
     // Re-ticket for the client: shard index in the low byte, so STATUS and
     // CANCEL route straight back to the shard that owns the request.
-    if (response.value().ticket != 0) {
-      response.value().ticket =
-          (response.value().ticket << 8) | static_cast<uint64_t>(shard);
-    }
-    return std::move(response).value();
+    return Relay(shard, reply.value());
   }
-  return ClientErrorResponse(last_error);
+  return ErrorFrame(last_error);
 }
 
-ClientResponse QueryRouter::ForwardTicketVerb(const ClientRequest& request) {
+std::string QueryRouter::ForwardTicketVerb(const ClientRequest& request) {
   const size_t shard = static_cast<size_t>(request.ticket & 0xff);
   const uint64_t upstream_ticket = request.ticket >> 8;
   if (shard >= shards_.size() || upstream_ticket == 0) {
-    return ClientErrorResponse(Status::NotFound(
-        "unknown ticket " + std::to_string(request.ticket)));
+    return ErrorFrame(
+        Status::NotFound("unknown ticket " + std::to_string(request.ticket)));
   }
   ClientRequest forward = request;
   forward.ticket = upstream_ticket;
-  Result<ClientResponse> response = Exchange(shard, forward);
-  if (!response.ok()) return ClientErrorResponse(response.status());
-  if (response.value().ticket != 0) {
-    response.value().ticket =
-        (response.value().ticket << 8) | static_cast<uint64_t>(shard);
-  }
-  return std::move(response).value();
+  const Result<std::string> reply = Exchange(shard, forward);
+  return reply.ok() ? Relay(shard, reply.value()) : ErrorFrame(reply.status());
 }
 
 ClientResponse QueryRouter::FanOutInvalidate(const ClientRequest& request) {
@@ -291,25 +280,22 @@ ClientResponse QueryRouter::FanOutInvalidate(const ClientRequest& request) {
   bool any_applied = false;
   Status first_error = Status::Ok();
   for (size_t shard = 0; shard < shards_.size(); ++shard) {
-    const Result<ClientResponse> response = Exchange(shard, request);
+    const Result<std::string> reply = Exchange(shard, request);
+    Result<ClientResponse> response = reply.status();
+    if (reply.ok()) {
+      response = ParseClientResponse(reply.value());
+      if (!response.ok()) response = ShardError(shard, response.status());
+    }
+    if (response.ok() && !response->ok) {
+      response = Status(response->error_code, response->error_message);
+    }
     if (!response.ok()) {
       if (first_error.ok()) first_error = response.status();
       continue;
     }
-    if (!response.value().ok) {
-      if (first_error.ok()) {
-        first_error = Status(response.value().error_code,
-                             response.value().error_message);
-      }
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++counters_.invalidate_fanouts;
-    }
     static Counter& fanouts = MetricsRegistry::Global().counter(
         metrics::kRouterInvalidateFanoutsTotal);
-    fanouts.Increment();
+    Count(&Counters::invalidate_fanouts, fanouts);
     if (response.value().state == "applied") any_applied = true;
   }
   if (!first_error.ok()) return ClientErrorResponse(first_error);
@@ -318,39 +304,28 @@ ClientResponse QueryRouter::FanOutInvalidate(const ClientRequest& request) {
   return response;
 }
 
-ClientResponse QueryRouter::HandleParsed(const ClientRequest& request) {
-  switch (request.kind) {
-    case ClientRequest::Kind::kHello: {
-      ClientResponse response;
-      response.server = options_.server_name;
-      response.features = ClientProtocolFeatures();
-      return response;
-    }
-    case ClientRequest::Kind::kSubmit:
-      return ForwardSubmit(request);
-    case ClientRequest::Kind::kStatus:
-    case ClientRequest::Kind::kCancel:
-      return ForwardTicketVerb(request);
-    case ClientRequest::Kind::kStats: {
-      ClientResponse response;
-      response.server = options_.server_name;
-      for (const std::string& line : StrSplit(StatsText(), '\n')) {
-        if (!line.empty()) response.stats_lines.push_back(line);
-      }
-      return response;
-    }
-    case ClientRequest::Kind::kInvalidate:
-      return FanOutInvalidate(request);
-  }
-  return ClientErrorResponse(Status::Internal("unknown request kind"));
-}
-
 std::string QueryRouter::Handle(const std::string& request_text) {
   const Result<ClientRequest> request = ParseClientRequest(request_text);
+  ClientResponse response;
   if (!request.ok()) {
-    return SerializeClientResponse(ClientErrorResponse(request.status()));
+    response = ClientErrorResponse(request.status());
+  } else if (request->kind == ClientRequest::Kind::kSubmit) {
+    return ForwardSubmit(*request);
+  } else if (request->kind == ClientRequest::Kind::kStatus ||
+             request->kind == ClientRequest::Kind::kCancel) {
+    return ForwardTicketVerb(*request);
+  } else if (request->kind == ClientRequest::Kind::kInvalidate) {
+    response = FanOutInvalidate(*request);
+  } else if (request->kind == ClientRequest::Kind::kHello) {
+    response.server = options_.server_name;
+    response.features = ClientProtocolFeatures();
+  } else {  // kStats
+    response.server = options_.server_name;
+    for (const std::string& line : StrSplit(StatsText(), '\n')) {
+      if (!line.empty()) response.stats_lines.push_back(line);
+    }
   }
-  return SerializeClientResponse(HandleParsed(request.value()));
+  return SerializeClientResponse(response);
 }
 
 void QueryRouter::ServeConnection(ChaosSocket socket) {

@@ -17,6 +17,8 @@
 
 namespace fusion {
 
+class Counter;
+
 /// The fusionrd query router: the client-facing front of a sharded
 /// mediator fleet. Speaks FUSIONQ/1 on both sides — clients connect to it
 /// exactly as they would to a single fusionqd (same HELLO, same verbs) and
@@ -117,16 +119,22 @@ class QueryRouter {
     std::vector<std::unique_ptr<Link>> idle;
   };
 
-  ClientResponse HandleParsed(const ClientRequest& request);
-  ClientResponse ForwardSubmit(const ClientRequest& request);
-  ClientResponse ForwardTicketVerb(const ClientRequest& request);
+  std::string ForwardSubmit(const ClientRequest& request);
+  std::string ForwardTicketVerb(const ClientRequest& request);
   ClientResponse FanOutInvalidate(const ClientRequest& request);
 
   /// One request/response against `shard`, with dial-retry under
-  /// Options::reconnect. Pools the connection on success; closes it on
-  /// failure. Transport-class failures surface to the caller (who may fail
-  /// over); protocol errors are final.
-  Result<ClientResponse> Exchange(size_t shard, const ClientRequest& request);
+  /// Options::reconnect; returns the shard's whole reply frame. Pools the
+  /// connection on success; closes it on failure. Transport-class failures
+  /// surface to the caller (who may fail over); protocol errors are final.
+  Result<std::string> Exchange(size_t shard, const ClientRequest& request);
+
+  /// The client's frame for a shard reply: relayed as bytes with the ticket
+  /// re-tagged (RelayClientResponse), or a kParseError naming the shard.
+  std::string Relay(size_t shard, const std::string& reply) const;
+  Status ShardError(size_t shard, const Status& status) const;
+  /// Bumps one routing counter and its process-wide metric.
+  void Count(size_t Counters::*field, Counter& metric);
 
   Result<std::unique_ptr<Link>> AcquireLink(size_t shard);
   void ReleaseLink(size_t shard, std::unique_ptr<Link> link);

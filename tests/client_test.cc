@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -417,6 +418,198 @@ TEST(ClientProtocolTest, MalformedTextIsAParseError) {
   EXPECT_FALSE(ParseClientRequest("HTTP/1.1 GET /\nend\n").ok());
   EXPECT_FALSE(ParseClientRequest("FUSIONQ/1 SUBMIT\n").ok());  // no end
   EXPECT_FALSE(ParseClientResponse("FUSIONQ/1 MAYBE\nend\n").ok());
+  // Numeric fields are strict: no clamping on overflow, no garbage read as
+  // 0, no sign or whitespace the serializer never emits.
+  for (const char* frame : {
+           "FUSIONQ/1 STATUS\nticket 99999999999999999999999\nend\n",
+           "FUSIONQ/1 STATUS\nticket -1\nend\n",
+           "FUSIONQ/1 SUBMIT\nsql x\nrequest-id 18446744073709551616\nend\n",
+           "FUSIONQ/1 INVALIDATE\nsource R1\nversion 7x\nend\n",
+       }) {
+    const auto request = ParseClientRequest(frame);
+    ASSERT_FALSE(request.ok()) << frame;
+    EXPECT_EQ(request.status().code(), StatusCode::kParseError) << frame;
+  }
+  for (const char* frame : {
+           "FUSIONQ/1 OK\nticket 99999999999999999999999\nend\n",
+           "FUSIONQ/1 OK\ncache-hits 99999999999999999999999\nend\n",
+           "FUSIONQ/1 OK\nitems-sent 12abc\nend\n",
+           "FUSIONQ/1 OK\nsource-queries +3\nend\n",
+           "FUSIONQ/1 OK\ncost abc\nend\n",
+           "FUSIONQ/1 OK\ncost 1.5 \nend\n",
+           "FUSIONQ/1 OK\ncalibration-cost 1e999\nend\n",
+           "FUSIONQ/1 OK\nitem i:99999999999999999999\nend\n",
+           "FUSIONQ/1 OK\nitem i:+5\nend\n",
+           "FUSIONQ/1 OK\nitem i: 5\nend\n",
+           "FUSIONQ/1 ERROR\nerror 99999999999999999999 boom\nend\n",
+       }) {
+    const auto response = ParseClientResponse(frame);
+    ASSERT_FALSE(response.ok()) << frame;
+    EXPECT_EQ(response.status().code(), StatusCode::kParseError) << frame;
+  }
+}
+
+// Literal wire frames, pinned byte for byte: the codec must emit exactly
+// these bytes and read them back to the same structs.
+constexpr char kGoldenSubmitRequest[] =
+    "FUSIONQ/1 SUBMIT\n"
+    "client tenant \\\\7\n"
+    "sql SELECT u1.L FROM U u1\\nWHERE u1.V = 'a\\\\b'\n"
+    "wait no\n"
+    "explain yes\n"
+    "trace-id 18446744073709551615\n"
+    "parent-span 42\n"
+    "request-id 16045690984503111693\n"
+    "end\n";
+constexpr char kGoldenHelloRequest[] =
+    "FUSIONQ/1 HELLO\n"
+    "client c0\n"
+    "features trace,stats,explain,idempotency,sharding\n"
+    "end\n";
+constexpr char kGoldenStatusRequest[] =
+    "FUSIONQ/1 STATUS\n"
+    "ticket 1234567890123\n"
+    "end\n";
+constexpr char kGoldenInvalidateRequest[] =
+    "FUSIONQ/1 INVALIDATE\n"
+    "source R\\n1\n"
+    "version 9\n"
+    "end\n";
+constexpr char kGoldenIntResponse[] =
+    "FUSIONQ/1 OK\n"
+    "ticket 77\n"
+    "state done\n"
+    "item i:-9223372036854775808\n"
+    "item i:-1\n"
+    "item i:0\n"
+    "item i:42\n"
+    "item i:9223372036854775807\n"
+    "cost 65.620000000000005\n"
+    "source-queries 3\n"
+    "cache-hits 2\n"
+    "cache-misses 1\n"
+    "items-sent 12\n"
+    "items-received 345\n"
+    "cache-containment 1\n"
+    "calibration-cost 0.10000000000000001\n"
+    "complete no\n"
+    "end\n";
+constexpr char kGoldenMixedResponse[] =
+    "FUSIONQ/1 OK\n"
+    "ticket 5\n"
+    "item null\n"
+    "item i:-7\n"
+    "item d:3.1415926535897931\n"
+    "item d:1e+21\n"
+    "item d:1.0000000000000001e-05\n"
+    "item d:-0\n"
+    "item d:2.5\n"
+    "item s:line\\nbreak\\\\slash\n"
+    "item s:\n"
+    "item s:plain words\n"
+    "cost 0.33333333333333331\n"
+    "source-queries 0\n"
+    "cache-hits 0\n"
+    "cache-misses 0\n"
+    "items-sent 0\n"
+    "items-received 0\n"
+    "end\n";
+constexpr char kGoldenErrorResponse[] =
+    "FUSIONQ/1 ERROR\n"
+    "error Unavailable shard down\\nretry \\\\later\n"
+    "ticket 3\n"
+    "state failed\n"
+    "end\n";
+constexpr char kGoldenStatsExplainResponse[] =
+    "FUSIONQ/1 OK\n"
+    "server fusionqd\n"
+    "features trace,stats,explain,idempotency,sharding\n"
+    "stats # fusionq-stats schema 1\n"
+    "stats requests_total 7\n"
+    "stats weird \\\\ line\n"
+    "explain plan SJA+ (simple), estimated cost 1.000\n"
+    "explain   op 0: sq source=0 [cost 1.000, 0.2 ms, cache miss]\n"
+    "end\n";
+
+TEST(ClientProtocolTest, RequestsMatchGoldenBytes) {
+  ClientRequest submit;
+  submit.kind = ClientRequest::Kind::kSubmit;
+  submit.client_id = "tenant \\7";
+  submit.sql = "SELECT u1.L FROM U u1\nWHERE u1.V = 'a\\b'";
+  submit.wait = false;
+  submit.explain = true;
+  submit.trace_id = std::numeric_limits<uint64_t>::max();
+  submit.parent_span = 42;
+  submit.request_id = 0xdeadbeefcafef00dull;
+  ClientRequest hello;
+  hello.client_id = "c0";
+  hello.features = ClientProtocolFeatures();
+  ClientRequest status;
+  status.kind = ClientRequest::Kind::kStatus;
+  status.ticket = 1234567890123ull;
+  ClientRequest invalidate;
+  invalidate.kind = ClientRequest::Kind::kInvalidate;
+  invalidate.source = "R\n1";
+  invalidate.version = 9;
+  const std::pair<const ClientRequest*, const char*> cases[] = {
+      {&submit, kGoldenSubmitRequest},
+      {&hello, kGoldenHelloRequest},
+      {&status, kGoldenStatusRequest},
+      {&invalidate, kGoldenInvalidateRequest}};
+  for (const auto& [request, golden] : cases) {
+    EXPECT_EQ(SerializeClientRequest(*request), golden);
+    const auto parsed = ParseClientRequest(golden);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(SerializeClientRequest(*parsed), golden);
+  }
+}
+
+TEST(ClientProtocolTest, ResponsesMatchGoldenBytes) {
+  ClientResponse ints;
+  ints.ticket = 77;
+  ints.state = "done";
+  ints.items = {Value(std::numeric_limits<int64_t>::min()), Value(int64_t{-1}),
+                Value(int64_t{0}), Value(int64_t{42}),
+                Value(std::numeric_limits<int64_t>::max())};
+  ints.cost = 65.62;
+  ints.source_queries = 3;
+  ints.cache_hits = 2;
+  ints.cache_misses = 1;
+  ints.items_sent = 12;
+  ints.items_received = 345;
+  ints.cache_containment_hits = 1;
+  ints.calibration_cost = 0.1;
+  ints.complete = false;
+  ClientResponse mixed;
+  mixed.ticket = 5;
+  mixed.items = {Value::Null(), Value(int64_t{-7}), Value(3.141592653589793),
+                 Value(1e21), Value(1e-5), Value(-0.0), Value(2.5),
+                 Value("line\nbreak\\slash"), Value(""), Value("plain words")};
+  mixed.cost = 1.0 / 3.0;
+  ClientResponse error =
+      ClientErrorResponse(Status::Unavailable("shard down\nretry \\later"));
+  error.ticket = 3;
+  error.state = "failed";
+  ClientResponse observed;
+  observed.server = "fusionqd";
+  observed.features = ClientProtocolFeatures();
+  observed.stats_lines = {"# fusionq-stats schema 1", "requests_total 7",
+                          "weird \\ line"};
+  observed.explain_lines = {
+      "plan SJA+ (simple), estimated cost 1.000",
+      "  op 0: sq source=0 [cost 1.000, 0.2 ms, cache miss]"};
+  const std::pair<const ClientResponse*, const char*> cases[] = {
+      {&ints, kGoldenIntResponse},
+      {&mixed, kGoldenMixedResponse},
+      {&error, kGoldenErrorResponse},
+      {&observed, kGoldenStatsExplainResponse}};
+  for (const auto& [response, golden] : cases) {
+    EXPECT_EQ(SerializeClientResponse(*response), golden);
+    const auto parsed = ParseClientResponse(golden);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->items, response->items);
+    EXPECT_EQ(SerializeClientResponse(*parsed), golden);
+  }
 }
 
 TEST(ClientProtocolTest, ObservabilityFieldsRoundTrip) {

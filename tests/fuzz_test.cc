@@ -4,6 +4,9 @@
 // return success for nonsense. Seeds are fixed; failures reproduce.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <limits>
 #include <string>
 
 #include "cli/catalog_config.h"
@@ -392,6 +395,145 @@ TEST(FuzzTest, ClientProtocolOversizedLinesRejected) {
   ClientRequest fits = ValidSubmit();
   fits.sql = std::string(kMaxClientProtocolLineBytes - 16, 'a');
   EXPECT_TRUE(ParseClientRequest(SerializeClientRequest(fits)).ok());
+}
+
+/// A random response the serializer can represent exactly: int items span
+/// the whole int64 range (extremes included), counters ride only on frames
+/// that carry the result block, optional fields only when set.
+ClientResponse RandomResponse(Rng& rng) {
+  ClientResponse r;
+  r.ok = rng.Bernoulli(0.8);
+  if (!r.ok) {
+    r.error_code = kAllStatusCodes[rng.Uniform(1, std::size(kAllStatusCodes) - 1)];
+    r.error_message = RandomBytes(rng, 30);
+  }
+  if (rng.Bernoulli(0.2)) r.server = RandomBytes(rng, 12);
+  if (rng.Bernoulli(0.7)) r.ticket = rng.engine()() >> rng.Uniform(0, 63);
+  if (rng.Bernoulli(0.5)) r.state = rng.Bernoulli(0.5) ? "done" : "queued";
+  const bool ints_only = rng.Bernoulli(0.7);
+  const int64_t n = rng.Uniform(0, 40);
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t kind = ints_only ? 0 : rng.Uniform(0, 4);
+    if (kind == 0) {
+      const int64_t pick = rng.Uniform(0, 5);
+      r.items.emplace_back(pick == 0   ? std::numeric_limits<int64_t>::min()
+                           : pick == 1 ? std::numeric_limits<int64_t>::max()
+                                       : static_cast<int64_t>(rng.engine()()));
+    } else if (kind == 1) {
+      r.items.emplace_back((rng.NextDouble() - 0.5) *
+                           std::pow(10.0, static_cast<double>(rng.Uniform(-300, 300))));
+    } else if (kind == 2) {
+      r.items.emplace_back(RandomBytes(rng, 20));
+    } else {
+      r.items.push_back(Value::Null());
+    }
+  }
+  r.cost = rng.Bernoulli(0.5) ? rng.NextDouble() * 1000.0 : 0.0;
+  if (rng.Bernoulli(0.5)) r.source_queries = rng.engine()() >> 40;
+  if (r.source_queries > 0 || !r.items.empty() || r.cost > 0.0) {
+    r.cache_hits = rng.engine()() >> 40;
+    r.cache_misses = rng.engine()() >> 40;
+    r.items_sent = rng.engine()();
+    r.items_received = rng.engine()();
+  }
+  if (rng.Bernoulli(0.3)) r.cache_containment_hits = rng.engine()() >> 50;
+  if (rng.Bernoulli(0.3)) r.calibration_cost = rng.NextDouble() * 50.0;
+  r.complete = rng.Bernoulli(0.8);
+  if (rng.Bernoulli(0.2)) r.features = ClientProtocolFeatures();
+  for (int64_t i = rng.Uniform(0, 2); i > 0; --i) {
+    r.stats_lines.push_back(RandomBytes(rng, 30));
+    r.explain_lines.push_back(RandomBytes(rng, 30));
+  }
+  return r;
+}
+
+TEST(FuzzTest, ClientProtocolResponseRoundTripProperty) {
+  Rng rng(31);
+  for (int i = 0; i < 2000; ++i) {
+    const ClientResponse original = RandomResponse(rng);
+    const std::string wire = SerializeClientResponse(original);
+    const auto parsed = ParseClientResponse(wire);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << wire;
+    EXPECT_EQ(parsed->ok, original.ok);
+    EXPECT_EQ(parsed->error_code, original.error_code);
+    EXPECT_EQ(parsed->error_message, original.error_message);
+    EXPECT_EQ(parsed->server, original.server);
+    EXPECT_EQ(parsed->ticket, original.ticket);
+    EXPECT_EQ(parsed->state, original.state);
+    ASSERT_EQ(parsed->items.size(), original.items.size());
+    for (size_t j = 0; j < original.items.size(); ++j) {
+      EXPECT_EQ(parsed->items[j].type(), original.items[j].type());
+      EXPECT_EQ(parsed->items[j], original.items[j]) << wire;
+    }
+    EXPECT_EQ(parsed->cost, original.cost);
+    EXPECT_EQ(parsed->source_queries, original.source_queries);
+    EXPECT_EQ(parsed->cache_hits, original.cache_hits);
+    EXPECT_EQ(parsed->cache_misses, original.cache_misses);
+    EXPECT_EQ(parsed->items_sent, original.items_sent);
+    EXPECT_EQ(parsed->items_received, original.items_received);
+    EXPECT_EQ(parsed->cache_containment_hits, original.cache_containment_hits);
+    EXPECT_EQ(parsed->calibration_cost, original.calibration_cost);
+    EXPECT_EQ(parsed->complete, original.complete);
+    EXPECT_EQ(parsed->features, original.features);
+    EXPECT_EQ(parsed->stats_lines, original.stats_lines);
+    EXPECT_EQ(parsed->explain_lines, original.explain_lines);
+    EXPECT_EQ(SerializeClientResponse(*parsed), wire);
+  }
+}
+
+TEST(FuzzTest, ClientProtocolRelayProperty) {
+  // The router relays shard frames as bytes, rewriting only the ticket. For
+  // any frame: the relay rejects it, or the client reads the relayed bytes
+  // exactly as it reads the original, with the ticket re-tagged — and an
+  // original the client rejects stays rejected.
+  Rng rng(32);
+  const auto check = [](const std::string& frame, uint8_t shard) {
+    const auto relayed = RelayClientResponse(frame, shard);
+    if (!relayed.ok()) {
+      EXPECT_EQ(relayed.status().code(), StatusCode::kParseError);
+      return;
+    }
+    auto original = ParseClientResponse(frame);
+    const auto client = ParseClientResponse(*relayed);
+    ASSERT_EQ(client.ok(), original.ok()) << frame;
+    if (!original.ok()) {
+      EXPECT_EQ(client.status().ToString(), original.status().ToString());
+      return;
+    }
+    if (original->ticket != 0) original->ticket = (original->ticket << 8) | shard;
+    EXPECT_EQ(SerializeClientResponse(*client),
+              SerializeClientResponse(*original))
+        << frame;
+  };
+  for (int i = 0; i < 1000; ++i) {
+    ClientResponse response = RandomResponse(rng);
+    const std::string wire = SerializeClientResponse(response);
+    const uint8_t shard = static_cast<uint8_t>(rng.Uniform(0, 255));
+    // A well-formed frame relays to exactly the re-serialized answer.
+    const auto relayed = RelayClientResponse(wire, shard);
+    ASSERT_TRUE(relayed.ok()) << relayed.status().ToString();
+    if (response.ticket != 0) response.ticket = (response.ticket << 8) | shard;
+    EXPECT_EQ(*relayed, SerializeClientResponse(response));
+    check(Mutate(rng, wire, 1 + i % 5), shard);
+    check(wire.substr(0, static_cast<size_t>(rng.Uniform(
+                             0, static_cast<int64_t>(wire.size())))),
+          shard);
+    check("FUSIONQ/1 OK\n" + RandomBytes(rng, 60) + "\nticket " +
+              std::to_string(rng.engine()() >> 8) + "\n" +
+              RandomBytes(rng, 60) + "\nend\n",
+          shard);
+  }
+  // Extra or oversized ticket lines are handled the way the parser reads
+  // them: every ticket line is re-tagged, a bad one rejects the frame.
+  check("FUSIONQ/1 OK\nticket 1\nticket 2\nend\n", 3);
+  EXPECT_FALSE(RelayClientResponse("FUSIONQ/1 OK\nticket x\nend\n", 1).ok());
+  EXPECT_FALSE(RelayClientResponse("FUSIONQ/1 MAYBE\nticket 1\nend\n", 1).ok());
+  EXPECT_FALSE(RelayClientResponse("FUSIONQ/1 OK\nticket 1\n", 1).ok());
+  EXPECT_FALSE(RelayClientResponse(
+                   "FUSIONQ/1 OK\nstats " +
+                       std::string(kMaxClientProtocolLineBytes, 'x') + "\nend\n",
+                   1)
+                   .ok());
 }
 
 TEST(FuzzTest, QueryServiceHandleNeverCrashes) {

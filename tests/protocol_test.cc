@@ -4,7 +4,9 @@
 // source is called directly or across the serialized boundary.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "cost/oracle_cost_model.h"
 #include "exec/executor.h"
@@ -44,6 +46,20 @@ TEST(ProtocolValueTest, RejectsGarbage) {
   EXPECT_FALSE(ParseSerializedValue("d:").ok());
   EXPECT_FALSE(ParseSerializedValue("s").ok());
   EXPECT_FALSE(ParseSerializedValue("s:bad\\q").ok());
+  // Strict numbers: overflow is rejected rather than clamped, and a sign or
+  // whitespace the serializer never emits is rejected too.
+  EXPECT_FALSE(ParseSerializedValue("i:99999999999999999999").ok());
+  EXPECT_FALSE(ParseSerializedValue("i:-99999999999999999999").ok());
+  EXPECT_FALSE(ParseSerializedValue("i:+5").ok());
+  EXPECT_FALSE(ParseSerializedValue("i: 5").ok());
+  EXPECT_FALSE(ParseSerializedValue("i:5 ").ok());
+  EXPECT_FALSE(ParseSerializedValue("d:1e999").ok());
+  EXPECT_FALSE(ParseSerializedValue("d: 2.5").ok());
+  // The extremes themselves are exact.
+  EXPECT_EQ(*ParseSerializedValue("i:-9223372036854775808"),
+            Value(std::numeric_limits<int64_t>::min()));
+  EXPECT_EQ(*ParseSerializedValue("i:9223372036854775807"),
+            Value(std::numeric_limits<int64_t>::max()));
 }
 
 TEST(ProtocolMessageTest, RequestRoundTrip) {
@@ -104,6 +120,97 @@ TEST(ProtocolMessageTest, RejectsMalformedFrames) {
   EXPECT_FALSE(ParseResponse("FUSIONP/1 OK\ncharge sq 1\nend\n").ok());
   // Malformed values of *known* fields still fail...
   EXPECT_FALSE(ParseRequest("FUSIONP/1 SELECT\ntrace x y\nend\n").ok());
+  EXPECT_FALSE(ParseRequest(
+      "FUSIONP/1 SELECT\ntrace 99999999999999999999999 1\nend\n").ok());
+  EXPECT_FALSE(
+      ParseRequest("FUSIONP/1 SEMIJOIN\nbind i:99999999999999999999\nend\n")
+          .ok());
+  // ...including every number on a charge line: no clamping, no garbage
+  // read as 0.
+  for (const char* charge :
+       {"charge sq x 2 3 1.5", "charge sq 1 2 3 abc", "charge sq 1 -2 3 1.5",
+        "charge sq 1 2 99999999999999999999999 1.5", "charge sq 1 2 3 1e999",
+        "charge sq 1 2 3 1.5 extra"}) {
+    const auto response =
+        ParseResponse(std::string("FUSIONP/1 OK\n") + charge + "\nend\n");
+    ASSERT_FALSE(response.ok()) << charge;
+    EXPECT_EQ(response.status().code(), StatusCode::kParseError) << charge;
+  }
+}
+
+// Literal wire frames, pinned byte for byte: the codec must emit exactly
+// these bytes and read them back to the same structs.
+constexpr char kGoldenSourceRequest[] =
+    "FUSIONP/1 SEMIJOIN\n"
+    "merge L\n"
+    "cond V = 'it''s'\\nAND D >= 1990 \\\\\n"
+    "bind s:J55\n"
+    "bind i:-9\n"
+    "bind d:0.25\n"
+    "bind null\n"
+    "bind s:a\\nb\n"
+    "trace 11 12\n"
+    "end\n";
+constexpr char kGoldenSourceResponse[] =
+    "FUSIONP/1 OK\n"
+    "item i:1\n"
+    "item i:-9223372036854775808\n"
+    "item s:T21\n"
+    "item d:1e+100\n"
+    "relation-line L:string,V:string\n"
+    "relation-line J55,du\\\\i\n"
+    "relation-line multi\\nline\n"
+    "name R1\n"
+    "semijoin bindings\n"
+    "load no\n"
+    "features trace,future\n"
+    "charge sq 0 2 3 15.5\n"
+    "charge sjq 4 5 6 0.33333333333333331\n"
+    "end\n";
+constexpr char kGoldenSourceErrorResponse[] =
+    "FUSIONP/1 ERROR\n"
+    "error Unsupported no semijoins\\nhere\n"
+    "load yes\n"
+    "end\n";
+
+TEST(ProtocolMessageTest, FramesMatchGoldenBytes) {
+  SourceRequest request;
+  request.kind = SourceRequest::Kind::kSemiJoin;
+  request.merge_attribute = "L";
+  request.condition_text = "V = 'it''s'\nAND D >= 1990 \\";
+  request.bindings = {Value("J55"), Value(int64_t{-9}), Value(0.25),
+                      Value::Null(), Value("a\nb")};
+  request.trace_id = 11;
+  request.parent_span = 12;
+  EXPECT_EQ(SerializeRequest(request), kGoldenSourceRequest);
+  const auto parsed_request = ParseRequest(kGoldenSourceRequest);
+  ASSERT_TRUE(parsed_request.ok()) << parsed_request.status().ToString();
+  EXPECT_EQ(SerializeRequest(*parsed_request), kGoldenSourceRequest);
+
+  SourceResponse response;
+  response.items = {Value(int64_t{1}),
+                    Value(std::numeric_limits<int64_t>::min()), Value("T21"),
+                    Value(1e100)};
+  response.relation_lines = {"L:string,V:string", "J55,du\\i", "multi\nline"};
+  response.name = "R1";
+  response.semijoin_support = "bindings";
+  response.supports_load = false;
+  response.features = {"trace", "future"};
+  response.charges.push_back({"sq", 0, 2, 3, 15.5});
+  response.charges.push_back({"sjq", 4, 5, 6, 1.0 / 3.0});
+  SourceResponse error;
+  error.ok = false;
+  error.error_code = StatusCode::kUnsupported;
+  error.error_message = "no semijoins\nhere";
+  const std::pair<const SourceResponse*, const char*> cases[] = {
+      {&response, kGoldenSourceResponse}, {&error, kGoldenSourceErrorResponse}};
+  for (const auto& [original, golden] : cases) {
+    EXPECT_EQ(SerializeResponse(*original), golden);
+    const auto parsed = ParseResponse(golden);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->items, original->items);
+    EXPECT_EQ(SerializeResponse(*parsed), golden);
+  }
 }
 
 TEST(ProtocolMessageTest, IgnoresUnknownFieldsForForwardCompat) {

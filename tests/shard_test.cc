@@ -484,6 +484,72 @@ TEST(RouterTest, InvalidateFanOutIsIdempotentAcrossTheFleet) {
   fleet.router->Shutdown();
 }
 
+/// A fake shard: answers HELLO like fusionqd and every other verb with one
+/// fixed frame — how a faulty shard looks to the router.
+class ScriptedShard {
+ public:
+  explicit ScriptedShard(std::string reply) : reply_(std::move(reply)) {}
+
+  void ServeConnection(ChaosSocket socket) {
+    for (;;) {
+      const Result<std::string> message = socket.Receive();
+      if (!message.ok()) return;
+      const auto request = ParseClientRequest(message.value());
+      std::string reply = reply_;
+      if (request.ok() && request->kind == ClientRequest::Kind::kHello) {
+        ClientResponse hello;
+        hello.server = "scripted";
+        hello.features = ClientProtocolFeatures();
+        reply = SerializeClientResponse(hello);
+      }
+      if (!socket.Send(reply).ok()) return;
+    }
+  }
+
+ private:
+  std::string reply_;
+};
+
+TEST(RouterTest, MalformedShardReplyIsAParseErrorNotAFailover) {
+  // A shard that answers with a whole but malformed frame is alive: the
+  // router must not report it as dead ("never dialed") or fail over past
+  // it. A bad header is rejected by the router; a bad item line is relayed
+  // and rejected by the client's parser. Either way: kParseError.
+  const std::pair<const char*, const char*> cases[] = {
+      {"FUSIONQ/1 MAYBE\nticket 5\nend\n", "shard s"},
+      {"FUSIONQ/1 OK\nticket 5\nitem i:notanumber\nend\n", "int64"}};
+  for (const auto& [frame, detail] : cases) {
+    std::vector<std::unique_ptr<ScriptedShard>> shards;
+    std::vector<std::unique_ptr<Daemon<ScriptedShard>>> daemons;
+    std::vector<Shard> map;
+    for (int i = 0; i < 2; ++i) {
+      shards.push_back(std::make_unique<ScriptedShard>(frame));
+      daemons.push_back(
+          std::make_unique<Daemon<ScriptedShard>>(shards.back().get()));
+      ASSERT_TRUE(daemons.back()->Start().ok());
+      map.push_back({"s" + std::to_string(i), Endpoint(daemons.back()->port())});
+    }
+    auto shard_map = ShardMap::Make(map);
+    ASSERT_TRUE(shard_map.ok());
+    QueryRouter router(std::move(shard_map).value(), QueryRouter::Options{});
+    Daemon<QueryRouter> router_daemon(&router);
+    ASSERT_TRUE(router_daemon.Start().ok());
+    auto client = Client::Builder()
+                      .To(Client::Target::Remote(Endpoint(router_daemon.port())))
+                      .ClientId("malformed")
+                      .Build();
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    const auto answer = client->QuerySql(kDuiAndSp);
+    ASSERT_FALSE(answer.ok()) << frame;
+    EXPECT_EQ(answer.status().code(), StatusCode::kParseError)
+        << answer.status().ToString();
+    EXPECT_NE(answer.status().message().find(detail), std::string::npos)
+        << answer.status().ToString();
+    EXPECT_EQ(router.counters().failovers, 0u) << frame;
+    router.Shutdown();
+  }
+}
+
 TEST(RouterTest, EmbeddedInvalidateWorksWithoutAFleet) {
   auto instance = BuildDmvFigure1();
   ASSERT_TRUE(instance.ok());
