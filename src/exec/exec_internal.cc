@@ -258,6 +258,7 @@ Result<ItemSet> CachedSemiJoin(SourceWrapper& source, const Condition& cond,
   ctx.ledger = &ledger;
   SourceCallCache* cache = ctx.source_index >= 0 ? options.cache : nullptr;
   std::string key;
+  uint64_t version = 0;
   if (cache != nullptr) {
     key = cond.CacheKey();
     bool derived = false;
@@ -268,6 +269,9 @@ Result<ItemSet> CachedSemiJoin(SourceWrapper& source, const Condition& cond,
       return *answer;  // free: exact or containment-derived, no round trip
     }
     CountCacheMiss(ctx);
+    // Read before the call: an Invalidate() that lands while the source is
+    // answering fences the publish below.
+    version = cache->version(static_cast<size_t>(ctx.source_index));
   }
   Result<ItemSet> result = [&]() -> Result<ItemSet> {
     switch (source.capabilities().semijoin) {
@@ -292,7 +296,7 @@ Result<ItemSet> CachedSemiJoin(SourceWrapper& source, const Condition& cond,
   }();
   if (result.ok() && cache != nullptr) {
     cache->InsertSemiJoin(static_cast<size_t>(ctx.source_index),
-                          std::move(key), candidates, *result);
+                          std::move(key), candidates, *result, version);
   }
   return result;
 }
@@ -303,6 +307,7 @@ Result<Relation> CachedLoad(SourceWrapper& source, const ExecOptions& options,
   ctx.source_name = &source.name();
   ctx.ledger = &ledger;
   SourceCallCache* cache = ctx.source_index >= 0 ? options.cache : nullptr;
+  uint64_t version = 0;
   if (cache != nullptr) {
     if (std::shared_ptr<const Relation> relation =
             cache->LookupLoad(static_cast<size_t>(ctx.source_index))) {
@@ -310,11 +315,13 @@ Result<Relation> CachedLoad(SourceWrapper& source, const ExecOptions& options,
       return *relation;  // local copy: free per the cost model
     }
     CountCacheMiss(ctx);
+    version = cache->version(static_cast<size_t>(ctx.source_index));
   }
   Result<Relation> loaded =
       CallWithRetries([&] { return source.Load(&ledger); }, ctx);
   if (loaded.ok() && cache != nullptr) {
-    cache->InsertLoad(static_cast<size_t>(ctx.source_index), *loaded);
+    cache->InsertLoad(static_cast<size_t>(ctx.source_index), *loaded,
+                      version);
   }
   return loaded;
 }

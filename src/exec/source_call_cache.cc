@@ -100,7 +100,9 @@ void SourceCallCache::EvictOverBudgetLocked() {
 
 void SourceCallCache::InsertLocked(Key key, Entry entry) {
   entry.bytes += key.text.size() + kEntryOverhead;
-  if (options_.ttl_seconds > 0.0) {
+  // A preset expiry is a merged entry's inherited one; keep it.
+  if (options_.ttl_seconds > 0.0 &&
+      entry.expires == std::chrono::steady_clock::time_point{}) {
     entry.expires = std::chrono::steady_clock::now() +
                     std::chrono::duration_cast<
                         std::chrono::steady_clock::duration>(
@@ -262,12 +264,26 @@ std::shared_ptr<const ItemSet> SourceCallCache::FindSemiJoin(
 }
 
 void SourceCallCache::InsertSemiJoin(size_t source, std::string cond_key,
-                                     ItemSet candidates, ItemSet result) {
+                                     ItemSet candidates, ItemSet result,
+                                     uint64_t version) {
   std::unique_lock<std::mutex> lock(mu_);
+  // Invalidate()/Clear() since the caller read `version`: the answer may be
+  // stale, and a merged anchor would keep it until the next invalidation.
+  if (VersionLocked(source) != version) return;
   Key key{source, Kind::kSjq, std::move(cond_key)};
-  auto it = entries_.find(key);
-  if (it != entries_.end()) EraseLocked(it);
   Entry entry;
+  if (auto it = entries_.find(key); it != entries_.end()) {
+    if (!ExpiredLocked(it->second)) {
+      // sjq(c, R, X₁) ∪ sjq(c, R, X₂) = sq(c, R) ∩ (X₁ ∪ X₂): the union
+      // pair answers every candidate set either anchor did. Both parts were
+      // published under the current version, so neither is stale.
+      const Entry& old = it->second;
+      candidates.UnionInPlace(*old.candidates);
+      result.UnionInPlace(*old.items);
+      entry.expires = old.expires;  // the older part bounds freshness
+    }
+    EraseLocked(it);
+  }
   entry.items = std::make_shared<const ItemSet>(std::move(result));
   entry.candidates = std::make_shared<const ItemSet>(std::move(candidates));
   entry.bytes = entry.items->ApproxBytes() + entry.candidates->ApproxBytes();
@@ -286,8 +302,10 @@ std::shared_ptr<const Relation> SourceCallCache::LookupLoad(size_t source) {
   return entry->relation;
 }
 
-void SourceCallCache::InsertLoad(size_t source, Relation relation) {
+void SourceCallCache::InsertLoad(size_t source, Relation relation,
+                                 uint64_t version) {
   std::unique_lock<std::mutex> lock(mu_);
+  if (VersionLocked(source) != version) return;  // invalidated mid-call
   Key key{source, Kind::kLq, ""};
   if (entries_.find(key) != entries_.end()) return;  // first writer wins
   Entry entry;
@@ -356,6 +374,11 @@ void SourceCallCache::Clear() {
   invalidations_ = 0;
   flights_deduplicated_ = 0;
   PublishGauges();
+}
+
+uint64_t SourceCallCache::version(size_t source) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  return source < versions_.size() ? versions_[source] : 0;
 }
 
 bool SourceCallCache::ContainsSelect(size_t source,

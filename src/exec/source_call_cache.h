@@ -41,9 +41,12 @@ namespace fusion {
 /// Invalidation: every source carries a version. Invalidate(source) erases
 /// the source's entries and bumps its version; an in-flight call that began
 /// under the old version completes normally but its publish is dropped, so
-/// stale answers can neither linger nor race their way back in. Clear() is
-/// Invalidate for every source plus a stats reset; both are safe to call
-/// while executions are running (flights are abandoned, never poisoned).
+/// stale answers can neither linger nor race their way back in. The fence
+/// covers every publish: sq flights snapshot the version when they begin,
+/// and sjq / lq callers read version(source) before the source call and hand
+/// it to InsertSemiJoin / InsertLoad. Clear() is Invalidate for every source
+/// plus a stats reset; both are safe to call while executions are running
+/// (flights are abandoned, never poisoned).
 ///
 /// Thread-safety: every method is internally synchronized, so one cache can
 /// be shared by concurrently running executions (parallel plan workers, or
@@ -155,16 +158,26 @@ class SourceCallCache {
                                               bool* containment_derived);
 
   /// Memoizes a semijoin answer with the candidate set it was computed for.
-  /// Latest writer wins: candidate sets drift across plans, and the newest
-  /// is the best containment anchor for the next identical query.
+  /// Anchors accumulate: an existing anchor (X_old, Y_old) for the key
+  /// becomes (X_old ∪ X, Y_old ∪ Y). That is exact, since
+  /// sjq(c, R, X₁) ∪ sjq(c, R, X₂) = sq(c, R) ∩ (X₁ ∪ X₂), so queries that
+  /// share a condition extend one anchor instead of overwriting each other's.
+  /// The merged entry keeps the older part's TTL expiry. Dropped when
+  /// `version` (read via version(source) before the source call) is stale.
   void InsertSemiJoin(size_t source, std::string cond_key, ItemSet candidates,
-                      ItemSet result);
+                      ItemSet result, uint64_t version);
 
   /// Returns the cached relation for lq(R_source), or null.
   std::shared_ptr<const Relation> LookupLoad(size_t source);
 
-  /// Memoizes a loaded relation. First writer wins.
-  void InsertLoad(size_t source, Relation relation);
+  /// Memoizes a loaded relation. First writer wins. Dropped when `version`
+  /// (read via version(source) before the source call) is stale.
+  void InsertLoad(size_t source, Relation relation, uint64_t version);
+
+  /// The source's invalidation epoch: bumped by every Invalidate(source) and
+  /// Clear(). Read it before a source call whose answer is published through
+  /// InsertSemiJoin / InsertLoad.
+  uint64_t version(size_t source) const;
 
   /// Returns the cached answer for sq(cond_key, R_source), or null. Does not
   /// wait on in-flight calls (plain memo read).

@@ -1,14 +1,21 @@
 // Tests for the cross-query result cache: bounded LRU with a hard byte
-// budget, TTL expiry, versioned invalidation that fences in-flight calls,
-// containment reuse (sjq from sq / lq, sq from lq, sjq from a
-// candidate-superset sjq) proved byte-identical to direct source answers,
-// canonical condition cache keys, and cache-aware re-optimization making a
-// repeated session query strictly cheaper than cache-oblivious planning.
+// budget (also while semijoin anchors grow), TTL expiry, versioned
+// invalidation that fences in-flight sq, sjq and lq calls, containment reuse
+// (sjq from sq / lq, sq from lq, sjq from a candidate-superset sjq or from
+// a cumulative anchor) proved byte-identical to direct source answers,
+// canonical condition cache keys, queries sharing a semijoin condition no
+// longer re-paying each other's calls, and cache-aware re-optimization
+// making a repeated session query strictly cheaper than cache-oblivious
+// planning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +25,7 @@
 #include "mediator/session.h"
 #include "query/fusion_query.h"
 #include "source/simulated_source.h"
+#include "workload/synthetic.h"
 
 namespace fusion {
 namespace {
@@ -86,6 +94,37 @@ TEST(CacheLruTest, EntryLargerThanBudgetIsEvictedImmediately) {
   EXPECT_EQ(cache.evictions(), 1u);
 }
 
+TEST(CacheLruTest, ByteBudgetHoldsWhileSemiJoinAnchorsGrow) {
+  SourceCallCache::Options options;
+  options.max_bytes = 8 * OneEntryBytes();
+  SourceCallCache cache(options);
+  // A few keys whose anchors merge ever wider candidate sets.
+  for (int i = 0; i < 120; ++i) {
+    std::vector<int64_t> candidates;
+    for (int x = i; x < 2 * i + 3; ++x) candidates.push_back(x);
+    std::vector<int64_t> result;
+    for (int64_t x : candidates) {
+      if (x % 2 == 0) result.push_back(x);
+    }
+    cache.InsertSemiJoin(0, "c" + std::to_string(i % 3), Ints(candidates),
+                         Ints(result), cache.version(0));
+    ASSERT_LE(cache.bytes(), options.max_bytes)
+        << "budget exceeded after insert " << i;
+  }
+  EXPECT_GT(cache.evictions(), 0u);
+
+  // An anchor that outgrows the whole budget evicts itself.
+  SourceCallCache small(options);
+  small.InsertSemiJoin(0, "big", Ints({1, 2}), Ints({2}), small.version(0));
+  ASSERT_TRUE(small.ContainsSemiJoin(0, "big"));
+  std::vector<int64_t> wide;
+  for (int64_t x = 0; x < 4000; ++x) wide.push_back(x);
+  small.InsertSemiJoin(0, "big", Ints(wide), Ints({2, 4}), small.version(0));
+  EXPECT_FALSE(small.ContainsSemiJoin(0, "big"));
+  EXPECT_LE(small.bytes(), options.max_bytes);
+  EXPECT_GE(small.evictions(), 1u);
+}
+
 TEST(CacheLruTest, EvictionCannotInvalidateAHandedOutAnswer) {
   const size_t entry = OneEntryBytes();
   SourceCallCache::Options options;
@@ -120,7 +159,8 @@ TEST(CacheInvalidationTest, InvalidateDropsOnlyThatSource) {
   SourceCallCache cache;
   cache.Insert(0, "c", Ints({1}));
   cache.Insert(1, "c", Ints({2}));
-  cache.InsertLoad(0, Relation(Schema({{"L", ValueType::kInt64}})));
+  cache.InsertLoad(0, Relation(Schema({{"L", ValueType::kInt64}})),
+                   cache.version(0));
   cache.Invalidate(0);
   EXPECT_EQ(cache.Lookup(0, "c"), nullptr);
   EXPECT_EQ(cache.LookupLoad(0), nullptr);
@@ -181,6 +221,43 @@ TEST(CacheInvalidationTest, ClearResetsEntriesStatsAndFencesFlights) {
   EXPECT_EQ(cache.Lookup(0, "b"), nullptr);
 }
 
+TEST(CacheInvalidationTest, StaleSemiJoinAndLoadPublishesAreDropped) {
+  SourceCallCache cache;
+  const Relation relation(Schema({{"L", ValueType::kInt64}}));
+  // Read the version, then the source's data changes before the publish.
+  const uint64_t before = cache.version(0);
+  cache.Invalidate(0);
+  EXPECT_NE(cache.version(0), before);
+  cache.InsertSemiJoin(0, "c", Ints({1, 2}), Ints({1}), before);
+  cache.InsertLoad(0, relation, before);
+  EXPECT_FALSE(cache.ContainsSemiJoin(0, "c"));
+  EXPECT_FALSE(cache.ContainsLoad(0));
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.bytes(), 0u);
+
+  // A stale publish cannot widen an anchor stored under the new version.
+  const uint64_t current = cache.version(0);
+  cache.InsertSemiJoin(0, "c", Ints({1, 2}), Ints({1}), current);
+  cache.InsertSemiJoin(0, "c", Ints({7, 8}), Ints({8}), before);
+  bool derived = false;
+  EXPECT_EQ(cache.FindSemiJoin(0, Condition::Eq("V", Value("a")), "c", "L",
+                               Ints({7, 8}), &derived),
+            nullptr);
+
+  // Clear() fences the same way.
+  const uint64_t before_clear = cache.version(0);
+  cache.Clear();
+  cache.InsertSemiJoin(0, "c", Ints({1, 2}), Ints({1}), before_clear);
+  cache.InsertLoad(0, relation, before_clear);
+  EXPECT_EQ(cache.entries(), 0u);
+
+  // Publishes under the current version are stored.
+  cache.InsertSemiJoin(0, "c", Ints({1, 2}), Ints({1}), cache.version(0));
+  cache.InsertLoad(0, relation, cache.version(0));
+  EXPECT_TRUE(cache.ContainsSemiJoin(0, "c"));
+  EXPECT_TRUE(cache.ContainsLoad(0));
+}
+
 // ---------------------------------------------------------------------------
 // Containment reuse — derived answers must be byte-identical to what the
 // source itself would return.
@@ -191,12 +268,13 @@ Schema ItemSchema() {
 }
 
 /// 12 rows: L = 0..11, V = 'a' for even L, 'u' for odd L.
-SimulatedSource ParitySource() {
+SimulatedSource ParitySource(std::string name = "R1") {
   Relation r(ItemSchema());
   for (int64_t i = 0; i < 12; ++i) {
     EXPECT_TRUE(r.Append({Value(i), Value(i % 2 == 0 ? "a" : "u")}).ok());
   }
-  return SimulatedSource("R1", std::move(r), Capabilities{}, NetworkProfile{});
+  return SimulatedSource(std::move(name), std::move(r), Capabilities{},
+                         NetworkProfile{});
 }
 
 TEST(CacheContainmentTest, SemiJoinFromCachedSelectIsByteIdentical) {
@@ -236,7 +314,7 @@ TEST(CacheContainmentTest, SelectAndSemiJoinFromCachedLoadAreByteIdentical) {
   ASSERT_TRUE(loaded.ok());
 
   SourceCallCache cache;
-  cache.InsertLoad(0, *loaded);
+  cache.InsertLoad(0, *loaded, cache.version(0));
   const std::shared_ptr<const ItemSet> sq = cache.DeriveSelect(0, cond, "L");
   ASSERT_NE(sq, nullptr);
   EXPECT_EQ(*sq, *direct_sq);
@@ -260,7 +338,8 @@ TEST(CacheContainmentTest, SemiJoinFromCandidateSupersetSemiJoin) {
   ASSERT_TRUE(direct_subset.ok());
 
   SourceCallCache cache;
-  cache.InsertSemiJoin(0, cond.CacheKey(), superset, *direct_superset);
+  cache.InsertSemiJoin(0, cond.CacheKey(), superset, *direct_superset,
+                       cache.version(0));
   // Same candidate set: an exact hit, not a derivation.
   bool derived = true;
   std::shared_ptr<const ItemSet> exact =
@@ -278,6 +357,188 @@ TEST(CacheContainmentTest, SemiJoinFromCandidateSupersetSemiJoin) {
   EXPECT_EQ(cache.FindSemiJoin(0, cond, cond.CacheKey(), "L",
                                Ints({0, 100}), &derived),
             nullptr);
+}
+
+TEST(CacheContainmentTest, SemiJoinAnchorsAccumulateAcrossCandidateSets) {
+  SimulatedSource src = ParitySource();
+  const Condition cond = Condition::Eq("V", Value("a"));
+  const std::string key = cond.CacheKey();
+  const ItemSet x1 = Ints({0, 1, 2, 3, 20});
+  const ItemSet x2 = Ints({2, 3, 4, 5, 6, 7});  // overlaps x1, not nested
+  CostLedger scratch;
+  auto direct = [&](const ItemSet& candidates) {
+    auto answer = src.SemiJoin(cond, "L", candidates, &scratch);
+    EXPECT_TRUE(answer.ok());
+    return *answer;
+  };
+
+  SourceCallCache cache;
+  cache.InsertSemiJoin(0, key, x1, direct(x1), cache.version(0));
+  cache.InsertSemiJoin(0, key, x2, direct(x2), cache.version(0));
+  EXPECT_EQ(cache.entries(), 1u);  // one anchor, widened in place
+  // Each earlier candidate set, and any subset of their union, is answered
+  // byte-identically to the source's own semijoin.
+  for (const ItemSet& candidates :
+       {x1, x2, Ints({1, 4, 6, 7, 20}), ItemSet::Union(x1, x2)}) {
+    bool derived = false;
+    const std::shared_ptr<const ItemSet> answer =
+        cache.FindSemiJoin(0, cond, key, "L", candidates, &derived);
+    ASSERT_NE(answer, nullptr) << candidates.ToString();
+    EXPECT_EQ(*answer, direct(candidates)) << candidates.ToString();
+  }
+  // Candidates outside the union still miss.
+  bool derived = false;
+  EXPECT_EQ(cache.FindSemiJoin(0, cond, key, "L", Ints({0, 8}), &derived),
+            nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Invalidation while an sjq or lq source call is outstanding
+// ---------------------------------------------------------------------------
+
+/// Delegates to a SimulatedSource, but the first SemiJoin or Load call
+/// blocks inside the source until Release(), so a test can invalidate the
+/// cache while that call is outstanding.
+class GatedSource final : public SourceWrapper {
+ public:
+  explicit GatedSource(SimulatedSource inner) : inner_(std::move(inner)) {}
+
+  const std::string& name() const override { return inner_.name(); }
+  const Schema& schema() const override { return inner_.schema(); }
+  const Capabilities& capabilities() const override {
+    return inner_.capabilities();
+  }
+  Result<ItemSet> Select(const Condition& cond,
+                         const std::string& merge_attribute,
+                         CostLedger* ledger) override {
+    return inner_.Select(cond, merge_attribute, ledger);
+  }
+  Result<ItemSet> SemiJoin(const Condition& cond,
+                           const std::string& merge_attribute,
+                           const ItemSet& candidates,
+                           CostLedger* ledger) override {
+    Gate();
+    ++semijoins;
+    return inner_.SemiJoin(cond, merge_attribute, candidates, ledger);
+  }
+  Result<Relation> Load(CostLedger* ledger) override {
+    Gate();
+    ++loads;
+    return inner_.Load(ledger);
+  }
+  Result<Relation> FetchRecords(const std::string& merge_attribute,
+                                const ItemSet& items,
+                                CostLedger* ledger) override {
+    return inner_.FetchRecords(merge_attribute, items, ledger);
+  }
+
+  void WaitUntilEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+  void Release() {
+    std::unique_lock<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  std::atomic<int> semijoins{0};
+  std::atomic<int> loads{0};
+
+ private:
+  void Gate() {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+  }
+
+  SimulatedSource inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+/// ParitySource rows twice: R1 plain, R2 gated.
+SourceCatalog GatedCatalog(GatedSource** gated) {
+  SourceCatalog catalog;
+  EXPECT_TRUE(
+      catalog.Add(std::make_unique<SimulatedSource>(ParitySource())).ok());
+  auto source = std::make_unique<GatedSource>(ParitySource("R2"));
+  *gated = source.get();
+  EXPECT_TRUE(catalog.Add(std::move(source)).ok());
+  return catalog;
+}
+
+/// Runs `plan` while R2 (source 1) is invalidated in the middle of its
+/// gated call; returns that run's report.
+Result<ExecutionReport> ExecuteAcrossInvalidation(const Plan& plan,
+                                                  const FusionQuery& query,
+                                                  const SourceCatalog& catalog,
+                                                  GatedSource& gated,
+                                                  const ExecOptions& exec) {
+  std::optional<Result<ExecutionReport>> run;
+  std::thread runner(
+      [&] { run.emplace(ExecutePlan(plan, catalog, query, exec)); });
+  gated.WaitUntilEntered();
+  exec.cache->Invalidate(1);  // R2's data changes while it is answering
+  gated.Release();
+  runner.join();
+  return *std::move(run);
+}
+
+TEST(CacheInvalidationTest, SemiJoinAnsweredAcrossAnInvalidationIsNotPublished) {
+  GatedSource* gated = nullptr;
+  SourceCatalog catalog = GatedCatalog(&gated);
+  const Condition on_r1 = Condition::Eq("V", Value("a"));
+  const Condition on_r2 =
+      Condition::Compare("L", CompareOp::kLt, Value(int64_t{6}));
+  const FusionQuery query("L", {on_r1, on_r2});
+  Plan plan;
+  const int x = plan.EmitSelect(0, 0);
+  plan.SetResult(plan.EmitSemiJoin(1, 1, x));
+
+  SourceCallCache cache;
+  ExecOptions exec;
+  exec.cache = &cache;
+  const auto first =
+      ExecuteAcrossInvalidation(plan, query, catalog, *gated, exec);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->answer.ToString(), "{0, 2, 4}");
+  // The sjq answer raced the invalidation, so it never reached the memo...
+  EXPECT_FALSE(cache.ContainsSemiJoin(1, on_r2.CacheKey()));
+  EXPECT_TRUE(cache.ContainsSelect(0, on_r1.CacheKey()));  // R1 untouched
+  // ...and the next execution asks R2 again.
+  const auto second = ExecutePlan(plan, catalog, query, exec);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->answer, first->answer);
+  EXPECT_EQ(gated->semijoins.load(), 2);
+  EXPECT_GT(second->ledger.total(), 0.0);
+  EXPECT_TRUE(cache.ContainsSemiJoin(1, on_r2.CacheKey()));
+}
+
+TEST(CacheInvalidationTest, LoadAnsweredAcrossAnInvalidationIsNotPublished) {
+  GatedSource* gated = nullptr;
+  SourceCatalog catalog = GatedCatalog(&gated);
+  const FusionQuery query("L", {Condition::Eq("V", Value("u"))});
+  Plan plan;
+  plan.SetResult(plan.EmitLocalSelect(0, plan.EmitLoad(1)));
+
+  SourceCallCache cache;
+  ExecOptions exec;
+  exec.cache = &cache;
+  const auto first =
+      ExecuteAcrossInvalidation(plan, query, catalog, *gated, exec);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->answer.ToString(), "{1, 3, 5, 7, 9, 11}");
+  EXPECT_FALSE(cache.ContainsLoad(1));
+  const auto second = ExecutePlan(plan, catalog, query, exec);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->answer, first->answer);
+  EXPECT_EQ(gated->loads.load(), 2);
+  EXPECT_GT(second->ledger.total(), 0.0);
+  EXPECT_TRUE(cache.ContainsLoad(1));
 }
 
 // ---------------------------------------------------------------------------
@@ -389,6 +650,66 @@ TEST(CacheProbeTest, RepeatedProbesAreAnsweredFromTheMemo) {
     if (c.kind == ChargeKind::kEmulatedSemiJoinProbe) ++probe_charges;
   }
   EXPECT_EQ(probe_charges, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Cumulative anchors end the thrash between queries sharing a condition
+// ---------------------------------------------------------------------------
+
+/// Indexes of the sources that `plan` semijoins condition 0 against.
+std::vector<size_t> SemiJoinSourcesOfFirstCondition(const Plan& plan) {
+  std::vector<size_t> sources;
+  for (const PlanOp& op : plan.ops()) {
+    if (op.kind == PlanOpKind::kSemiJoin && op.cond == 0) {
+      sources.push_back(static_cast<size_t>(op.source));
+    }
+  }
+  return sources;
+}
+
+TEST(CacheAnchorTest, QueriesSharingASemiJoinConditionStopPayingAfterOneRound) {
+  // Two queries share `A1 = 1`. Once source 2 is invalidated, both plan it
+  // there as a native sjq, over different candidate sets. The repeats must
+  // not overwrite each other's anchors: after one paid round of A and B,
+  // A, B, A are answered entirely from the memo.
+  SyntheticSpec spec;
+  spec.universe_size = 4000;
+  spec.num_sources = 6;
+  spec.num_conditions = 6;
+  spec.selectivity_default = 0.08;
+  spec.coverage = 0.25;
+  spec.seed = 11;
+  auto instance = GenerateSynthetic(spec);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  auto flag = [](int i) {
+    return Condition::Eq("A" + std::to_string(i), Value(int64_t{1}));
+  };
+  const FusionQuery a("M", {flag(1), flag(2), flag(3)});
+  const FusionQuery b("M", {flag(1), flag(5), flag(6)});
+  constexpr size_t kShared = 2;
+
+  QuerySession session(Mediator(std::move(instance->catalog)),
+                       QuerySession::Options{});
+  ASSERT_TRUE(session.Answer(a).ok());
+  ASSERT_TRUE(session.Answer(b).ok());
+  session.InvalidateSource(kShared);
+  const FusionQuery* asks[] = {&a, &b, &a, &b, &a};
+  for (size_t n = 0; n < 5; ++n) {
+    const auto answer = session.Answer(*asks[n]);
+    ASSERT_TRUE(answer.ok());
+    if (n < 2) {
+      EXPECT_GT(answer->execution.ledger.total(), 0.0) << "ask " << n;
+      const std::vector<size_t> sjq =
+          SemiJoinSourcesOfFirstCondition(answer->optimized.plan);
+      ASSERT_NE(std::find(sjq.begin(), sjq.end(), kShared), sjq.end())
+          << "fixture: ask " << n << " no longer semijoins A1 on source "
+          << kShared;
+      continue;
+    }
+    EXPECT_EQ(answer->execution.ledger.total(), 0.0) << "ask " << n;
+    EXPECT_TRUE(answer->execution.ledger.charges().empty()) << "ask " << n;
+    EXPECT_EQ(answer->execution.cache_misses, 0u) << "ask " << n;
+  }
 }
 
 // ---------------------------------------------------------------------------
