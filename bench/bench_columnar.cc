@@ -3,8 +3,9 @@
 // vs a generic Value-merge reference (pairwise, interleaved in-place, and
 // n-ary unions), int-form item sets vs Value storage (SJA+'s difference
 // chain, cache-hit copies, 8-way union, learned-universe inserts), the
-// session's learned-universe accumulation, and the Bloom semijoin
-// pre-filter.
+// int-form kernels vs std::set_* on the serving path's set-op shapes over
+// rotating inputs, the session's learned-universe accumulation, and the
+// Bloom semijoin pre-filter.
 // Every timed pair is also checked byte-identical — the data plane refactor
 // is only allowed to change *where time goes*, never an answer.
 //
@@ -16,6 +17,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -499,6 +502,181 @@ void BenchIntFormSetOps(size_t items, int repeats) {
   PrintPair("8-way UnionAll", repeats, union_value_ms, union_int_ms);
 }
 
+/// The int-form kernels as they were before galloping, the bitmap union and
+/// branch-free merging: a std::set_* merge into a reserved vector,
+/// right-sized with shrink_to_fit. The reference the new kernels are timed
+/// and checked against.
+template <typename Kernel>
+std::vector<int64_t> StdMerge(const std::vector<int64_t>& a,
+                              const std::vector<int64_t>& b, size_t reserve,
+                              Kernel kernel) {
+  std::vector<int64_t> out;
+  out.reserve(reserve);
+  kernel(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
+  out.shrink_to_fit();
+  return out;
+}
+
+/// The former n-ary int union: concatenate, then merge neighbouring runs with
+/// std::set_union in log2(k) passes over two buffers.
+std::vector<int64_t> StdUnionAll(const std::vector<ItemSet>& inputs) {
+  std::vector<int64_t> flat;
+  std::vector<size_t> bounds = {0};
+  for (const ItemSet& input : inputs) {
+    flat.insert(flat.end(), input.ints().begin(), input.ints().end());
+    bounds.push_back(flat.size());
+  }
+  std::vector<int64_t> other(flat.size());
+  std::vector<size_t> next;
+  while (bounds.size() > 2) {
+    next.assign(1, 0);
+    auto out = other.begin();
+    for (size_t r = 0; r + 1 < bounds.size(); r += 2) {
+      const auto a = flat.begin() + static_cast<ptrdiff_t>(bounds[r]);
+      const auto mid = flat.begin() + static_cast<ptrdiff_t>(bounds[r + 1]);
+      const auto b = r + 2 < bounds.size()
+                         ? flat.begin() + static_cast<ptrdiff_t>(bounds[r + 2])
+                         : mid;
+      out = std::set_union(a, mid, mid, b, out);
+      next.push_back(static_cast<size_t>(out - other.begin()));
+    }
+    flat.swap(other);
+    bounds.swap(next);
+  }
+  flat.resize(bounds.back());
+  flat.shrink_to_fit();
+  return flat;
+}
+
+/// The serving path's int-form set-op shapes, each over `kDistinct` distinct
+/// inputs visited round-robin: repeating one input pair lets the branch
+/// predictor learn a merge's compare outcomes and under-reports its cost
+/// several-fold. Times the std::set_* kernels (StdMerge, StdUnionAll,
+/// std::includes) against ItemSet's, asserting equal results for every
+/// input first.
+void BenchServingSetOps(int rounds) {
+  bench::Banner("columnar: int-form set ops on rotating serving shapes");
+  constexpr size_t kDistinct = 256;
+  constexpr int64_t kUniverse = 20000;
+  Rng rng(31);
+  auto draw = [&](size_t n) {
+    std::vector<int64_t> xs;
+    for (size_t i = 0; i < n; ++i) xs.push_back(rng.Uniform(0, kUniverse - 1));
+    return ItemSet::FromInts(std::move(xs));
+  };
+  auto sample_of = [&](const ItemSet& set, size_t n) {
+    std::vector<int64_t> xs;
+    for (size_t i = 0; i < n; ++i) {
+      xs.push_back(set.ints()[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(set.size()) - 1))]);
+    }
+    return ItemSet::FromInts(std::move(xs));
+  };
+  // One row per shape: `parent` and `change` run the op on input i and
+  // return its items; the change's result must equal the parent's.
+  struct Shape {
+    const char* name;
+    std::function<std::vector<int64_t>(size_t)> parent;
+    std::function<std::vector<int64_t>(size_t)> change;
+  };
+  std::vector<std::vector<ItemSet>> unions(kDistinct);
+  std::vector<std::vector<const ItemSet*>> union_ptrs(kDistinct);
+  std::vector<ItemSet> pending, removed, sq, x, left, right, sub, super;
+  for (size_t i = 0; i < kDistinct; ++i) {
+    // X_1 = ∪_j sq(c_1, R_j): 8 answers of ~240 items.
+    for (int w = 0; w < 8; ++w) unions[i].push_back(draw(240));
+    for (const ItemSet& part : unions[i]) union_ptrs[i].push_back(&part);
+    // SJA+'s P − y_k: y_k = sjq(c_k, R_k, P) ⊆ P.
+    pending.push_back(draw(1900));
+    removed.push_back(sample_of(pending.back(), 40));
+    // FindSemiJoin's sq ∩ X derivation, and a balanced ∩.
+    sq.push_back(draw(330));
+    x.push_back(draw(1900));
+    left.push_back(draw(2000));
+    right.push_back(draw(2000));
+    // The anchor subset test X ⊆ Y, true (the full-scan case).
+    super.push_back(draw(2600));
+    sub.push_back(sample_of(super.back(), 1900));
+  }
+  auto set_difference = [](auto... args) {
+    return std::set_difference(args...);
+  };
+  auto set_intersection = [](auto... args) {
+    return std::set_intersection(args...);
+  };
+  auto includes = [](const ItemSet& a, const ItemSet& b) {
+    return std::vector<int64_t>{std::includes(
+        b.ints().begin(), b.ints().end(), a.ints().begin(), a.ints().end())};
+  };
+  const Shape shapes[] = {
+      {"8-way union",
+       [&](size_t i) { return StdUnionAll(unions[i]); },
+       [&](size_t i) { return ItemSet::UnionAll(union_ptrs[i]).ints(); }},
+      {"difference P - y_k",
+       [&](size_t i) {
+         return StdMerge(pending[i].ints(), removed[i].ints(),
+                         pending[i].size(), set_difference);
+       },
+       [&](size_t i) {
+         return ItemSet::Difference(pending[i], removed[i]).ints();
+       }},
+      {"intersect sq, X",
+       [&](size_t i) {
+         return StdMerge(sq[i].ints(), x[i].ints(), sq[i].size(),
+                         set_intersection);
+       },
+       [&](size_t i) { return ItemSet::Intersect(sq[i], x[i]).ints(); }},
+      {"intersect balanced",
+       [&](size_t i) {
+         return StdMerge(left[i].ints(), right[i].ints(), left[i].size(),
+                         set_intersection);
+       },
+       [&](size_t i) { return ItemSet::Intersect(left[i], right[i]).ints(); }},
+      {"subset X of Y",
+       [&](size_t i) { return includes(sub[i], super[i]); },
+       [&](size_t i) {
+         return std::vector<int64_t>{sub[i].IsSubsetOf(super[i])};
+       }},
+  };
+  std::printf("  %zu distinct inputs per shape, %d rounds; median of 5 "
+              "alternating blocks\n",
+              kDistinct, rounds);
+  for (const Shape& shape : shapes) {
+    size_t items = 0;
+    for (size_t i = 0; i < kDistinct; ++i) {
+      const std::vector<int64_t> expected = shape.parent(i);
+      FUSION_CHECK(shape.change(i) == expected);
+      items += expected.size();
+    }
+    std::vector<double> parent_us, change_us;
+    size_t sink_parent = 0, sink_change = 0;
+    for (int block = 0; block < 5; ++block) {
+      auto t = std::chrono::steady_clock::now();
+      for (int r = 0; r < rounds; ++r) {
+        for (size_t i = 0; i < kDistinct; ++i) {
+          sink_parent += shape.parent(i).size();
+        }
+      }
+      parent_us.push_back(1000.0 * MillisSince(t) / (rounds * kDistinct));
+      t = std::chrono::steady_clock::now();
+      for (int r = 0; r < rounds; ++r) {
+        for (size_t i = 0; i < kDistinct; ++i) {
+          sink_change += shape.change(i).size();
+        }
+      }
+      change_us.push_back(1000.0 * MillisSince(t) / (rounds * kDistinct));
+    }
+    FUSION_CHECK(sink_parent == sink_change);
+    std::sort(parent_us.begin(), parent_us.end());
+    std::sort(change_us.begin(), change_us.end());
+    std::printf("  %-20s std::set_* %8.2f us   ItemSet %8.2f us   %5.2fx  "
+                "(%zu result items per op)\n",
+                shape.name, parent_us[2], change_us[2],
+                change_us[2] > 0.0 ? parent_us[2] / change_us[2] : 0.0,
+                items / kDistinct);
+  }
+}
+
 struct BloomInstance {
   SourceCatalog catalog;
   FusionQuery query;
@@ -576,6 +754,7 @@ void Run(bool smoke) {
   BenchUnionInPlaceInterleaved(smoke ? 4000 : 100000, 8, smoke ? 2 : 20);
   BenchUnionAll(smoke ? 500 : 20000, 8, smoke ? 2 : 50);
   BenchIntFormSetOps(smoke ? 600 : 3000, smoke ? 3 : 2000);
+  BenchServingSetOps(smoke ? 1 : 40);
   BenchUniverseAccumulation(20000, 8, smoke ? 200 : 1000, smoke ? 20 : 500);
   BenchBloomPrefilter(smoke ? 300 : 3000, smoke ? 50 : 500);
   if (smoke) std::printf("bench_columnar: ok\n");

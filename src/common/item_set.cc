@@ -1,8 +1,10 @@
 #include "common/item_set.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <iterator>
+#include <memory>
 
 namespace fusion {
 
@@ -196,6 +198,354 @@ void MergeSuffixInPlace(std::vector<T>& dst, size_t prefix,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Int-form kernels. Each picks its method from what it sees in its sorted-
+// unique int64 runs, with fixed constants:
+//  1. skewed sizes gallop: each item of the short run is found in the long
+//     one by exponential search, O(s log(l/s)) instead of O(s + l)
+//     (Baeza-Yates, CPM 2004);
+//  2. dense spans go through a bitmap over [min, max]: setting and testing
+//     bits are independent steps, where each step of a merge waits on the
+//     compare before it;
+//  3. everything else merges with cursors advanced by compare results used
+//     as integers, so no compare outcome is a branch. A std::set_* merge
+//     branches on every compare, and on real data the predictor guesses
+//     about half of them wrong.
+// Only the merge takes wide spans such as INT64_MIN..INT64_MAX.
+
+using IntRun = std::span<const int64_t>;
+
+/// One run at least this many times longer than the other: gallop.
+constexpr size_t kGallopRatio = 8;
+
+/// A span is dense when its bitmap needs at most this many 64-bit words per
+/// item the operation reads: the bitmap then costs about what reading the
+/// items does.
+constexpr uint64_t kDenseWordsPerItem = 2;
+
+/// Scratch buffers above this many items are freed after use rather than
+/// kept for the thread's next call.
+constexpr size_t kMaxRetainedScratch = size_t{1} << 15;
+
+bool Skewed(size_t small, size_t large) {
+  return small <= large / kGallopRatio;
+}
+
+/// A bitmap over the items [lo, hi]: the dense-span method.
+class SpanBitmap {
+ public:
+  /// True when a bitmap over [lo, hi] is worth it for an operation reading
+  /// `items` items. The span is measured in uint64_t, where hi − lo cannot
+  /// overflow (the whole int64 range would take 2^58 words).
+  static bool Dense(int64_t lo, int64_t hi, size_t items) {
+    return Words(lo, hi) <= kDenseWordsPerItem * items;
+  }
+
+  /// Precondition: Dense(lo, hi, ·) held, so the words fit in memory.
+  SpanBitmap(int64_t lo, int64_t hi)
+      : base_(static_cast<uint64_t>(lo)),
+        bits_(static_cast<size_t>(Words(lo, hi))) {}
+
+  /// Precondition: every item of `run` lies in [lo, hi].
+  void Set(IntRun run) {
+    for (const int64_t x : run) {
+      const uint64_t offset = static_cast<uint64_t>(x) - base_;
+      bits_[offset / 64] |= uint64_t{1} << (offset % 64);
+    }
+  }
+
+  /// 1 if `x` is set, else 0; items outside the span read 0 without a
+  /// branch (their lookup is redirected to bit 0 and masked off).
+  uint64_t Test(int64_t x) const {
+    const uint64_t offset = static_cast<uint64_t>(x) - base_;
+    const uint64_t inside = offset / 64 < bits_.size() ? 1 : 0;
+    const uint64_t at = offset & (0 - inside);
+    return (bits_[at / 64] >> (at % 64)) & inside;
+  }
+
+  /// The set items in increasing order, at exact size.
+  std::vector<int64_t> Items() const {
+    size_t count = 0;
+    for (const uint64_t word : bits_) {
+      count += static_cast<size_t>(std::popcount(word));
+    }
+    std::vector<int64_t> out(count);
+    int64_t* w = out.data();
+    for (size_t i = 0; i < bits_.size(); ++i) {
+      for (uint64_t word = bits_[i]; word != 0; word &= word - 1) {
+        *w++ = static_cast<int64_t>(
+            base_ + 64 * i + static_cast<uint64_t>(std::countr_zero(word)));
+      }
+    }
+    return out;
+  }
+
+ private:
+  static uint64_t Words(int64_t lo, int64_t hi) {
+    return (static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)) / 64 + 1;
+  }
+
+  uint64_t base_;
+  std::vector<uint64_t> bits_;
+};
+
+/// First index in [lo, hi) whose item is >= x, or hi: a binary search whose
+/// halving step is a conditional move, not a branch.
+size_t LowerBound(const int64_t* a, size_t lo, size_t hi, int64_t x) {
+  if (lo == hi) return lo;
+  const int64_t* base = a + lo;
+  size_t len = hi - lo;
+  while (len > 1) {
+    const size_t half = len / 2;
+    base = base[half] < x ? base + half : base;
+    len -= half;
+  }
+  return static_cast<size_t>(base - a) + (*base < x ? 1 : 0);
+}
+
+/// First index i >= lo with a[i] >= x, or a.size(): probes lo, lo+1, lo+3,
+/// lo+7, … until one reaches x, then binary-searches that bracket, so a
+/// target d places ahead costs O(log d).
+size_t Gallop(IntRun a, size_t lo, int64_t x) {
+  size_t hi = lo;
+  size_t step = 1;
+  while (hi < a.size() && a[hi] < x) {
+    lo = hi + 1;
+    hi += step;
+    step *= 2;
+  }
+  return LowerBound(a.data(), lo, std::min(hi, a.size()), x);
+}
+
+/// Runs `kernel(out)`, which writes at most `bound` items through `out` and
+/// returns how many it wrote, and returns them at exact size (capacity ==
+/// size): byte-budgeted caches charge a set's ApproxBytes, so a result must
+/// not carry the slack of its worst-case bound. The bound-sized buffer is
+/// per-thread scratch, reused across calls.
+template <typename Kernel>
+std::vector<int64_t> ExactResult(size_t bound, Kernel kernel) {
+  thread_local std::unique_ptr<int64_t[]> scratch;
+  thread_local size_t capacity = 0;
+  if (capacity < bound) {
+    capacity = std::bit_ceil(bound);
+    scratch.reset(new int64_t[capacity]);
+  }
+  const size_t n = kernel(scratch.get());
+  std::vector<int64_t> out(scratch.get(), scratch.get() + n);
+  if (capacity > kMaxRetainedScratch) {
+    scratch.reset();
+    capacity = 0;
+  }
+  return out;
+}
+
+/// a ∪ b into `out` (room for |a| + |b|) by galloping or merging; returns
+/// the item count. Dense pairs go through IntUnionAll's bitmap instead.
+size_t IntUnion(IntRun a, IntRun b, int64_t* out) {
+  if (a.size() < b.size()) std::swap(a, b);  // b is the shorter run
+  int64_t* w = out;
+  size_t i = 0;
+  if (Skewed(b.size(), a.size())) {
+    for (const int64_t y : b) {
+      const size_t p = Gallop(a, i, y);
+      w = std::copy(a.begin() + static_cast<ptrdiff_t>(i),
+                    a.begin() + static_cast<ptrdiff_t>(p), w);
+      i = p;
+      *w = y;
+      w += (i == a.size() || a[i] != y) ? 1 : 0;
+    }
+  } else {
+    size_t j = 0;
+    while (i < a.size() && j < b.size()) {
+      const int64_t x = a[i];
+      const int64_t y = b[j];
+      const size_t lt = x < y;
+      const size_t gt = y < x;
+      *w++ = gt != 0 ? y : x;
+      i += 1 - gt;
+      j += 1 - lt;
+    }
+    w = std::copy(b.begin() + static_cast<ptrdiff_t>(j), b.end(), w);
+  }
+  return static_cast<size_t>(
+      std::copy(a.begin() + static_cast<ptrdiff_t>(i), a.end(), w) - out);
+}
+
+/// Union of two or more non-empty runs, at exact size.
+std::vector<int64_t> IntUnionAll(std::vector<IntRun> runs) {
+  int64_t lo = runs[0].front();
+  int64_t hi = runs[0].back();
+  size_t total = 0;
+  for (const IntRun run : runs) {
+    lo = std::min(lo, run.front());
+    hi = std::max(hi, run.back());
+    total += run.size();
+  }
+  const bool pair = runs.size() == 2;
+  if (!(pair && Skewed(std::min(runs[0].size(), runs[1].size()),
+                       std::max(runs[0].size(), runs[1].size()))) &&
+      SpanBitmap::Dense(lo, hi, total)) {
+    SpanBitmap bits(lo, hi);
+    for (const IntRun run : runs) bits.Set(run);
+    return bits.Items();
+  }
+  if (pair) {
+    return ExactResult(total, [&](int64_t* out) {
+      return IntUnion(runs[0], runs[1], out);
+    });
+  }
+  // Sparse: each pass unions neighbouring runs into one of two buffers, so
+  // k runs take ceil(log2 k) passes.
+  std::vector<int64_t> buffers[2] = {std::vector<int64_t>(total),
+                                     std::vector<int64_t>(total)};
+  for (size_t pass = 0; runs.size() > 1; ++pass) {
+    int64_t* out = buffers[pass % 2].data();
+    size_t next = 0;
+    for (size_t r = 0; r < runs.size(); r += 2) {
+      // An odd run out is copied too: the next pass writes over the buffer
+      // it may live in.
+      const size_t n =
+          r + 1 < runs.size()
+              ? IntUnion(runs[r], runs[r + 1], out)
+              : static_cast<size_t>(
+                    std::copy(runs[r].begin(), runs[r].end(), out) - out);
+      runs[next++] = IntRun(out, n);
+      out += n;
+    }
+    runs.resize(next);
+  }
+  return std::vector<int64_t>(runs[0].begin(), runs[0].end());
+}
+
+/// |a ∩ b|, and with kEmit the items themselves into `out` (room for
+/// min(|a|, |b|)).
+template <bool kEmit>
+size_t IntIntersect(IntRun a, IntRun b, int64_t* out) {
+  if (a.size() > b.size()) std::swap(a, b);  // a is the shorter run
+  size_t k = 0;
+  if (Skewed(a.size(), b.size())) {
+    size_t j = 0;
+    for (const int64_t x : a) {
+      j = Gallop(b, j, x);
+      if (j == b.size()) break;
+      if constexpr (kEmit) out[k] = x;
+      k += b[j] == x ? 1 : 0;
+    }
+    return k;
+  }
+  if (SpanBitmap::Dense(b.front(), b.back(), a.size() + b.size())) {
+    SpanBitmap bits(b.front(), b.back());
+    bits.Set(b);
+    for (const int64_t x : a) {
+      if constexpr (kEmit) out[k] = x;
+      k += bits.Test(x);
+    }
+    return k;
+  }
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const int64_t x = a[i];
+    const int64_t y = b[j];
+    const size_t lt = x < y;
+    const size_t gt = y < x;
+    if constexpr (kEmit) out[k] = x;
+    k += 1 - (lt | gt);
+    i += 1 - gt;
+    j += 1 - lt;
+  }
+  return k;
+}
+
+/// a − b into `out` (room for |a|); returns the item count.
+size_t IntDifference(IntRun a, IntRun b, int64_t* out) {
+  int64_t* w = out;
+  size_t i = 0;
+  if (Skewed(b.size(), a.size())) {
+    // Few removals (SJA+'s pending − y_k): copy the stretches between them.
+    for (const int64_t y : b) {
+      const size_t p = Gallop(a, i, y);
+      w = std::copy(a.begin() + static_cast<ptrdiff_t>(i),
+                    a.begin() + static_cast<ptrdiff_t>(p), w);
+      i = p + ((p < a.size() && a[p] == y) ? 1 : 0);
+    }
+  } else if (Skewed(a.size(), b.size())) {
+    size_t j = 0;
+    for (; i < a.size(); ++i) {
+      const int64_t x = a[i];
+      j = Gallop(b, j, x);
+      if (j == b.size()) break;
+      *w = x;
+      w += b[j] != x ? 1 : 0;
+    }
+  } else if (SpanBitmap::Dense(b.front(), b.back(), a.size() + b.size())) {
+    SpanBitmap bits(b.front(), b.back());
+    bits.Set(b);
+    for (; i < a.size(); ++i) {
+      *w = a[i];
+      w += 1 - bits.Test(a[i]);
+    }
+  } else {
+    size_t j = 0;
+    while (i < a.size() && j < b.size()) {
+      const int64_t x = a[i];
+      const int64_t y = b[j];
+      const size_t lt = x < y;
+      const size_t gt = y < x;
+      *w = x;
+      w += lt;
+      i += 1 - gt;
+      j += 1 - lt;
+    }
+  }
+  return static_cast<size_t>(
+      std::copy(a.begin() + static_cast<ptrdiff_t>(i), a.end(), w) - out);
+}
+
+/// True if every item of `sub` is in `super`.
+bool IntIncludes(IntRun super, IntRun sub) {
+  if (sub.empty()) return true;
+  if (sub.size() > super.size() || sub.front() < super.front() ||
+      sub.back() > super.back()) {
+    return false;
+  }
+  // Equal sizes: a subset only if the same set (an exact cache hit).
+  if (sub.size() == super.size()) {
+    return std::equal(sub.begin(), sub.end(), super.begin());
+  }
+  return IntIntersect<false>(sub, super, nullptr) == sub.size();
+}
+
+/// Int-form MergeSuffixInPlace: merges `src` into `dst` from `prefix` on
+/// (every item before it is below src.front()). Counts the fresh items with
+/// IntIntersect, grows `dst` by exactly that many — the same vector growth
+/// as the generic path, so the accumulator keeps its amortized appends — and
+/// fills it back to front with the branch-free merge step.
+void IntMergeSuffixInPlace(std::vector<int64_t>& dst, size_t prefix,
+                           IntRun src) {
+  const size_t fresh =
+      src.size() -
+      IntIntersect<false>(IntRun(dst).subspan(prefix), src, nullptr);
+  if (fresh == 0) return;
+  const size_t old_size = dst.size();
+  dst.resize(old_size + fresh);
+  int64_t* d = dst.data();
+  // w - i == fresh items still to place; at w == i the rest is in place.
+  size_t i = old_size;
+  size_t j = src.size();
+  size_t w = dst.size();
+  while (w > i && j > 0 && i > prefix) {
+    const int64_t x = d[i - 1];
+    const int64_t y = src[j - 1];
+    const size_t lt = x < y;
+    const size_t gt = y < x;
+    d[--w] = lt != 0 ? y : x;
+    i -= 1 - lt;
+    j -= 1 - gt;
+  }
+  while (w > i && j > 0) d[--w] = src[--j];
+}
+
 }  // namespace
 
 ItemSet::ItemSet(std::vector<Value> values) {
@@ -282,14 +632,6 @@ bool ItemSet::Insert(const Value& v) {
 template <typename Kernel>
 ItemSet ItemSet::Merge(const ItemSet& a, const ItemSet& b, size_t reserve,
                        Kernel kernel) {
-  if (a.is_int64() && b.is_int64()) {
-    std::vector<int64_t> out;
-    out.reserve(reserve);
-    kernel(a.ints_.begin(), a.ints_.end(), b.ints_.begin(), b.ints_.end(),
-           std::back_inserter(out), std::less<int64_t>());
-    out.shrink_to_fit();
-    return FromSortedUnique(std::move(out));
-  }
   std::vector<Value> a_scratch, b_scratch;
   const Run runs[] = {a.ValueRun(a_scratch), b.ValueRun(b_scratch)};
   return FromSortedUnique(WithLess(runs, [&](auto less) {
@@ -305,6 +647,9 @@ ItemSet ItemSet::Merge(const ItemSet& a, const ItemSet& b, size_t reserve,
 ItemSet ItemSet::Union(const ItemSet& a, const ItemSet& b) {
   if (a.empty()) return b;
   if (b.empty()) return a;
+  if (a.is_int64() && b.is_int64()) {
+    return FromSortedUnique(IntUnionAll({a.ints_, b.ints_}));
+  }
   return Merge(a, b, a.size() + b.size(), [](auto... args) {
     return std::set_union(args...);
   });
@@ -312,6 +657,12 @@ ItemSet ItemSet::Union(const ItemSet& a, const ItemSet& b) {
 
 ItemSet ItemSet::Intersect(const ItemSet& a, const ItemSet& b) {
   if (a.empty() || b.empty()) return ItemSet();
+  if (a.is_int64() && b.is_int64()) {
+    return FromSortedUnique(
+        ExactResult(std::min(a.size(), b.size()), [&](int64_t* out) {
+          return IntIntersect<true>(a.ints_, b.ints_, out);
+        }));
+  }
   return Merge(a, b, std::min(a.size(), b.size()), [](auto... args) {
     return std::set_intersection(args...);
   });
@@ -320,6 +671,11 @@ ItemSet ItemSet::Intersect(const ItemSet& a, const ItemSet& b) {
 ItemSet ItemSet::Difference(const ItemSet& a, const ItemSet& b) {
   if (a.empty()) return ItemSet();
   if (b.empty()) return a;
+  if (a.is_int64() && b.is_int64()) {
+    return FromSortedUnique(ExactResult(a.size(), [&](int64_t* out) {
+      return IntDifference(a.ints_, b.ints_, out);
+    }));
+  }
   return Merge(a, b, a.size(), [](auto... args) {
     return std::set_difference(args...);
   });
@@ -337,19 +693,10 @@ ItemSet ItemSet::UnionAll(const std::vector<const ItemSet*>& inputs) {
   if (sets.empty()) return ItemSet();
   if (sets.size() == 1) return *sets[0];
   if (all_int) {
-    std::vector<int64_t> flat;
-    std::vector<size_t> bounds = {0};
-    size_t total = 0;
-    for (const ItemSet* s : sets) total += s->ints_.size();
-    flat.reserve(total);
-    for (const ItemSet* s : sets) {
-      flat.insert(flat.end(), s->ints_.begin(), s->ints_.end());
-      bounds.push_back(flat.size());
-    }
-    std::vector<int64_t> merged = UnionFlatRuns(
-        std::move(flat), std::move(bounds), std::less<int64_t>());
-    merged.shrink_to_fit();
-    return FromSortedUnique(std::move(merged));
+    std::vector<IntRun> runs;
+    runs.reserve(sets.size());
+    for (const ItemSet* s : sets) runs.emplace_back(s->ints_);
+    return FromSortedUnique(IntUnionAll(std::move(runs)));
   }
   std::vector<std::vector<Value>> scratch(sets.size());
   std::vector<Run> runs;
@@ -374,8 +721,7 @@ void ItemSet::UnionInPlace(const ItemSet& other) {
     const size_t prefix = static_cast<size_t>(
         std::lower_bound(ints_.begin(), ints_.end(), other.ints_.front()) -
         ints_.begin());
-    MergeSuffixInPlace<int64_t>(ints_, prefix, other.ints_,
-                                std::less<int64_t>());
+    IntMergeSuffixInPlace(ints_, prefix, other.ints_);
     return;
   }
   std::vector<Value> scratch;
@@ -411,10 +757,7 @@ bool ItemSet::operator==(const ItemSet& other) const {
 }
 
 bool ItemSet::IsSubsetOf(const ItemSet& other) const {
-  if (is_int64() && other.is_int64()) {
-    return std::includes(other.ints_.begin(), other.ints_.end(),
-                         ints_.begin(), ints_.end());
-  }
+  if (is_int64() && other.is_int64()) return IntIncludes(other.ints_, ints_);
   std::vector<Value> scratch, other_scratch;
   const Run mine = ValueRun(scratch);
   const Run theirs = other.ValueRun(other_scratch);

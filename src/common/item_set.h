@@ -16,7 +16,7 @@ namespace fusion {
 /// A set of *items* — merge-attribute values — as manipulated by mediators in
 /// simple plans (Section 2 of the paper). Stored sorted and deduplicated,
 /// which makes the mediator-local operations (union, intersection,
-/// difference) linear merges and keeps iteration deterministic.
+/// difference) at most linear merges and keeps iteration deterministic.
 ///
 /// The storage has one canonical form per content: a set whose items are all
 /// int64 (the empty set included) holds them as a sorted `int64_t` vector,
@@ -135,20 +135,27 @@ class ItemSet {
   /// Returns true if the value was newly inserted.
   bool Insert(const Value& v);
 
-  /// Set algebra; all O(|a| + |b|) merges. Int-form operands merge as raw
-  /// integers; otherwise, when both sets hold one scalar type, the merge
+  /// Set algebra. Int-form operands go through integer kernels that pick
+  /// their method from the inputs: galloping search when one side is 8× or
+  /// more smaller, a bitmap over [min, max] when that span in 64-bit words
+  /// is at most twice the items read, else a merge that does not branch on
+  /// its compares. IsSubsetOf uses the same kernels. Other
+  /// sets merge as Values; when both hold one scalar type, the merge
   /// compares natively instead of through the Value variant's cross-type
-  /// order.
+  /// order. Every result is exact-size (no spare vector capacity), so its
+  /// ApproxBytes is a function of its items.
   static ItemSet Union(const ItemSet& a, const ItemSet& b);
   static ItemSet Intersect(const ItemSet& a, const ItemSet& b);
   static ItemSet Difference(const ItemSet& a, const ItemSet& b);
 
-  /// Union of any number of sets: the runs are concatenated into one flat
-  /// array (raw integers when every input is int-form, else decoded once to
-  /// scalars or string pointers when all share one type), merged pairwise in
-  /// log2(k) passes over two buffers, and the result is built once — instead
-  /// of the k intermediate sets that k successive Union or UnionInPlace
-  /// calls build. Equal to folding Union over `inputs`.
+  /// Union of any number of sets, built once at exact size instead of the
+  /// k intermediate sets that k successive Union or UnionInPlace calls
+  /// build. All-int-form inputs whose [min, max] span in 64-bit words is at
+  /// most twice their total item count go through one bitmap over that
+  /// span; other int-form inputs are unioned pairwise in log2(k) passes of
+  /// the integer merge. Value runs are decoded once to scalars or string
+  /// pointers when all share one type and merged the same way. Equal to
+  /// folding Union over `inputs`.
   static ItemSet UnionAll(const std::vector<const ItemSet*>& inputs);
 
   /// Merges `other` into this set. When `other` sorts entirely after the
@@ -156,7 +163,10 @@ class ItemSet {
   /// candidates — this is an O(|other|) append, so accumulating k disjoint
   /// ordered pieces is O(n) total instead of the O(k·n) that repeated
   /// `a = Union(a, b)` rebuilds cost. Otherwise only the suffix at or above
-  /// other.front() is merged, in place, with the same comparators as Union.
+  /// other.front() is merged, in place, with the same kernels as Union.
+  /// Unlike the other operations it keeps the vector's geometric growth
+  /// (spare capacity), which is what makes the appends amortized O(1); use
+  /// UnionAll for a result that is kept.
   void UnionInPlace(const ItemSet& other);
 
   /// Item-wise equality under Value order: {int64 2} == {double 2.0}.
@@ -178,9 +188,9 @@ class ItemSet {
   /// `scratch` filled from the integers of an int-form one.
   std::span<const Value> ValueRun(std::vector<Value>& scratch) const;
 
-  /// Runs a two-set std:: merge algorithm `kernel` (set_union, …) over raw
-  /// integers when both sets are int-form, else over Values with the
-  /// cheapest exact comparator. `reserve` bounds the result size.
+  /// Runs a two-set std:: merge algorithm `kernel` (set_union, …) over the
+  /// sets' Values with the cheapest exact comparator; the int-form-only
+  /// case never gets here. `reserve` bounds the result size.
   template <typename Kernel>
   static ItemSet Merge(const ItemSet& a, const ItemSet& b, size_t reserve,
                        Kernel kernel);

@@ -320,16 +320,22 @@ class PlanRun {
         break;
       }
       case PlanOpKind::kIntersect: {
+        // The first operand is read in place; only intersections are built.
+        const ItemSet* first = nullptr;
         std::optional<ItemSet> acc;
         for (const int v : op.inputs) {
+          const ItemSet* so_far = acc.has_value() ? &*acc : first;
           // Sound cut: ∅ ∩ anything = ∅, so the remaining operands (and,
           // when lazy, their whole subtrees) are skipped.
-          if (acc.has_value() && acc->empty()) break;
+          if (so_far != nullptr && so_far->empty()) break;
           FUSION_RETURN_IF_ERROR(Need(slot, v));
-          acc = acc.has_value() ? ItemSet::Intersect(*acc, *items_[v])
-                                : *items_[v];
+          if (so_far == nullptr) {
+            first = &*items_[v];
+          } else {
+            acc = ItemSet::Intersect(*so_far, *items_[v]);
+          }
         }
-        items_[op.target] = std::move(*acc);
+        items_[op.target] = acc.has_value() ? std::move(*acc) : *first;
         break;
       }
       case PlanOpKind::kDifference: {
@@ -513,12 +519,12 @@ Status PlanRun::RunPool() {
 
 void PlanRun::Finalize(ExecutionReport& report) {
   const size_t num_ops = plan_.num_ops();
-  report.per_source_items.assign(catalog_.size(), ItemSet());
   report.per_op_cost.assign(num_ops, 0.0);
   report.per_op_seconds.assign(num_ops, 0.0);
   report.per_op_cache.assign(num_ops, '-');
   exec_internal::CallStats stats;
   std::vector<std::string> reasons(num_ops);
+  std::vector<std::vector<const ItemSet*>> witnesses(catalog_.size());
   for (const size_t k : order_) {
     OpSlot& slot = slots_[k];
     report.per_op_cost[k] = slot.ledger.total();
@@ -541,9 +547,15 @@ void PlanRun::Finalize(ExecutionReport& report) {
     if (op.source >= 0) {
       // Witness knowledge: an sq/sjq answer is its SSA target; an lq's
       // items live in the slot.
-      report.per_source_items[static_cast<size_t>(op.source)].UnionInPlace(
-          op.kind == PlanOpKind::kLoad ? slot.observed : *items_[op.target]);
+      witnesses[static_cast<size_t>(op.source)].push_back(
+          op.kind == PlanOpKind::kLoad ? &slot.observed : &*items_[op.target]);
     }
+  }
+  // One exact-size union per source: the report is retained by the
+  // service's recent outcomes, so its sets should carry no spare capacity.
+  report.per_source_items.clear();
+  for (const std::vector<const ItemSet*>& sets : witnesses) {
+    report.per_source_items.push_back(ItemSet::UnionAll(sets));
   }
   report.answer = std::move(*items_[static_cast<size_t>(plan_.result())]);
   // Never-demanded ops, plus semijoins answered ∅ without their call.

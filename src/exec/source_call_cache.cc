@@ -211,48 +211,75 @@ std::shared_ptr<const ItemSet> SourceCallCache::FindSemiJoin(
     const std::string& merge_attribute, const ItemSet& candidates,
     bool* containment_derived) {
   *containment_derived = false;
+  // Set algebra runs outside mu_: entries hold immutable shared sets, so a
+  // copied pointer stays valid and its contents cannot change. Only the
+  // lookups, LRU touches and counters hold the lock.
+  const Key anchor_key{source, Kind::kSjq, cond_key};
+  std::shared_ptr<const ItemSet> anchor_items;
+  std::shared_ptr<const ItemSet> anchor_candidates;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (Entry* entry = FindLocked(anchor_key);
+        entry != nullptr && entry->candidates != nullptr) {
+      anchor_items = entry->items;
+      anchor_candidates = entry->candidates;
+    }
+  }
+  if (anchor_candidates != nullptr &&
+      candidates.IsSubsetOf(*anchor_candidates)) {
+    // Subset of equal size = the very same candidate set: exact hit.
+    const bool exact = candidates.size() == anchor_candidates->size();
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      // Touch the anchor unless a merge or eviction replaced it meanwhile.
+      if (auto it = entries_.find(anchor_key);
+          it != entries_.end() && it->second.items == anchor_items) {
+        TouchLocked(it->second, Key{});
+      }
+      if (exact) {
+        ++hits_;
+      } else {
+        ++misses_;
+        ++containment_hits_;
+      }
+    }
+    if (exact) return anchor_items;
+    // sjq(c, R, X) with X ⊆ Y from the cached sjq(c, R, Y): the stored
+    // answer is sq(c, R) ∩ Y, so intersecting with X yields sq(c, R) ∩ X.
+    *containment_derived = true;
+    return std::make_shared<const ItemSet>(
+        ItemSet::Intersect(*anchor_items, candidates));
+  }
+  std::shared_ptr<const ItemSet> sq_items;
   std::shared_ptr<const Relation> relation;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (Entry* entry = FindLocked(Key{source, Kind::kSjq, cond_key});
-        entry != nullptr && entry->candidates != nullptr &&
-        candidates.IsSubsetOf(*entry->candidates)) {
-      TouchLocked(*entry, Key{});
-      if (candidates.size() == entry->candidates->size()) {
-        // Subset of equal size = the very same candidate set: exact hit.
-        ++hits_;
-        return entry->items;
-      }
-      // sjq(c, R, X) with X ⊆ Y from the cached sjq(c, R, Y): the stored
-      // answer is sq(c, R) ∩ Y, so intersecting with X yields sq(c, R) ∩ X.
-      ++misses_;
-      ++containment_hits_;
-      *containment_derived = true;
-      return std::make_shared<const ItemSet>(
-          ItemSet::Intersect(*entry->items, candidates));
-    }
     if (Entry* entry = FindLocked(Key{source, Kind::kSq, cond_key});
         entry != nullptr) {
-      // sjq(c, R, X) = sq(c, R) ∩ X by definition.
       TouchLocked(*entry, Key{});
       ++misses_;
       ++containment_hits_;
-      *containment_derived = true;
-      return std::make_shared<const ItemSet>(
-          ItemSet::Intersect(*entry->items, candidates));
-    }
-    if (Entry* entry = FindLocked(Key{source, Kind::kLq, ""});
-        entry != nullptr) {
+      sq_items = entry->items;
+    } else if (Entry* entry = FindLocked(Key{source, Kind::kLq, ""});
+               entry != nullptr) {
       relation = entry->relation;
       TouchLocked(*entry, Key{});
     }
   }
+  if (sq_items != nullptr) {
+    // sjq(c, R, X) = sq(c, R) ∩ X by definition.
+    *containment_derived = true;
+    return std::make_shared<const ItemSet>(
+        ItemSet::Intersect(*sq_items, candidates));
+  }
   if (relation != nullptr) {
     Result<ItemSet> selected = relation->SelectItems(cond, merge_attribute);
     if (selected.ok()) {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++misses_;
-      ++containment_hits_;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++misses_;
+        ++containment_hits_;
+      }
       *containment_derived = true;
       return std::make_shared<const ItemSet>(
           ItemSet::Intersect(*selected, candidates));

@@ -149,7 +149,9 @@ class SourceCallCache {
   /// entry, a same-condition sjq entry over a candidate superset, a cached
   /// sq answer, or a cached relation — in that order. Null on a miss.
   /// `*containment_derived` is set true when the answer was derived rather
-  /// than stored verbatim (callers report these separately).
+  /// than stored verbatim (callers report these separately). The subset
+  /// test and the intersections run outside the cache mutex, so concurrent
+  /// callers serialize only on the lookups and counters.
   std::shared_ptr<const ItemSet> FindSemiJoin(size_t source,
                                               const Condition& cond,
                                               const std::string& cond_key,

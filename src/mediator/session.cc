@@ -65,12 +65,17 @@ QueryCacheView QuerySession::BuildCacheView(const FusionQuery& query) {
   view.sjq_answerable.assign(query.num_conditions(),
                              std::vector<char>(num_sources, 0));
   view.lq_cached.assign(num_sources, 0);
+  std::vector<std::string> keys;
+  keys.reserve(query.num_conditions());
+  for (const Condition& cond : query.conditions()) {
+    keys.push_back(cond.CacheKey());
+  }
   for (size_t j = 0; j < num_sources; ++j) {
     // A cached relation answers lq and, by containment, every sq/sjq on it.
     const bool lq = cache_.ContainsLoad(j);
     view.lq_cached[j] = lq ? 1 : 0;
     for (size_t i = 0; i < query.num_conditions(); ++i) {
-      const std::string key = query.conditions()[i].CacheKey();
+      const std::string& key = keys[i];
       if (lq || cache_.ContainsSelect(j, key)) {
         view.sq_answerable[i][j] = 1;
         view.sjq_answerable[i][j] = 1;

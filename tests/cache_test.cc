@@ -766,6 +766,58 @@ TEST(CacheConcurrencyTest, FlightsSurviveConcurrentClearInvalidateAndEviction) {
   EXPECT_LE(cache.bytes(), options.max_bytes);
 }
 
+// FindSemiJoin reads an anchor under the mutex and intersects outside it,
+// while other threads merge new parts into the same anchor. Every anchor
+// part is sq ∩ X for one fixed sq, so whichever anchor version a reader
+// copied, a derived answer must equal sq ∩ (its candidates).
+TEST(CacheConcurrencyTest, SemiJoinDerivationsRaceAnchorMerges) {
+  SourceCallCache cache;
+  std::vector<int64_t> sq_items;
+  for (int64_t i = 0; i < 400; ++i) sq_items.push_back(i);
+  const ItemSet sq = Ints(sq_items);
+  const Condition cond = Condition::Eq("V", Value("a"));
+  const std::string key = cond.CacheKey();
+  std::atomic<size_t> wrong{0};
+  std::atomic<size_t> derived_answers{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < 300; ++i) {
+        // Candidates: every step-th item of [offset, offset + 600).
+        const int64_t step = 2 + (t + i) % 5;
+        const int64_t offset = (t * 37 + i * 11) % 200;
+        std::vector<int64_t> xs;
+        for (int64_t x = offset; x < offset + 600; x += step) xs.push_back(x);
+        const ItemSet candidates = Ints(xs);
+        if (i % 2 == 0) {
+          cache.InsertSemiJoin(0, key, candidates,
+                               ItemSet::Intersect(sq, candidates),
+                               cache.version(0));
+        }
+        std::vector<int64_t> sub;
+        for (size_t k = 0; k < xs.size(); k += 3) sub.push_back(xs[k]);
+        const ItemSet probe = Ints(sub);
+        bool derived = false;
+        const std::shared_ptr<const ItemSet> answer =
+            cache.FindSemiJoin(0, cond, key, "L", probe, &derived);
+        if (answer == nullptr) continue;
+        if (derived) ++derived_answers;
+        if (*answer != ItemSet::Intersect(sq, probe)) ++wrong;
+      }
+    });
+  }
+  std::thread churn([&] {
+    for (int i = 0; i < 50; ++i) {
+      cache.Invalidate(0);
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& w : workers) w.join();
+  churn.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(derived_answers.load(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Cache-aware optimization: a repeated session query must get strictly
 // cheaper when the optimizer is allowed to plan through the cache.

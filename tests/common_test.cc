@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 
 #include "common/item_set.h"
 #include "common/rng.h"
@@ -249,6 +251,142 @@ TEST_P(ItemSetAlgebraTest, AlgebraLaws) {
   // Distributivity: A ∩ (B ∪ C) = (A∩B) ∪ (A∩C).
   EXPECT_EQ(ItemSet::Intersect(a, ItemSet::Union(b, c)),
             ItemSet::Union(ItemSet::Intersect(a, b), ItemSet::Intersect(a, c)));
+}
+
+// Differential check of the int-form kernels (galloping, bitmap, branch-free
+// merge) against the std:: algorithms on sorted vectors, over the shapes
+// that select each method: size ratios 1:1 to 1:1000, dense and sparse spans
+// (INT64_MIN and INT64_MAX together overflow a signed span), and empty,
+// equal and nested operands. Every returned set must be exact-size: the
+// cache charges ApproxBytes, so spare capacity would change its accounting.
+TEST_P(ItemSetAlgebraTest, IntKernelsMatchStdAlgorithms) {
+  using Ints64 = std::vector<int64_t>;
+  Rng rng(GetParam());
+  auto sorted_unique = [](Ints64 v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+  };
+  auto draw = [&](size_t n, int span_kind) {
+    Ints64 v;
+    for (size_t i = 0; i < n; ++i) {
+      switch (span_kind) {
+        case 0:  // dense: about two values per item
+          v.push_back(rng.Uniform(-50, static_cast<int64_t>(2 * n) + 50));
+          break;
+        case 1:  // sparse
+          v.push_back(rng.Uniform(-(int64_t{1} << 40), int64_t{1} << 40));
+          break;
+        default:  // the whole int64 range, both extremes included
+          v.push_back(static_cast<int64_t>(rng.engine()()));
+          break;
+      }
+    }
+    if (span_kind == 2 && n > 0) {
+      v.push_back(std::numeric_limits<int64_t>::min());
+      v.push_back(std::numeric_limits<int64_t>::max());
+    }
+    return sorted_unique(std::move(v));
+  };
+  auto nested_in = [&](const Ints64& super) {
+    Ints64 sub;
+    const int64_t keep = rng.Uniform(1, 100);
+    for (const int64_t x : super) {
+      if (rng.Uniform(1, 100) <= keep) sub.push_back(x);
+    }
+    return sub;
+  };
+  auto exact = [](const ItemSet& s) {
+    return s.is_int64() &&
+           s.ApproxBytes() == sizeof(ItemSet) + s.size() * sizeof(int64_t);
+  };
+  const size_t ratios[] = {1, 2, 3, 7, 8, 9, 16, 100, 1000};
+  for (int trial = 0; trial < 150; ++trial) {
+    const int span_kind = static_cast<int>(rng.Uniform(0, 2));
+    const size_t ratio = ratios[rng.Uniform(0, 8)];
+    const size_t large_n = static_cast<size_t>(rng.Uniform(0, 3000));
+    Ints64 a = draw(large_n, span_kind);
+    Ints64 b;
+    switch (rng.Uniform(0, 4)) {
+      case 0:
+        b = draw(large_n / ratio, span_kind);
+        break;
+      case 1:  // y ⊆ P, the SJA+ chain's shape
+        b = nested_in(a);
+        break;
+      case 2:
+        b = a;
+        break;
+      case 3:
+        break;  // empty
+      default:  // dense operand inside a sparse one's span
+        b = draw(large_n / ratio, 0);
+        break;
+    }
+    if (rng.Bernoulli(0.5)) std::swap(a, b);
+    const ItemSet sa = ItemSet::FromSortedUnique(a);
+    const ItemSet sb = ItemSet::FromSortedUnique(b);
+    SCOPED_TRACE(StrFormat("trial %d: |a| = %zu, |b| = %zu, span kind %d",
+                           trial, a.size(), b.size(), span_kind));
+
+    Ints64 expected;
+    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                   std::back_inserter(expected));
+    const ItemSet u = ItemSet::Union(sa, sb);
+    EXPECT_EQ(u.ints(), expected);
+    EXPECT_TRUE(exact(u));
+
+    expected.clear();
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(expected));
+    const ItemSet i = ItemSet::Intersect(sa, sb);
+    EXPECT_EQ(i.ints(), expected);
+    EXPECT_TRUE(exact(i));
+
+    expected.clear();
+    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(expected));
+    const ItemSet d = ItemSet::Difference(sa, sb);
+    EXPECT_EQ(d.ints(), expected);
+    EXPECT_TRUE(exact(d));
+    expected.clear();
+    std::set_difference(b.begin(), b.end(), a.begin(), a.end(),
+                        std::back_inserter(expected));
+    EXPECT_EQ(ItemSet::Difference(sb, sa).ints(), expected);
+
+    EXPECT_EQ(sa.IsSubsetOf(sb),
+              std::includes(b.begin(), b.end(), a.begin(), a.end()));
+    EXPECT_EQ(sb.IsSubsetOf(sa),
+              std::includes(a.begin(), a.end(), b.begin(), b.end()));
+
+    ItemSet in_place = sa;
+    in_place.UnionInPlace(sb);
+    EXPECT_EQ(in_place.ints(), u.ints());
+
+    // 1 to 9 inputs of mixed sizes and spans, nested ones included.
+    const size_t ways = static_cast<size_t>(rng.Uniform(1, 9));
+    std::vector<ItemSet> inputs;
+    Ints64 all;
+    for (size_t w = 0; w < ways; ++w) {
+      Ints64 v = rng.Bernoulli(0.3)
+                     ? nested_in(a)
+                     : draw(static_cast<size_t>(rng.Uniform(0, 400)),
+                            static_cast<int>(rng.Uniform(0, 2)));
+      all.insert(all.end(), v.begin(), v.end());
+      inputs.push_back(ItemSet::FromSortedUnique(std::move(v)));
+    }
+    std::vector<const ItemSet*> pointers;
+    ItemSet accumulated;
+    for (const ItemSet& input : inputs) {
+      pointers.push_back(&input);
+      accumulated.UnionInPlace(input);
+    }
+    const Ints64 reference = sorted_unique(std::move(all));
+    const ItemSet unioned = ItemSet::UnionAll(pointers);
+    EXPECT_EQ(unioned.ints(), reference);
+    EXPECT_TRUE(exact(unioned));
+    EXPECT_EQ(accumulated.ints(), reference);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ItemSetAlgebraTest,
