@@ -14,14 +14,24 @@
 //   ratio     — warm max / cold (the acceptance bound is <= 0.10)
 //   combined  — total metered cost across all k clients
 //
+// E22 — retained bytes per served outcome: an in-process QueryService over
+// the zipf_warm dataset serves its pool warm, then a few hundred more
+// queries with request ids (so both the ticket and the dedup table hold
+// them). Per outcome it reports the answer's ItemSet bytes, the service's
+// own retained-bytes figure, and the process heap growth, which counts
+// whatever the outcome really keeps alive. `--smoke` asserts both stay
+// within a small multiple of the answer, which a return to retaining whole
+// executions (plan, ledger, per-source witness sets) would break.
+//
 // E19 — the FUSIONQ/1 answer codec, the layer under every served answer:
 // microseconds per answer of ~650, ~950 and ~5000 int items to serialize
 // (from the session's ItemSet), parse (into the client's ItemSet), and
 // relay (the router's ticket rewrite of a shard frame), with round-trip
 // and byte equality asserted on every size.
 //
-//   bench_service           E14, then E19
-//   bench_service --smoke   E19 only, few repetitions (the ctest entry)
+//   bench_service           E14, E22, then E19
+//   bench_service --smoke   E22, then E19 at few repetitions (the ctest
+//                           entry)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -29,7 +39,11 @@
 #include <string>
 #include <thread>
 #include <vector>
+#if defined(__GLIBC__)  // defined by the standard headers above
+#include <malloc.h>
+#endif
 
+#include "bench/workload.h"
 #include "bench_util.h"
 #include "common/item_set.h"
 #include "common/logging.h"
@@ -121,6 +135,78 @@ void RunSharedService() {
       "per-client mediators would pay the full cost k+1 times.\n");
 }
 
+/// Heap bytes in use (glibc's allocator statistics); 0 where unavailable.
+size_t HeapInUse() {
+#if defined(__GLIBC__)
+  return mallinfo2().uordblks;
+#else
+  return 0;
+#endif
+}
+
+void RunRetention(bool smoke) {
+  bench::Banner("E22: retained bytes per served outcome");
+  // The zipf_warm dataset shape (perfbench/serve_bench.cc).
+  bench::MacroWorkloadSpec spec;
+  spec.universe_size = 20000;
+  spec.num_sources = 8;
+  spec.condition_overlap = 0.7;
+  spec.pool_size = 64;
+  spec.seed = 4631;
+  auto workload = bench::MacroWorkload::Generate(spec);
+  FUSION_CHECK(workload.ok()) << workload.status().ToString();
+  const std::vector<std::string> pool = workload->pool();
+  QueryService::Options options;
+  options.workers = 1;
+  QueryService service(Mediator(std::move(workload->catalog())), options);
+
+  // Warm: the first pass fills the cache, the learned statistics and the
+  // plan memo, so the measured pass adds retained outcomes and little else.
+  for (const std::string& sql : pool) {
+    FUSION_CHECK(service.Wait(*service.Submit("warm", sql)).ok());
+  }
+  // Every measured outcome stays in both windows: no eviction.
+  const size_t served = options.max_retained - pool.size();
+  FUSION_CHECK(served <= options.max_dedup);
+  const size_t heap_before = HeapInUse();
+  const size_t retained_before = service.retained_bytes();
+  size_t answer_bytes = 0;
+  QueryService::SubmitOptions submit;
+  for (size_t i = 0; i < served; ++i) {
+    submit.request_id = i + 1;
+    const auto answer =
+        service.Wait(*service.Submit("served", pool[i % pool.size()], submit));
+    FUSION_CHECK(answer.ok()) << answer.status().ToString();
+    FUSION_CHECK(answer->detail == nullptr);
+    answer_bytes += answer->items.ApproxBytes();
+  }
+  const size_t heap_after = HeapInUse();
+  const double n = static_cast<double>(served);
+  const double items_per = static_cast<double>(answer_bytes) / n;
+  const double retained_per =
+      static_cast<double>(service.retained_bytes() - retained_before) / n;
+  const double heap_per =
+      heap_after > heap_before
+          ? static_cast<double>(heap_after - heap_before) / n
+          : 0.0;
+  std::printf("%8s | %14s %14s %8s %14s %8s\n", "outcomes", "answer B",
+              "retained B", "ratio", "heap growth B", "ratio");
+  std::printf("%8zu | %14.0f %14.0f %8.2f ", served, items_per, retained_per,
+              retained_per / items_per);
+  if (heap_after == 0) {
+    std::printf("%14s %8s\n", "n/a", "n/a");  // no allocator statistics
+  } else {
+    std::printf("%14.0f %8.2f\n", heap_per, heap_per / items_per);
+  }
+  // Each outcome keeps its answer items plus the sql, the client id and a
+  // fixed overhead; a retained execution would add its plan, ledger and
+  // per-source witness sets, several times the answer.
+  if (smoke) {
+    FUSION_CHECK(retained_per <= 1.5 * items_per) << retained_per;
+    FUSION_CHECK(heap_per <= 2.0 * items_per) << heap_per;
+  }
+}
+
 /// Median over `rounds` of the mean microseconds per `op()` over `iters`.
 template <typename Op>
 double MedianMicros(int rounds, int iters, Op&& op) {
@@ -194,5 +280,6 @@ void RunCodec(bool smoke) {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   if (!smoke) fusion::RunSharedService();
+  fusion::RunRetention(smoke);
   fusion::RunCodec(smoke);
 }

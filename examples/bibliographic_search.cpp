@@ -88,7 +88,7 @@ int main() {
   // instead of broadcasting every page to all libraries.
   CostLedger witness_ledger;
   const auto witness_records = mediator.FetchRecordsFromWitnesses(
-      query, answer->detail->execution, &witness_ledger);
+      query, *answer->detail, &witness_ledger);
   if (!witness_records.ok()) return Fail(witness_records.status());
   std::printf("witness-based phase 2 (all matches in one pass): cost %.0f "
               "for %zu records\n",

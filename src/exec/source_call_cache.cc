@@ -303,10 +303,12 @@ void SourceCallCache::InsertSemiJoin(size_t source, std::string cond_key,
     if (!ExpiredLocked(it->second)) {
       // sjq(c, R, X₁) ∪ sjq(c, R, X₂) = sq(c, R) ∩ (X₁ ∪ X₂): the union
       // pair answers every candidate set either anchor did. Both parts were
-      // published under the current version, so neither is stale.
+      // published under the current version, so neither is stale. Union
+      // builds exact-size sets: the byte budget is charged by capacity, and
+      // in-place growth would leave spare capacity on every merge.
       const Entry& old = it->second;
-      candidates.UnionInPlace(*old.candidates);
-      result.UnionInPlace(*old.items);
+      candidates = ItemSet::Union(candidates, *old.candidates);
+      result = ItemSet::Union(result, *old.items);
       entry.expires = old.expires;  // the older part bounds freshness
     }
     EraseLocked(it);

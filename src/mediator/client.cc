@@ -294,9 +294,9 @@ Result<ClientResponse> Client::RemoteExchangeLocked(
                     remote.endpoints[remote.active] + ")");
 }
 
-ClientAnswer SummarizeAnswer(QueryAnswer answer) {
+ClientAnswer SummarizeAnswer(QueryAnswer answer, bool keep_detail) {
   ClientAnswer out;
-  out.items = answer.items;
+  out.items = keep_detail ? answer.items : std::move(answer.items);
   out.cost = answer.execution.ledger.total();
   out.source_queries = answer.execution.ledger.num_queries();
   out.cache_hits = answer.execution.cache_hits;
@@ -306,8 +306,22 @@ ClientAnswer SummarizeAnswer(QueryAnswer answer) {
   out.items_received = answer.execution.ledger.total_items_received();
   out.calibration_cost = answer.calibration_cost;
   out.complete = answer.execution.completeness.answer_complete;
-  out.detail = std::make_shared<const QueryAnswer>(std::move(answer));
+  if (keep_detail) {
+    out.detail = std::make_shared<const QueryAnswer>(std::move(answer));
+  }
   return out;
+}
+
+PlanPrintNames ExplainNames(const FusionQuery& query,
+                            const SourceCatalog& catalog) {
+  PlanPrintNames names;
+  for (const Condition& c : query.conditions()) {
+    names.conditions.push_back(c.ToString());
+  }
+  for (size_t j = 0; j < catalog.size(); ++j) {
+    names.sources.push_back(catalog.source(j).name());
+  }
+  return names;
 }
 
 Result<ClientAnswer> Client::Query(const FusionQuery& query,
@@ -394,17 +408,8 @@ Result<ClientAnswer> Client::QuerySqlExplained(const std::string& sql) {
   }
   FUSION_ASSIGN_OR_RETURN(FusionQuery query, ParseFusionQuery(sql));
   FUSION_ASSIGN_OR_RETURN(ClientAnswer answer, Query(query, CallControls{}));
-  PlanPrintNames names;
-  for (const Condition& c : query.conditions()) {
-    names.conditions.push_back(c.ToString());
-  }
-  const SourceCatalog& catalog = session_->mediator().catalog();
-  for (size_t j = 0; j < catalog.size(); ++j) {
-    names.sources.push_back(catalog.source(j).name());
-  }
-  if (answer.detail != nullptr) {
-    answer.explain_lines = RenderExplainLines(*answer.detail, names);
-  }
+  answer.explain_lines = RenderExplainLines(
+      *answer.detail, ExplainNames(query, session_->mediator().catalog()));
   return answer;
 }
 

@@ -26,8 +26,9 @@ using CallControls = QuerySession::CallControls;
 /// What a client gets back for one query: the fused answer plus the metering
 /// a caller acts on, identical in shape whether the query ran in-process or
 /// through a fusionqd service. `detail` carries the full QueryAnswer
-/// (optimized plan, execution report, ledger) in local mode and is null in
-/// remote mode — the wire protocol ships the summary, not the plan.
+/// (optimized plan, execution report, ledger) in embedded mode and is null
+/// in remote mode and in a service's retained outcomes — the wire protocol
+/// ships the summary, not the plan.
 struct ClientAnswer {
   ItemSet items;
   /// Total metered cost of this query's source traffic.
@@ -55,8 +56,16 @@ struct ClientAnswer {
 
 /// Summarizes a full QueryAnswer into the client-facing ClientAnswer —
 /// the one conversion both the embedded client and the serving layer use,
-/// so local and served answers cannot diverge in shape.
-ClientAnswer SummarizeAnswer(QueryAnswer answer);
+/// so local and served answers cannot diverge in shape. With `keep_detail`
+/// the whole QueryAnswer rides along as `detail` (the embedded client);
+/// without it the items are moved out and the rest is released (the
+/// serving layer, which retains only what STATUS, Wait and a replay return).
+ClientAnswer SummarizeAnswer(QueryAnswer answer, bool keep_detail = true);
+
+/// The display names RenderExplainLines prints: the query's condition texts
+/// and the catalog's source names.
+PlanPrintNames ExplainNames(const FusionQuery& query,
+                            const SourceCatalog& catalog);
 
 /// Renders the executed plan with one annotation per op — metered cost,
 /// wall-clock milliseconds, and cache provenance (hit / containment /

@@ -162,7 +162,7 @@ Result<QueryAnswer> Mediator::Answer(const FusionQuery& raw_query,
   }();
   FUSION_ASSIGN_OR_RETURN(ExecutionReport execution, std::move(execution_or));
   QueryAnswer answer;
-  answer.items = execution.answer;
+  answer.items = std::move(execution.answer);
   answer.optimized = std::move(optimized);
   answer.execution = std::move(execution);
   answer.calibration_cost = probe_ledger.total();
@@ -176,16 +176,16 @@ Result<QueryAnswer> Mediator::AnswerSql(const std::string& sql,
 }
 
 Result<Relation> Mediator::FetchRecordsFromWitnesses(
-    const FusionQuery& query, const ExecutionReport& phase1,
+    const FusionQuery& query, const QueryAnswer& phase1,
     CostLedger* ledger) {
-  if (phase1.per_source_items.size() != catalog_.size()) {
+  const std::vector<ItemSet>& witnesses = phase1.execution.per_source_items;
+  if (witnesses.size() != catalog_.size()) {
     return Status::InvalidArgument(
         "phase-1 report does not match this catalog");
   }
   ScopedSpan span(SpanCategory::kPhase, "fetch");
-  FUSION_ASSIGN_OR_RETURN(
-      const std::vector<FetchAssignment> assignments,
-      PlanWitnessFetch(phase1.per_source_items, phase1.answer));
+  FUSION_ASSIGN_OR_RETURN(const std::vector<FetchAssignment> assignments,
+                          PlanWitnessFetch(witnesses, phase1.items));
   if (span.active()) span.AddAttr("assignments", assignments.size());
   FUSION_ASSIGN_OR_RETURN(const Schema schema, catalog_.CommonSchema());
   Relation out(schema);

@@ -51,6 +51,8 @@ struct MediatorOptions {
 
 /// Everything the mediator reports for one answered query.
 struct QueryAnswer {
+  /// The fused answer, moved out of the execution report: `items` is the
+  /// one copy, and `execution.answer` is left empty.
   ItemSet items;
   OptimizedPlan optimized;
   ExecutionReport execution;
@@ -103,7 +105,7 @@ class Mediator {
   /// broadcast, but not complete across sources (an item's records at
   /// sources that never returned it are not retrieved).
   Result<Relation> FetchRecordsFromWitnesses(const FusionQuery& query,
-                                             const ExecutionReport& phase1,
+                                             const QueryAnswer& phase1,
                                              CostLedger* ledger);
 
  private:

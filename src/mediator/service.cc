@@ -20,24 +20,37 @@ void SetQueueGauges(size_t queued, size_t active_clients) {
   clients.Set(static_cast<double>(active_clients));
 }
 
-/// Builds the display names the explain renderer wants: condition texts by
-/// re-parsing the sql (best-effort — an unparsable query just falls back to
-/// c1..cm), source names from the shared session's catalog.
-std::vector<std::string> ExplainLinesFor(const std::string& sql,
-                                         const QuerySession& session,
-                                         const QueryAnswer& answer) {
-  PlanPrintNames names;
-  const auto query = ParseFusionQuery(sql);
-  if (query.ok()) {
-    for (const Condition& c : query->conditions()) {
-      names.conditions.push_back(c.ToString());
-    }
+/// Per-request bytes beyond its strings and answer items: the Request
+/// itself in its shared_ptr block and the table nodes that point at it.
+/// bench_service E22 measures heap growth per outcome ~530 bytes above
+/// items and strings.
+constexpr size_t kRetainedEntryOverhead = 512;
+
+/// Approximate resident bytes of a finished request's retained state.
+size_t RetainedBytesOf(const std::string& client_id, const std::string& sql,
+                       const Result<ClientAnswer>& outcome) {
+  size_t bytes = kRetainedEntryOverhead + client_id.capacity() +
+                 sql.capacity();
+  if (!outcome.ok()) return bytes + outcome.status().message().capacity();
+  bytes += outcome->items.ApproxBytes();
+  for (const std::string& line : outcome->explain_lines) {
+    bytes += sizeof(std::string) + line.capacity();
   }
-  const SourceCatalog& catalog = session.mediator().catalog();
-  for (size_t j = 0; j < catalog.size(); ++j) {
-    names.sources.push_back(catalog.source(j).name());
-  }
-  return RenderExplainLines(answer, names);
+  return bytes;
+}
+
+/// The answer fields of a "done" SUBMIT or STATUS response.
+void FillAnswer(const ClientAnswer& answer, ClientResponse& response) {
+  response.items = answer.items.ToValues();
+  response.cost = answer.cost;
+  response.source_queries = answer.source_queries;
+  response.cache_hits = answer.cache_hits;
+  response.cache_misses = answer.cache_misses;
+  response.cache_containment_hits = answer.cache_containment_hits;
+  response.items_sent = answer.items_sent;
+  response.items_received = answer.items_received;
+  response.calibration_cost = answer.calibration_cost;
+  response.complete = answer.complete;
 }
 
 }  // namespace
@@ -69,6 +82,14 @@ void QueryService::Shutdown() {
 Result<uint64_t> QueryService::Submit(const std::string& client_id,
                                       const std::string& sql,
                                       const SubmitOptions& submit_options) {
+  FUSION_ASSIGN_OR_RETURN(const RequestPtr request,
+                          Admit(client_id, sql, submit_options));
+  return request->ticket;
+}
+
+Result<QueryService::RequestPtr> QueryService::Admit(
+    const std::string& client_id, const std::string& sql,
+    const SubmitOptions& submit_options) {
   RequestPtr request;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -94,9 +115,10 @@ Result<uint64_t> QueryService::Submit(const std::string& client_id,
         // the second eviction pass finds nothing to erase.)
         if (by_ticket_.find(original->ticket) == by_ticket_.end()) {
           by_ticket_[original->ticket] = original;
+          ++original->holders;
           if (original->finished) retired_order_.push_back(original->ticket);
         }
-        return original->ticket;
+        return original;
       }
     }
     if (queued_ >= options_.max_queue) {
@@ -115,16 +137,16 @@ Result<uint64_t> QueryService::Submit(const std::string& client_id,
     request->sql = sql;
     request->trace_id = submit_options.trace_id;
     request->parent_span = submit_options.parent_span;
+    request->explain = submit_options.explain;
     request->admitted_at = std::chrono::steady_clock::now();
     by_ticket_[request->ticket] = request;
+    ++request->holders;
     if (submit_options.request_id != 0) {
       const auto key = std::make_pair(client_id, submit_options.request_id);
       dedup_[key] = request;
+      ++request->holders;
       dedup_order_.push_back(key);
-      while (dedup_order_.size() > options_.max_dedup) {
-        dedup_.erase(dedup_order_.front());
-        dedup_order_.pop_front();
-      }
+      while (dedup_order_.size() > options_.max_dedup) PopDedupLocked();
     }
     std::deque<RequestPtr>& queue = pending_[client_id];
     if (queue.empty()) rotation_.push_back(client_id);
@@ -136,7 +158,7 @@ Result<uint64_t> QueryService::Submit(const std::string& client_id,
     accepted.Increment();
   }
   pool_->Submit([this] { PopAndRun(); });
-  return request->ticket;
+  return request;
 }
 
 QueryService::RequestPtr QueryService::NextLocked() {
@@ -167,12 +189,54 @@ void QueryService::FinishLocked(const RequestPtr& request, std::string state,
   request->state = std::move(state);
   request->outcome = std::move(outcome);
   request->finished = true;
+  request->retained_bytes =
+      RetainedBytesOf(request->client_id, request->sql, request->outcome);
+  // An unfinished request is always in by_ticket_, so this one is held.
+  retained_bytes_ += request->retained_bytes;
   retired_order_.push_back(request->ticket);
-  while (retired_order_.size() > options_.max_retained) {
-    by_ticket_.erase(retired_order_.front());
-    retired_order_.pop_front();
-  }
+  while (retired_order_.size() > options_.max_retained) PopRetiredLocked();
+  EnforceByteBudgetLocked();
   finished_cv_.notify_all();
+}
+
+void QueryService::ReleaseLocked(Request& request) {
+  if (--request.holders == 0 && request.finished) {
+    retained_bytes_ -= request.retained_bytes;
+  }
+}
+
+void QueryService::PopRetiredLocked() {
+  const auto it = by_ticket_.find(retired_order_.front());
+  retired_order_.pop_front();
+  if (it == by_ticket_.end()) return;
+  ReleaseLocked(*it->second);
+  by_ticket_.erase(it);
+}
+
+void QueryService::PopDedupLocked() {
+  const auto it = dedup_.find(dedup_order_.front());
+  dedup_order_.pop_front();
+  if (it == dedup_.end()) return;
+  ReleaseLocked(*it->second);
+  dedup_.erase(it);
+}
+
+void QueryService::EnforceByteBudgetLocked() {
+  // Oldest first: tickets are minted in submission order, so the window
+  // whose front has the smaller ticket holds the older request. A request
+  // in both windows leaves the budget when the second one drops it.
+  while (retained_bytes_ > kMaxRetainedBytes &&
+         !(retired_order_.empty() && dedup_order_.empty())) {
+    const bool dedup_older =
+        !dedup_order_.empty() &&
+        (retired_order_.empty() ||
+         dedup_.at(dedup_order_.front())->ticket < retired_order_.front());
+    if (dedup_older) {
+      PopDedupLocked();
+    } else {
+      PopRetiredLocked();
+    }
+  }
 }
 
 void QueryService::PopAndRun() {
@@ -207,9 +271,21 @@ void QueryService::PopAndRun() {
     }
     CallControls controls;
     controls.cancel = &request->cancel;
+    FUSION_ASSIGN_OR_RETURN(const FusionQuery query,
+                            ParseFusionQuery(request->sql));
     FUSION_ASSIGN_OR_RETURN(QueryAnswer answer,
-                            session_->AnswerSql(request->sql, controls));
-    return SummarizeAnswer(std::move(answer));
+                            session_->Answer(query, controls));
+    // The plan is released with the rest of the execution below, so the
+    // explain lines are rendered now, while it is still here.
+    std::vector<std::string> explain_lines;
+    if (request->explain) {
+      explain_lines = RenderExplainLines(
+          answer, ExplainNames(query, session_->mediator().catalog()));
+    }
+    ClientAnswer summary =
+        SummarizeAnswer(std::move(answer), /*keep_detail=*/false);
+    summary.explain_lines = std::move(explain_lines);
+    return summary;
   }();
   RecordSlo(*request, outcome);
   std::lock_guard<std::mutex> lock(mutex_);
@@ -225,14 +301,22 @@ void QueryService::PopAndRun() {
                std::move(outcome));
 }
 
-Result<ClientAnswer> QueryService::Wait(uint64_t ticket) {
+void QueryService::AwaitFinished(const Request& request) {
   std::unique_lock<std::mutex> lock(mutex_);
-  const auto it = by_ticket_.find(ticket);
-  if (it == by_ticket_.end()) {
-    return Status::NotFound("unknown ticket " + std::to_string(ticket));
+  finished_cv_.wait(lock, [&] { return request.finished; });
+}
+
+Result<ClientAnswer> QueryService::Wait(uint64_t ticket) {
+  RequestPtr request;  // keeps the outcome alive across eviction
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = by_ticket_.find(ticket);
+    if (it == by_ticket_.end()) {
+      return Status::NotFound("unknown ticket " + std::to_string(ticket));
+    }
+    request = it->second;
   }
-  const RequestPtr request = it->second;  // keep alive across eviction
-  finished_cv_.wait(lock, [&] { return request->finished; });
+  AwaitFinished(*request);
   return request->outcome;
 }
 
@@ -269,6 +353,11 @@ size_t QueryService::shedded() const {
 size_t QueryService::idempotent_replays() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return idempotent_replays_;
+}
+
+size_t QueryService::retained_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return retained_bytes_;
 }
 
 Result<std::string> QueryService::Invalidate(const std::string& source_name,
@@ -354,38 +443,29 @@ ClientResponse QueryService::HandleParsed(const ClientRequest& request) {
       submit_options.trace_id = request.trace_id;
       submit_options.parent_span = request.parent_span;
       submit_options.request_id = request.request_id;
-      const Result<uint64_t> ticket =
-          Submit(client_id, request.sql, submit_options);
-      if (!ticket.ok()) return ClientErrorResponse(ticket.status());
+      submit_options.explain = request.explain;
+      const Result<RequestPtr> admitted =
+          Admit(client_id, request.sql, submit_options);
+      if (!admitted.ok()) return ClientErrorResponse(admitted.status());
+      const Request& submitted = **admitted;
+      ClientResponse response;
+      response.ticket = submitted.ticket;
       if (!request.wait) {
-        ClientResponse response;
-        response.ticket = *ticket;
         response.state = "queued";
         return response;
       }
-      Result<ClientAnswer> outcome = Wait(*ticket);
-      if (!outcome.ok()) {
-        ClientResponse response = ClientErrorResponse(outcome.status());
-        response.ticket = *ticket;
+      // Held by pointer, so eviction cannot lose the outcome before it is
+      // written out; it no longer changes once finished.
+      AwaitFinished(submitted);
+      if (!submitted.outcome.ok()) {
+        response = ClientErrorResponse(submitted.outcome.status());
+        response.ticket = submitted.ticket;
         return response;
       }
-      ClientResponse response;
-      response.ticket = *ticket;
+      const ClientAnswer& answer = *submitted.outcome;
       response.state = "done";
-      response.items = outcome->items.ToValues();
-      response.cost = outcome->cost;
-      response.source_queries = outcome->source_queries;
-      response.cache_hits = outcome->cache_hits;
-      response.cache_misses = outcome->cache_misses;
-      response.cache_containment_hits = outcome->cache_containment_hits;
-      response.items_sent = outcome->items_sent;
-      response.items_received = outcome->items_received;
-      response.calibration_cost = outcome->calibration_cost;
-      response.complete = outcome->complete;
-      if (request.explain && outcome->detail != nullptr) {
-        response.explain_lines =
-            ExplainLinesFor(request.sql, *session_, *outcome->detail);
-      }
+      FillAnswer(answer, response);
+      if (request.explain) response.explain_lines = answer.explain_lines;
       return response;
     }
     case ClientRequest::Kind::kStatus: {
@@ -393,17 +473,7 @@ ClientResponse QueryService::HandleParsed(const ClientRequest& request) {
       if (!status.ok()) return ClientErrorResponse(status.status());
       ClientResponse response;
       if (status->state == "done") {
-        const ClientAnswer& answer = *status->outcome;
-        response.items = answer.items.ToValues();
-        response.cost = answer.cost;
-        response.source_queries = answer.source_queries;
-        response.cache_hits = answer.cache_hits;
-        response.cache_misses = answer.cache_misses;
-        response.cache_containment_hits = answer.cache_containment_hits;
-        response.items_sent = answer.items_sent;
-        response.items_received = answer.items_received;
-        response.calibration_cost = answer.calibration_cost;
-        response.complete = answer.complete;
+        FillAnswer(*status->outcome, response);
       } else if (status->state == "failed" || status->state == "cancelled") {
         response = ClientErrorResponse(status->outcome.status());
       }

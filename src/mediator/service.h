@@ -36,8 +36,11 @@ namespace fusion {
 ///              a chatty client cannot starve an occasional one)
 ///          ──▶ execution on the service's ThreadPool, with a cooperative
 ///              cancellation token plumbed into the executor
-///          ──▶ outcome retained for STATUS/Wait, evicted FIFO after
-///              Options::max_retained completions
+///          ──▶ outcome retained for STATUS/Wait/replay as the wire
+///              summary only (answer items, metering, explain lines if
+///              asked for), evicted FIFO after Options::max_retained
+///              completions, Options::max_dedup request-ids, or
+///              kMaxRetainedBytes of retained outcomes
 ///
 /// Surfaces: the programmatic Submit/Wait/Cancel/Status API (used by tests
 /// and embedded drivers), the protocol-level Handle() mapping one FUSIONQ/1
@@ -59,13 +62,16 @@ class QueryService {
     /// which Submit sheds load with kUnavailable. Running requests do not
     /// count against the bound.
     size_t max_queue = 64;
-    /// Completed requests retained for STATUS/Wait lookups before FIFO
-    /// eviction.
+    /// Completed requests whose tickets STATUS/Wait can still look up
+    /// before FIFO eviction. What a ticket retains is the answer summary
+    /// (items, metering counters, explain lines when the SUBMIT asked for
+    /// them), never the plan, ledger or witness sets.
     size_t max_retained = 256;
     /// Idempotency dedup entries retained — (client, request-id) pairs that
-    /// map a re-SUBMIT after a reconnect back to its original outcome.
-    /// Evicted FIFO; an evicted request-id re-executes (at-most-once within
-    /// the window, at-least-once beyond it).
+    /// map a re-SUBMIT after a reconnect back to its original outcome (the
+    /// same summary a ticket retains). Evicted FIFO; an evicted request-id
+    /// re-executes (at-most-once within the window, at-least-once beyond
+    /// it). Both windows are also bounded by kMaxRetainedBytes.
     size_t max_dedup = 1024;
     /// Stalled-peer guard for ServeConnection: a connection whose peer goes
     /// silent *mid-frame* for this long is dropped, so a torn write or a
@@ -87,6 +93,15 @@ class QueryService {
     Result<ClientAnswer> outcome = Status::Unavailable("not finished");
   };
 
+  /// Byte budget of the retained outcomes of the ticket and dedup tables
+  /// together, each request counted once however many tables hold it.
+  /// Past it the oldest retained request leaves both tables, whichever
+  /// count window it is in. Set about twice above what one service of the
+  /// serving benchmark retains at its peak (6.8 MB on zipf_warm, 8.9 MB on
+  /// cold_budget, 5.4 MB on fleet_churn), so there the count windows alone
+  /// decide eviction.
+  static constexpr size_t kMaxRetainedBytes = size_t{16} << 20;
+
   QueryService(Mediator mediator, const Options& options);
   /// Cancels everything outstanding, drains the pool, joins.
   ~QueryService();
@@ -105,6 +120,10 @@ class QueryService {
     /// returns the *original* ticket without executing anything — the
     /// reconnect-replay path of FUSIONQ/1.
     uint64_t request_id = 0;
+    /// Render the executed plan's explain lines into the retained outcome
+    /// (FUSIONQ/1 `explain yes`). They are rendered on the worker, before
+    /// the plan is released, so a replay returns the same lines.
+    bool explain = false;
   };
 
   /// Admits one query for `client_id` and returns its ticket, or
@@ -156,6 +175,10 @@ class QueryService {
   /// Submits answered from the idempotency dedup table (no execution, no
   /// second metering) since construction.
   size_t idempotent_replays() const;
+  /// Approximate bytes held by retained outcomes (ticket and dedup tables
+  /// together); never above kMaxRetainedBytes once a Submit or a
+  /// completion returns.
+  size_t retained_bytes() const;
 
   /// Drops every cached call result and witness for the named source —
   /// the FUSIONQ/1 INVALIDATE verb, the fleet's cache-coherence path.
@@ -189,6 +212,7 @@ class QueryService {
     /// Inbound distributed trace context; the execution's spans join it.
     uint64_t trace_id = 0;
     uint64_t parent_span = 0;
+    bool explain = false;
     /// Admission time — SLO latency is client-perceived (queueing included).
     std::chrono::steady_clock::time_point admitted_at;
     /// The cooperative cancellation token, plumbed into ExecOptions::cancel
@@ -196,6 +220,12 @@ class QueryService {
     std::atomic<bool> cancel{false};
     std::string state = "queued";  // guarded by QueryService::mutex_
     bool finished = false;         // guarded by QueryService::mutex_
+    /// How many of by_ticket_ and dedup_ hold this request, and the bytes
+    /// its finished outcome counts in retained_bytes_ while that is > 0.
+    int holders = 0;               // guarded by QueryService::mutex_
+    size_t retained_bytes = 0;     // guarded by QueryService::mutex_
+    /// Written once, under mutex_, before `finished` is set; read-only
+    /// after, so a holder of the RequestPtr may read it unlocked.
     Result<ClientAnswer> outcome = Status::Unavailable("pending");
   };
   using RequestPtr = std::shared_ptr<Request>;
@@ -209,6 +239,24 @@ class QueryService {
   RequestPtr NextLocked();
   void FinishLocked(const RequestPtr& request, std::string state,
                     Result<ClientAnswer> outcome);
+  /// Submit's body: the admitted request, or the original one on an
+  /// idempotent replay.
+  Result<RequestPtr> Admit(const std::string& client_id,
+                           const std::string& sql,
+                           const SubmitOptions& submit_options);
+  /// Blocks until `request` is terminal. Its outcome is then read-only.
+  void AwaitFinished(const Request& request);
+
+  /// A table stops holding `request`; retained_bytes_ counts a finished
+  /// request while any table holds it.
+  void ReleaseLocked(Request& request);
+  /// Evicts the oldest entry of the ticket window (retired_order_) or of
+  /// the dedup window (dedup_order_).
+  void PopRetiredLocked();
+  void PopDedupLocked();
+  /// Evicts the oldest retained requests, across both windows, until
+  /// retained_bytes_ fits kMaxRetainedBytes.
+  void EnforceByteBudgetLocked();
 
   ClientResponse HandleParsed(const ClientRequest& request);
 
@@ -233,6 +281,7 @@ class QueryService {
   size_t queued_ = 0;
   size_t shedded_ = 0;
   size_t idempotent_replays_ = 0;
+  size_t retained_bytes_ = 0;
   /// Ticket index for STATUS/CANCEL/Wait; completed entries evicted FIFO.
   std::map<uint64_t, RequestPtr> by_ticket_;
   std::deque<uint64_t> retired_order_;

@@ -280,7 +280,7 @@ Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
   }
 
   QueryAnswer answer;
-  answer.items = execution.answer;
+  answer.items = std::move(execution.answer);
   answer.optimized = std::move(optimized);
   answer.execution = std::move(execution);
   answer.calibration_cost = probe_ledger.total();

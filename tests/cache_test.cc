@@ -125,6 +125,38 @@ TEST(CacheLruTest, ByteBudgetHoldsWhileSemiJoinAnchorsGrow) {
   EXPECT_GE(small.evictions(), 1u);
 }
 
+TEST(CacheLruTest, MergedSemiJoinAnchorsAreChargedAtExactSize) {
+  // An int-form set of n items charges sizeof(ItemSet) + 8n bytes when its
+  // vector holds no spare capacity.
+  auto exact = [](size_t n) { return sizeof(ItemSet) + n * sizeof(int64_t); };
+  SourceCallCache probe;
+  probe.InsertSemiJoin(0, "k", Ints({1}), Ints({1}), probe.version(0));
+  const size_t overhead = probe.bytes() - 2 * exact(1);  // key + entry
+
+  // Three overlapping anchors of 1600 candidates each, merged under one key;
+  // after each merge the entry holds exactly the unions so far.
+  SourceCallCache cache;
+  size_t candidates_so_far = 0;
+  for (int64_t part = 0; part < 3; ++part) {
+    std::vector<int64_t> candidates;
+    std::vector<int64_t> result;
+    for (int64_t x = part * 1000; x < part * 1000 + 1600; ++x) {
+      candidates.push_back(x);
+      if (x % 3 == 0) result.push_back(x);
+    }
+    cache.InsertSemiJoin(0, "k", Ints(candidates), Ints(result),
+                         cache.version(0));
+    ASSERT_EQ(cache.entries(), 1u);
+    // The unions so far: candidates [0, end) and the multiples of 3 there.
+    candidates_so_far = static_cast<size_t>(part * 1000 + 1600);
+    const size_t results_so_far = (candidates_so_far + 2) / 3;
+    EXPECT_EQ(cache.bytes(),
+              overhead + exact(candidates_so_far) + exact(results_so_far))
+        << "after merging " << part + 1 << " anchors";
+  }
+  EXPECT_EQ(candidates_so_far, 3600u);
+}
+
 TEST(CacheLruTest, EvictionCannotInvalidateAHandedOutAnswer) {
   const size_t entry = OneEntryBytes();
   SourceCallCache::Options options;

@@ -369,8 +369,8 @@ TEST(FetchPlannerTest, WitnessFetchCheaperThanBroadcastEndToEnd) {
   CostLedger broadcast_ledger, witness_ledger;
   const auto broadcast =
       mediator.FetchRecords(query, answer->items, &broadcast_ledger);
-  const auto witness = mediator.FetchRecordsFromWitnesses(
-      query, answer->execution, &witness_ledger);
+  const auto witness =
+      mediator.FetchRecordsFromWitnesses(query, *answer, &witness_ledger);
   ASSERT_TRUE(broadcast.ok());
   ASSERT_TRUE(witness.ok()) << witness.status().ToString();
   EXPECT_LE(witness_ledger.total(), broadcast_ledger.total());

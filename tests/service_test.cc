@@ -22,6 +22,7 @@
 #include "obs/exposition.h"
 #include "obs/trace.h"
 #include "protocol/client_protocol.h"
+#include "relational/relation.h"
 #include "source/simulated_source.h"
 #include "workload/dmv.h"
 
@@ -491,6 +492,131 @@ TEST(QueryServiceTest, ExplainReturnsTheAnnotatedExecutedPlan) {
       ParseClientResponse(service->Handle(SerializeClientRequest(submit)));
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(plain->explain_lines.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Retained outcomes: the wire summary only, under a byte budget
+// ---------------------------------------------------------------------------
+
+TEST(QueryServiceRetentionTest, ServedOutcomeCarriesNoExecutionDetail) {
+  auto service = Figure1Service({});
+  const auto answer = service->Wait(*service->Submit("alice", kDuiAndSp));
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer->items.ToString(), "{'J55', 'T21'}");
+  EXPECT_GT(answer->cost, 0.0);
+  // The plan, ledger and witness sets are released once the summary is
+  // built; a plain Submit asked for no explain lines.
+  EXPECT_EQ(answer->detail, nullptr);
+  EXPECT_TRUE(answer->explain_lines.empty());
+  EXPECT_GT(service->retained_bytes(), 0u);
+}
+
+TEST(QueryServiceRetentionTest, ExplainReplayReturnsTheSameLines) {
+  auto service = Figure1Service({});
+  ClientRequest submit;
+  submit.kind = ClientRequest::Kind::kSubmit;
+  submit.client_id = "explainer";
+  submit.sql = kDuiAndSp;
+  submit.wait = true;
+  submit.explain = true;
+  submit.request_id = 77;
+  const auto first =
+      ParseClientResponse(service->Handle(SerializeClientRequest(submit)));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->ok) << first->error_message;
+  ASSERT_FALSE(first->explain_lines.empty());
+  // The reconnect replay: same request id, same frame. Nothing re-runs, and
+  // the lines rendered at execution come back unchanged.
+  const auto replay =
+      ParseClientResponse(service->Handle(SerializeClientRequest(submit)));
+  ASSERT_TRUE(replay.ok());
+  ASSERT_TRUE(replay->ok) << replay->error_message;
+  EXPECT_EQ(service->idempotent_replays(), 1u);
+  EXPECT_EQ(replay->ticket, first->ticket);
+  EXPECT_EQ(replay->explain_lines, first->explain_lines);
+  EXPECT_EQ(replay->items, first->items);
+  // A plain SUBMIT of the same query retains and returns no lines.
+  submit.explain = false;
+  submit.request_id = 78;
+  const auto plain =
+      ParseClientResponse(service->Handle(SerializeClientRequest(submit)));
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(plain->ok) << plain->error_message;
+  EXPECT_TRUE(plain->explain_lines.empty());
+  const auto retained = service->Wait(plain->ticket);
+  ASSERT_TRUE(retained.ok());
+  EXPECT_TRUE(retained->explain_lines.empty());
+}
+
+/// One simulated source whose condition V = 'a' holds on all `rows` rows, so
+/// the one-condition query below answers `rows` items.
+std::unique_ptr<QueryService> LargeAnswerService(size_t rows) {
+  Relation relation(
+      Schema({{"L", ValueType::kInt64}, {"V", ValueType::kString}}));
+  for (size_t i = 0; i < rows; ++i) {
+    EXPECT_TRUE(
+        relation.Append({Value(static_cast<int64_t>(i)), Value("a")}).ok());
+  }
+  SourceCatalog catalog;
+  EXPECT_TRUE(catalog
+                  .Add(std::make_unique<SimulatedSource>(
+                      "R1", std::move(relation), Capabilities{},
+                      NetworkProfile{}))
+                  .ok());
+  QueryService::Options options;
+  options.workers = 1;
+  options.client.statistics = StatisticsMode::kOracle;
+  return std::make_unique<QueryService>(Mediator(std::move(catalog)),
+                                        options);
+}
+
+TEST(QueryServiceRetentionTest, RetainedOutcomesStayWithinTheByteBudget) {
+  constexpr char kAll[] = "SELECT u1.L FROM U u1 WHERE u1.V = 'a'";
+  constexpr size_t kRows = 40000;
+  auto service = LargeAnswerService(kRows);
+  const QueryService::Options defaults;
+  QueryService::SubmitOptions submit;
+  submit.request_id = 1;
+  const auto first = service->Submit("bulk", kAll, submit);
+  ASSERT_TRUE(first.ok());
+  const auto answer = service->Wait(*first);
+  ASSERT_TRUE(answer.ok());
+  ASSERT_EQ(answer->items.size(), kRows);
+  const size_t per_outcome = service->retained_bytes();
+  ASSERT_GE(per_outcome, kRows * sizeof(int64_t));
+  // Half again as many outcomes as the budget holds: all of them fit both
+  // count windows, so only the byte budget can evict.
+  const size_t submits = QueryService::kMaxRetainedBytes / per_outcome * 3 / 2;
+  ASSERT_LT(submits, defaults.max_retained);
+  ASSERT_LT(submits, defaults.max_dedup);
+  std::vector<uint64_t> tickets = {*first};
+  for (uint64_t id = 2; id <= submits; ++id) {
+    submit.request_id = id;
+    const auto ticket = service->Submit("bulk", kAll, submit);
+    ASSERT_TRUE(ticket.ok());
+    ASSERT_TRUE(service->Wait(*ticket).ok());
+    tickets.push_back(*ticket);
+    ASSERT_LE(service->retained_bytes(), QueryService::kMaxRetainedBytes)
+        << "after " << id << " outcomes";
+  }
+  EXPECT_GT(service->retained_bytes(),
+            QueryService::kMaxRetainedBytes - 2 * per_outcome);
+  // The oldest outcomes left both tables: the ticket is gone, and its
+  // request id re-executes instead of replaying.
+  EXPECT_EQ(service->Wait(tickets.front()).status().code(),
+            StatusCode::kNotFound);
+  submit.request_id = 1;
+  const auto rerun = service->Submit("bulk", kAll, submit);
+  ASSERT_TRUE(rerun.ok());
+  EXPECT_NE(*rerun, tickets.front());
+  EXPECT_EQ(service->idempotent_replays(), 0u);
+  // The newest are still retained, and their request ids still replay.
+  ASSERT_TRUE(service->Wait(tickets.back()).ok());
+  submit.request_id = submits;
+  const auto replay = service->Submit("bulk", kAll, submit);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(*replay, tickets.back());
+  EXPECT_EQ(service->idempotent_replays(), 1u);
 }
 
 TEST(QueryServiceTest, SloRegistryAccountsCompletionsErrorsAndSheds) {
