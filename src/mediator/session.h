@@ -141,6 +141,11 @@ class QuerySession {
     std::lock_guard<std::mutex> lock(knowledge_mutex_);
     return observed_result_size_.size();
   }
+  /// Executed plans held by the plan memo (at most kPlanMemoCapacity).
+  size_t memoized_plans() const {
+    std::lock_guard<std::mutex> lock(knowledge_mutex_);
+    return plan_memo_.size();
+  }
   /// Distinct merge-attribute items seen in any execution so far: the
   /// learned universe lower bound (before the default_universe floor).
   size_t observed_universe_size() const {

@@ -16,8 +16,7 @@ namespace fusion {
 /// its sockets in a ChaosSocket driven by one of these, so connection
 /// resets, torn writes, byte-level delays, accept-time refusals, and
 /// mid-stream hangs are injected continuously — in tests (the `chaos` ctest
-/// label), in the macro bench (`bench_macro --chaos-profile`), and in live
-/// daemons (`fusionqd --chaos-drop-rate=...`).
+/// label) and in live daemons (`fusionqd --chaos-drop-rate=...`).
 ///
 /// All decisions come from one seeded splitmix64 stream (see ChaosDecider),
 /// so a failing run replays under the same seed (FUSION_SEED / --chaos-seed)
@@ -80,8 +79,8 @@ class ChaosDecider {
 };
 
 /// Total faults injected by all ChaosSockets of this process, by kind —
-/// surfaced as chaos_* counters in the metrics registry too, so STATS and
-/// bench_macro can report how much abuse a run actually absorbed.
+/// surfaced as chaos_* counters in the metrics registry too, so STATS can
+/// report how much abuse a run actually absorbed.
 struct ChaosCounts {
   uint64_t drops = 0;
   uint64_t torn_writes = 0;

@@ -134,8 +134,8 @@ class ColumnarTable {
 
 /// Process-wide batch-evaluation statistics (relaxed atomics). The relational
 /// layer cannot depend on obs/metrics, so the counters live here and the
-/// serving/bench layers export them (bench_macro's schema-4 `local_eval`
-/// block reads these).
+/// serving/bench layers export them (perfbench/serve_bench reads these for
+/// its `relational.batch_rows_per_query` metric).
 struct ColumnarEvalStats {
   uint64_t batch_evals = 0;      // EvaluateBatch calls
   uint64_t rows_evaluated = 0;   // rows covered by those calls

@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 
+#include "bench/workload.h"
 #include "cli/catalog_config.h"
 #include "cli/catalog_export.h"
 #include "cost/oracle_cost_model.h"
@@ -281,6 +282,31 @@ TEST(SessionUniverseTest, MixedInt64AndIntegralDoubleItemsCountOnce) {
   // half-integral reals; the other 41 reals coincide with int keys.
   EXPECT_EQ(seen.size(), 101u);
   EXPECT_EQ(session.observed_universe_size(), 101u);
+}
+
+// ---------------------------------------------------------------------------
+// Plan memo bound
+// ---------------------------------------------------------------------------
+
+// The plan memo keeps the last executed plan per distinct query, FIFO-
+// bounded at 128 (kPlanMemoCapacity): a session asked 150 distinct queries
+// holds 128 plans, not 150.
+TEST(SessionPlanMemoTest, StaysAtCapacityPastIt) {
+  bench::MacroWorkloadSpec spec;
+  spec.universe_size = 600;
+  spec.num_sources = 3;
+  spec.num_conditions = 5;
+  spec.pool_size = 150;
+  spec.seed = 17;
+  auto workload = bench::MacroWorkload::Generate(spec);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  ASSERT_EQ(workload->pool().size(), 150u);
+  QuerySession session(Mediator(std::move(workload->catalog())), {});
+  for (const std::string& sql : workload->pool()) {
+    const auto answer = session.AnswerSql(sql);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  }
+  EXPECT_EQ(session.memoized_plans(), 128u);
 }
 
 // ---------------------------------------------------------------------------

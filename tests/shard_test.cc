@@ -6,8 +6,6 @@
 // over past a dead shard, and apply INVALIDATE broadcasts idempotently.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
-
 #include <memory>
 #include <mutex>
 #include <set>
@@ -22,6 +20,7 @@
 #include "protocol/socket.h"
 #include "router/router.h"
 #include "router/shard_map.h"
+#include "test_daemon.h"
 #include "workload/dmv.h"
 
 namespace fusion {
@@ -34,10 +33,6 @@ constexpr char kSpAndDui[] =
     "SELECT u1.L FROM U u1, U u2 "
     "WHERE u1.V = 'sp' AND u2.V = 'dui' AND u1.L = u2.L";
 constexpr char kDuiOnly[] = "SELECT u1.L FROM U u1 WHERE u1.V = 'dui'";
-
-std::string Endpoint(int port) {
-  return "127.0.0.1:" + std::to_string(port);
-}
 
 // ---------------------------------------------------------------------------
 // Feature registry
@@ -223,72 +218,6 @@ TEST(ServiceInvalidateTest, HandlesTheWireVerb) {
 // ---------------------------------------------------------------------------
 // QueryRouter end to end over real sockets
 // ---------------------------------------------------------------------------
-
-/// Minimal serve loop for one QueryService (or QueryRouter) over TCP — the
-/// test-side twin of fusionqd/fusionrd.
-template <typename Server>
-class Daemon {
- public:
-  explicit Daemon(Server* server) : server_(server) {}
-  ~Daemon() { Stop(); }
-
-  Status Start() {
-    FUSION_ASSIGN_OR_RETURN(listener_, TcpListener::Bind("127.0.0.1", 0));
-    acceptor_ = std::thread([this] { AcceptLoop(); });
-    return Status::Ok();
-  }
-
-  int port() const { return listener_.port(); }
-
-  void Stop() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) return;
-      stopping_ = true;
-    }
-    listener_.Close();
-    if (acceptor_.joinable()) acceptor_.join();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
-    for (std::thread& thread : serving_) {
-      if (thread.joinable()) thread.join();
-    }
-    serving_.clear();
-  }
-
- private:
-  void AcceptLoop() {
-    while (true) {
-      auto accepted = listener_.Accept();
-      if (!accepted.ok()) return;
-      MessageSocket socket = std::move(accepted).value();
-      const int fd = socket.fd();
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        socket.Close();
-        return;
-      }
-      live_fds_.insert(fd);
-      serving_.emplace_back(
-          [this, fd](MessageSocket s) {
-            server_->ServeConnection(ChaosSocket(std::move(s)));
-            std::lock_guard<std::mutex> inner(mu_);
-            live_fds_.erase(fd);
-          },
-          std::move(socket));
-    }
-  }
-
-  Server* server_;
-  TcpListener listener_;
-  std::thread acceptor_;
-  std::mutex mu_;
-  bool stopping_ = false;
-  std::set<int> live_fds_;
-  std::vector<std::thread> serving_;
-};
 
 /// A 2-shard fleet behind a router: each shard is a full QueryService over
 /// its own byte-identical replica of the Figure 1 federation.
