@@ -4,8 +4,7 @@
 // n-ary unions), int-form item sets vs Value storage (SJA+'s difference
 // chain, cache-hit copies, 8-way union, learned-universe inserts), the
 // int-form kernels vs std::set_* on the serving path's set-op shapes over
-// rotating inputs, the session's learned-universe accumulation, and the
-// Bloom semijoin pre-filter.
+// rotating inputs, and the session's learned-universe accumulation.
 // Every timed pair is also checked byte-identical — the data plane refactor
 // is only allowed to change *where time goes*, never an answer.
 //
@@ -28,11 +27,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/str_util.h"
-#include "exec/executor.h"
-#include "query/fusion_query.h"
 #include "relational/relation.h"
-#include "source/catalog.h"
-#include "source/simulated_source.h"
 
 namespace fusion {
 namespace {
@@ -677,75 +672,6 @@ void BenchServingSetOps(int rounds) {
   }
 }
 
-struct BloomInstance {
-  SourceCatalog catalog;
-  FusionQuery query;
-};
-
-/// A native source with `wide_rows` merge values and a passed-bindings-only
-/// source holding only the first `narrow_rows` of them: the semijoin against
-/// the narrow source must be emulated, and most probes are guaranteed
-/// misses a merge-column Bloom filter can prove absent.
-BloomInstance MakeBloomInstance(int64_t wide_rows, int64_t narrow_rows) {
-  Schema schema({{"M", ValueType::kString}, {"i", ValueType::kInt64}});
-  Relation wide(schema), narrow(schema);
-  for (int64_t k = 0; k < wide_rows; ++k) {
-    FUSION_CHECK(wide.Append({Value("m" + std::to_string(k)), Value(k)}).ok());
-  }
-  for (int64_t k = 0; k < narrow_rows; ++k) {
-    FUSION_CHECK(
-        narrow.Append({Value("m" + std::to_string(k)), Value(k)}).ok());
-  }
-  Capabilities native;
-  Capabilities passed_only;
-  passed_only.semijoin = SemijoinSupport::kPassedBindingsOnly;
-  BloomInstance out;
-  FUSION_CHECK(out.catalog
-                   .Add(std::make_unique<SimulatedSource>(
-                       "wide", std::move(wide), native, NetworkProfile{}))
-                   .ok());
-  FUSION_CHECK(out.catalog
-                   .Add(std::make_unique<SimulatedSource>(
-                       "narrow", std::move(narrow), passed_only,
-                       NetworkProfile{}))
-                   .ok());
-  out.query = FusionQuery(
-      "M", {Condition::Compare("i", CompareOp::kGe, Value(int64_t{0})),
-            Condition::Compare("i", CompareOp::kGe, Value(int64_t{0}))});
-  return out;
-}
-
-void BenchBloomPrefilter(int64_t wide_rows, int64_t narrow_rows) {
-  bench::Banner("columnar: Bloom pre-filter on emulated semijoin probes");
-  Plan plan;
-  const int x = plan.EmitSelect(0, 0);
-  const int s = plan.EmitSemiJoin(1, 1, x);
-  plan.SetResult(s);
-
-  const BloomInstance off_inst = MakeBloomInstance(wide_rows, narrow_rows);
-  const auto off = ExecutePlan(plan, off_inst.catalog, off_inst.query,
-                               ExecOptions{});
-  FUSION_CHECK(off.ok());
-
-  const BloomInstance on_inst = MakeBloomInstance(wide_rows, narrow_rows);
-  ExecOptions opts;
-  opts.bloom_probe_prefilter = true;
-  const auto on = ExecutePlan(plan, on_inst.catalog, on_inst.query, opts);
-  FUSION_CHECK(on.ok());
-
-  // Bloom filters have no false negatives, so the answer cannot change; it
-  // can only skip probes (all of them guaranteed misses).
-  FUSION_CHECK(on->answer.ToString() == off->answer.ToString());
-  FUSION_CHECK(on->ledger.total() <= off->ledger.total());
-  std::printf(
-      "  %lld candidate bindings vs a %lld-row source\n"
-      "  bloom off: %6zu probes skipped, metered cost %.2f\n"
-      "  bloom on:  %6zu probes skipped, metered cost %.2f\n",
-      static_cast<long long>(wide_rows), static_cast<long long>(narrow_rows),
-      off->semijoin_probes_skipped, off->ledger.total(),
-      on->semijoin_probes_skipped, on->ledger.total());
-}
-
 void Run(bool smoke) {
   const size_t rows = smoke ? 5000 : 150000;
   const int repeats = smoke ? 2 : 20;
@@ -756,7 +682,6 @@ void Run(bool smoke) {
   BenchIntFormSetOps(smoke ? 600 : 3000, smoke ? 3 : 2000);
   BenchServingSetOps(smoke ? 1 : 40);
   BenchUniverseAccumulation(20000, 8, smoke ? 200 : 1000, smoke ? 20 : 500);
-  BenchBloomPrefilter(smoke ? 300 : 3000, smoke ? 50 : 500);
   if (smoke) std::printf("bench_columnar: ok\n");
 }
 

@@ -8,6 +8,14 @@
 namespace fusion {
 namespace {
 
+/// The splitmix64 finalizer: a cheap, well-mixed 64-bit hash.
+uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 std::optional<uint64_t> ReadGlobalSeed() {
   const char* env = std::getenv("FUSION_SEED");
   if (env == nullptr || *env == '\0') return std::nullopt;

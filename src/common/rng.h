@@ -34,16 +34,6 @@ class Rng {
   std::mt19937_64 engine_;
 };
 
-/// The splitmix64 finalizer: a cheap, well-mixed 64-bit hash. Shared by
-/// MixSeed, retry jitter and the Bloom filter's probe derivation, so every
-/// seeded or hashed stream in the system mixes bits the same way.
-inline uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// splitmix64 finalizer mixing `seed` and `salt` into one well-distributed
 /// stream seed. Deriving per-component seeds this way (instead of seed + i)
 /// keeps the component streams statistically independent, so the macro

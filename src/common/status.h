@@ -26,7 +26,7 @@ enum class StatusCode {
   kParseError,
   kAlreadyExists,
   kUnavailable,       // source down / circuit open / service saturated
-  kDeadlineExceeded,  // per-call timeout, per-query deadline, or cost budget
+  kDeadlineExceeded,  // per-call timeout or per-query deadline
   kCancelled,         // the client withdrew the request (service CANCEL)
 };
 

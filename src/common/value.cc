@@ -37,12 +37,6 @@ Result<int64_t> Value::AsInt64() const {
   return Status::InvalidArgument("value is not numeric: " + ToString());
 }
 
-Result<double> Value::AsDouble() const {
-  if (type() == ValueType::kDouble) return dbl();
-  if (type() == ValueType::kInt64) return static_cast<double>(int64());
-  return Status::InvalidArgument("value is not numeric: " + ToString());
-}
-
 Result<std::string> Value::AsString() const {
   if (type() == ValueType::kString) return str();
   return Status::InvalidArgument("value is not a string: " + ToString());

@@ -58,7 +58,6 @@ class Value {
   const std::string& str() const { return std::get<std::string>(data_); }
 
   Result<int64_t> AsInt64() const;
-  Result<double> AsDouble() const;
   Result<std::string> AsString() const;
 
   /// Renders the value for display: NULL, 42, 3.5, 'text'.

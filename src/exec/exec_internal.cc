@@ -34,21 +34,7 @@ Status FaultState::Check() const {
     exceeded.Increment();
     return Status::DeadlineExceeded("query deadline exceeded");
   }
-  if (cost_budget_ > 0.0 && cost_spent() >= cost_budget_) {
-    static Counter& exceeded = MetricsRegistry::Global().counter(
-        metrics::kDeadlineExceededTotal);
-    exceeded.Increment();
-    return Status::DeadlineExceeded("query cost budget exhausted");
-  }
   return Status::Ok();
-}
-
-void FaultState::ChargeCost(double cost) {
-  // fetch_add for atomic<double> is C++20; a CAS loop keeps us portable.
-  double current = cost_spent_.load(std::memory_order_relaxed);
-  while (!cost_spent_.compare_exchange_weak(current, current + cost,
-                                            std::memory_order_relaxed)) {
-  }
 }
 
 void CountSourceCall(const char* op, double cost_delta) {
@@ -96,10 +82,7 @@ Status AdmitCall(const CallContext& ctx) {
 
 Status BackoffBeforeAttempt(const CallContext& ctx, const RetryPolicy& retry,
                             int attempt, ScopedSpan& retry_span) {
-  const size_t source = ctx.source_index >= 0
-                            ? static_cast<size_t>(ctx.source_index)
-                            : 0;
-  double backoff = retry.BackoffSeconds(source, attempt);
+  double backoff = retry.BackoffSeconds(attempt);
   if (backoff <= 0.0) return Status::Ok();
   if (ctx.fault != nullptr) {
     // No point sleeping past the query deadline: truncate the sleep to the
@@ -169,27 +152,9 @@ Result<ItemSet> EmulateSemiJoin(SourceWrapper& source, const Condition& cond,
                                 const ExecOptions& options, CallContext ctx,
                                 CostLedger& ledger) {
   ItemSet result;
-  // Nothing to probe: return before acquiring any probe machinery (Bloom
-  // filter, probe conditions). sjq(c, R, ∅) = ∅ with zero source contact.
+  // Nothing to probe: sjq(c, R, ∅) = ∅ with zero source contact.
   if (candidates.empty()) return result;
-  // Optional Bloom pre-filter: the source's merge-column filter has no
-  // false negatives, so a rejected binding cannot appear in any tuple and
-  // its probe is guaranteed to return ∅ — skipping it never changes the
-  // answer. It does change the metered ledger (skipped probes charge
-  // nothing), which is why the option defaults off: cost-fidelity tests pin
-  // the per-binding probe accounting.
-  std::shared_ptr<const BloomFilter> bloom;
-  if (options.bloom_probe_prefilter) {
-    bloom = source.MergeBloom(merge_attribute);
-  }
   for (const Value& item : candidates) {
-    if (bloom != nullptr && !bloom->MayContain(item)) {
-      static Counter& skipped = MetricsRegistry::Global().counter(
-          metrics::kSemijoinProbesSkipped);
-      skipped.Increment();
-      if (ctx.stats != nullptr) ++ctx.stats->semijoin_probes_skipped;
-      continue;
-    }
     const Condition probe =
         Condition::And(cond, Condition::Eq(merge_attribute, item));
     CostLedger local;
@@ -434,7 +399,7 @@ bool IsDegradableFailure(const Status& status) {
   switch (status.code()) {
     case StatusCode::kInternal:          // transient retries exhausted
     case StatusCode::kUnavailable:       // source down / breaker open
-    case StatusCode::kDeadlineExceeded:  // call timeout / deadline / budget
+    case StatusCode::kDeadlineExceeded:  // call timeout / deadline
       return true;
     default:
       return false;

@@ -42,9 +42,6 @@ struct CallStats {
   /// miss (the exact key missed) but issues no source round trip.
   size_t cache_containment_hits = 0;
   size_t breaker_fast_fails = 0;
-  /// Emulated-semijoin probes skipped because the source's merge-column
-  /// Bloom filter ruled the binding out (options.bloom_probe_prefilter).
-  size_t semijoin_probes_skipped = 0;
 
   void MergeFrom(const CallStats& other) {
     retries += other.retries;
@@ -52,19 +49,16 @@ struct CallStats {
     cache_misses += other.cache_misses;
     cache_containment_hits += other.cache_containment_hits;
     breaker_fast_fails += other.breaker_fast_fails;
-    semijoin_probes_skipped += other.semijoin_probes_skipped;
   }
 };
 
-/// Per-execution fault budgets, shared by every worker of one ExecutePlan:
-/// the wall-clock deadline (fixed at construction) and the metered-cost
-/// budget (accumulated with a relaxed atomic — the check is advisory
-/// admission control, not accounting; the ledger stays the ground truth).
+/// Per-execution admission state, shared by every worker of one
+/// ExecutePlan: the wall-clock deadline (fixed at construction) and the
+/// cancellation token.
 class FaultState {
  public:
   explicit FaultState(const ExecOptions& options)
       : deadline_seconds_(options.deadline_seconds),
-        cost_budget_(options.cost_budget),
         cancel_(options.cancel),
         start_(std::chrono::steady_clock::now()) {}
 
@@ -73,22 +67,14 @@ class FaultState {
   double remaining_seconds() const;
 
   /// Admission check before a source call or a backoff sleep: non-OK once
-  /// the query was cancelled (kCancelled, checked first), the deadline has
-  /// passed, or the cost budget is spent (both kDeadlineExceeded, with a
-  /// deadline_exceeded_total tick).
+  /// the query was cancelled (kCancelled, checked first) or the deadline has
+  /// passed (kDeadlineExceeded, with a deadline_exceeded_total tick).
   Status Check() const;
-
-  void ChargeCost(double cost);
-  double cost_spent() const {
-    return cost_spent_.load(std::memory_order_relaxed);
-  }
 
  private:
   const double deadline_seconds_;
-  const double cost_budget_;
   const std::atomic<bool>* const cancel_;
   const std::chrono::steady_clock::time_point start_;
-  std::atomic<double> cost_spent_{0.0};
 };
 
 /// Who is being called and on whose behalf — context for spans, metrics,
@@ -101,12 +87,12 @@ struct CallContext {
   const char* op = "call";
   const std::string* source_name = nullptr;
   /// When set, each attempt's span carries the cost delta this attempt
-  /// charged to the ledger, and the delta feeds the FaultState cost budget.
+  /// charged to the ledger.
   const CostLedger* ledger = nullptr;
   CallStats* stats = nullptr;
   /// Retry/backoff/timeout policy; null = single attempt.
   const RetryPolicy* retry = nullptr;
-  /// Per-query deadline / cost budget; null = unbounded.
+  /// Per-query deadline and cancellation; null = unbounded.
   FaultState* fault = nullptr;
   /// Shared circuit breakers; requires source_index >= 0. Null = no gate.
   SourceHealth* health = nullptr;
@@ -122,7 +108,7 @@ struct CallContext {
 /// function-local statics, so the hot path is two relaxed atomic RMWs.
 void CountSourceCall(const char* op, double cost_delta);
 
-/// Pre-call admission: the per-query deadline/cost budget, then the
+/// Pre-call admission: cancellation and the per-query deadline, then the
 /// circuit breaker. A non-OK return means the call must not be issued —
 /// nothing was charged and no round-trip happened. Ticks the corresponding
 /// fast-fail metrics and `stats`.
@@ -139,15 +125,15 @@ Status CallTimeoutStatus(const CallContext& ctx, double call_seconds,
                          double timeout_seconds);
 
 /// Runs `fn` under the context's full fault policy:
-///  - admission (deadline / cost budget / circuit breaker) before every
-///    attempt; inadmissible calls fail fast without charging a round-trip;
+///  - admission (cancel / deadline / circuit breaker) before every attempt;
+///    inadmissible calls fail fast without charging a round-trip;
 ///  - per-call timeout: an attempt that outlives
 ///    retry.call_timeout_seconds is treated as a (retriable) timeout
 ///    failure;
 ///  - transient failures (kInternal, call timeouts) are retried up to
-///    retry.max_attempts times with exponential backoff and deterministic
-///    seeded jitter; permanent failures (kUnavailable, kUnsupported) and
-///    the query deadline are not retried;
+///    retry.max_attempts times with capped exponential backoff; permanent
+///    failures (kUnavailable, kUnsupported) and the query deadline are not
+///    retried;
 ///  - every attempt's outcome is reported to the breaker.
 /// Every attempt is traced as one `source_call` span — so the span count
 /// equals the ledger's charge count, failed attempts included — and counted
@@ -174,9 +160,6 @@ auto CallWithRetries(Fn fn, const CallContext& ctx = {}) -> decltype(fn()) {
             .count();
     const double cost_delta =
         ctx.ledger != nullptr ? ctx.ledger->total() - cost_before : -1.0;
-    if (ctx.fault != nullptr && cost_delta > 0.0) {
-      ctx.fault->ChargeCost(cost_delta);
-    }
     if (result.ok() && retry.call_timeout_seconds > 0.0 &&
         call_seconds > retry.call_timeout_seconds) {
       last_was_call_timeout = true;
@@ -314,8 +297,8 @@ void BuildCompletenessReport(const Plan& plan,
 /// True when `status` is the kind of source-unreachable failure degraded
 /// mode may absorb: exhausted transient retries (kInternal), a permanently
 /// unavailable source / open breaker (kUnavailable), or an exceeded
-/// deadline, call timeout, or cost budget (kDeadlineExceeded). Plan or
-/// capability errors (kUnsupported, kInvalidArgument, ...) always fail.
+/// deadline or call timeout (kDeadlineExceeded). Plan or capability errors
+/// (kUnsupported, kInvalidArgument, ...) always fail.
 bool IsDegradableFailure(const Status& status);
 
 }  // namespace exec_internal

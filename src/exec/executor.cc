@@ -10,36 +10,23 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "exec/exec_internal.h"
 #include "exec/thread_pool.h"
 
 namespace fusion {
 
-double RetryPolicy::BackoffSeconds(size_t source_index, int attempt) const {
+double RetryPolicy::BackoffSeconds(int attempt) const {
   if (attempt < 1 || initial_backoff_seconds <= 0.0) return 0.0;
   double backoff = initial_backoff_seconds;
   for (int i = 1; i < attempt; ++i) backoff *= backoff_multiplier;
   if (max_backoff_seconds > 0.0 && backoff > max_backoff_seconds) {
     backoff = max_backoff_seconds;
   }
-  if (jitter_fraction > 0.0) {
-    // A pure function of (seed, source, attempt) — no RNG stream, hence no
-    // dependence on thread interleaving.
-    uint64_t h = SplitMix64(jitter_seed);
-    h = SplitMix64(h ^ static_cast<uint64_t>(source_index));
-    h = SplitMix64(h ^ static_cast<uint64_t>(attempt));
-    // Top 53 bits → uniform in [0, 1), then map into the symmetric band
-    // [1 - jitter, 1 + jitter).
-    const double unit =
-        static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
-    backoff *= 1.0 - jitter_fraction + 2.0 * jitter_fraction * unit;
-  }
   return backoff;
 }
 
-void RetryPolicy::Backoff(size_t source_index, int attempt) const {
-  const double seconds = BackoffSeconds(source_index, attempt);
+void RetryPolicy::Backoff(int attempt) const {
+  const double seconds = BackoffSeconds(attempt);
   if (seconds > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
   }
@@ -99,18 +86,11 @@ Status ValidateExecOptions(const ExecOptions& options) {
   if (retry.max_backoff_seconds < 0.0) {
     return Status::InvalidArgument("retry.max_backoff_seconds < 0");
   }
-  if (retry.jitter_fraction < 0.0 || retry.jitter_fraction >= 1.0) {
-    return Status::InvalidArgument(
-        "retry.jitter_fraction must be in [0, 1)");
-  }
   if (retry.call_timeout_seconds < 0.0) {
     return Status::InvalidArgument("retry.call_timeout_seconds < 0");
   }
   if (options.deadline_seconds < 0.0) {
     return Status::InvalidArgument("deadline_seconds < 0");
-  }
-  if (options.cost_budget < 0.0) {
-    return Status::InvalidArgument("cost_budget < 0");
   }
   if (options.parallelism < 1) {
     return Status::InvalidArgument("parallelism must be >= 1, got " +
@@ -565,7 +545,6 @@ void PlanRun::Finalize(ExecutionReport& report) {
   report.cache_misses = stats.cache_misses;
   report.cache_containment_hits = stats.cache_containment_hits;
   report.breaker_fast_fails = stats.breaker_fast_fails;
-  report.semijoin_probes_skipped = stats.semijoin_probes_skipped;
   exec_internal::BuildCompletenessReport(plan_, reasons, &report.completeness);
 }
 
@@ -582,8 +561,7 @@ Result<ExecutionReport> ExecutePlan(const Plan& plan,
   report.trace.enabled = tracer.enabled();
   report.trace.start_us = tracer.NowMicros();
   const auto start = std::chrono::steady_clock::now();
-  // One fault state per execution: the deadline clock starts here, and the
-  // cost budget covers every ledger (all ops, failed attempts included).
+  // One fault state per execution: the deadline clock starts here.
   exec_internal::FaultState fault(options);
   PlanRun run(plan, catalog, query, options, &fault);
   // Lazy evaluation is inherently serial (its payoff is skipping work, not

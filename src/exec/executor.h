@@ -2,7 +2,6 @@
 #define FUSION_EXEC_EXECUTOR_H_
 
 #include <atomic>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -90,10 +89,6 @@ struct ExecutionReport {
   /// Calls failed fast by an open circuit breaker (no round-trip issued, no
   /// ledger charge). 0 unless ExecOptions::health is attached.
   size_t breaker_fast_fails = 0;
-  /// Emulated-semijoin probes skipped because the source's merge-column
-  /// Bloom filter proved the binding absent (no probe issued, no charge).
-  /// 0 unless ExecOptions::bloom_probe_prefilter is on.
-  size_t semijoin_probes_skipped = 0;
   /// Which sources (if any) were excluded under degraded-mode execution,
   /// per condition — and the soundness contract of the partial answer.
   /// `completeness.answer_complete` is true for every non-degraded run.
@@ -134,10 +129,9 @@ struct ExecutionReport {
   TraceHandle trace;
 };
 
-/// How source calls are retried and bounded. Subsumes the old bare
-/// `max_attempts`: attempts, exponential backoff with *deterministic* seeded
-/// jitter (identical seeds ⇒ identical retry schedules, under any executor),
-/// and a per-call timeout.
+/// How source calls are retried and bounded: attempts, capped exponential
+/// backoff (a pure function of the attempt number, so every executor retries
+/// on the same schedule), and a per-call timeout.
 struct RetryPolicy {
   /// Total attempts per source call (1 = no retries). Transient failures
   /// (kInternal, and per-call timeouts) are retried up to this many times;
@@ -150,28 +144,22 @@ struct RetryPolicy {
   double backoff_multiplier = 2.0;
   /// Upper bound on a single backoff sleep (0 = uncapped).
   double max_backoff_seconds = 1.0;
-  /// Symmetric jitter: each sleep is scaled by a factor in
-  /// [1 - jitter_fraction, 1 + jitter_fraction], computed *deterministically*
-  /// from (jitter_seed, source index, attempt) — no shared RNG stream, so
-  /// parallel executors cannot perturb the schedule. Range [0, 1).
-  double jitter_fraction = 0.0;
-  uint64_t jitter_seed = 1;
   /// When > 0, an attempt whose wall-clock duration exceeds this is treated
   /// as a timeout failure (kDeadlineExceeded, retriable) even if an answer
   /// eventually arrived — a real mediator would have hung up. This is what
   /// makes slow sources trip the per-query deadline and the breaker.
   double call_timeout_seconds = 0.0;
 
-  /// The (jittered, capped) sleep before re-attempt `attempt` (1-based).
-  /// Pure function of the policy, the source, and the attempt number.
-  double BackoffSeconds(size_t source_index, int attempt) const;
-  /// Sleeps BackoffSeconds(source_index, attempt).
-  void Backoff(size_t source_index, int attempt) const;
+  /// The (capped) sleep before re-attempt `attempt` (1-based). Pure
+  /// function of the policy and the attempt number.
+  double BackoffSeconds(int attempt) const;
+  /// Sleeps BackoffSeconds(attempt).
+  void Backoff(int attempt) const;
 };
 
 /// What the executor does when a source call is *exhausted* — retries spent
 /// on a transient failure, a permanent kUnavailable (source down or circuit
-/// breaker open), or the per-query deadline/cost budget hit.
+/// breaker open), or the per-query deadline hit.
 enum class SourceFailurePolicy {
   /// Fail the whole query with the source's error (the classic behavior).
   kFail,
@@ -192,18 +180,13 @@ struct ExecOptions {
   /// only the (metered) work can shrink. This is runtime adaptivity the
   /// optimizer cannot plan for, since it depends on actual data.
   bool lazy_short_circuit = false;
-  /// Per-call retry/backoff/timeout policy (retry.max_attempts was
-  /// previously ExecOptions::max_attempts).
+  /// Per-call retry/backoff/timeout policy.
   RetryPolicy retry;
   /// Wall-clock budget for the whole execution (0 = none). Once exceeded,
   /// further source calls and backoff sleeps fail fast with
   /// kDeadlineExceeded; an in-flight call is not interrupted, so total
   /// wall clock is bounded by deadline + one call duration.
   double deadline_seconds = 0.0;
-  /// Metered-cost budget for the whole execution (0 = none). Checked before
-  /// each source call against the cost charged so far (all ledgers,
-  /// failed attempts included).
-  double cost_budget = 0.0;
   /// Optional cooperative cancellation token (the serving layer's CANCEL
   /// path). When non-null and set, further source calls and backoff sleeps
   /// fail fast with kCancelled; like the deadline, an in-flight call is not
@@ -238,21 +221,13 @@ struct ExecOptions {
   /// parallel execution's measured wall-clock makespan tracks the
   /// theoretical critical-path makespan. 0 (default) = no artificial delay.
   double simulated_seconds_per_cost = 0.0;
-  /// When true, emulated semijoins consult the source's merge-column Bloom
-  /// filter (SourceWrapper::MergeBloom) and skip probes for bindings the
-  /// filter rejects. A Bloom filter has no false negatives, so the answer is
-  /// byte-identical with the option on or off; only the metered probe
-  /// charges shrink (skipped probes never contact the source). Off by
-  /// default because the cost model — and the tests pinning it — meter one
-  /// probe per candidate.
-  bool bloom_probe_prefilter = false;
 };
 
 /// Rejects nonsensical options with kInvalidArgument before any source is
 /// contacted: retry.max_attempts < 1, parallelism < 1, negative
-/// simulated_seconds_per_cost / deadline / budget / backoff / timeout,
-/// backoff_multiplier < 1, jitter_fraction outside [0, 1). Called by
-/// ExecutePlan; exposed for callers that want to validate eagerly.
+/// simulated_seconds_per_cost / deadline / backoff / timeout,
+/// backoff_multiplier < 1. Called by ExecutePlan; exposed for callers that
+/// want to validate eagerly.
 Status ValidateExecOptions(const ExecOptions& options);
 
 /// The mediator's plan executor: runs `plan` for `query` against the

@@ -165,7 +165,7 @@ Result<Client> Client::Builder::Build() {
     const int attempts = std::max(1, reconnect_.max_attempts);
     Result<HelloResult> hello = Status::Unavailable("never dialed");
     for (int attempt = 1; attempt <= attempts; ++attempt) {
-      if (attempt > 1) reconnect_.Backoff(0, attempt - 1);
+      if (attempt > 1) reconnect_.Backoff(attempt - 1);
       remote->active =
           static_cast<size_t>(attempt - 1) % remote->endpoints.size();
       hello = DialAndHello(remote->endpoints[remote->active], client_id_);
@@ -257,7 +257,7 @@ Result<ClientResponse> Client::RemoteExchangeLocked(
   Status last_error = Status::Unavailable("connection lost");
   for (int attempt = 1; attempt <= attempts; ++attempt) {
     if (attempt > 1) {
-      remote.reconnect.Backoff(0, attempt - 1);
+      remote.reconnect.Backoff(attempt - 1);
       const Status redial = RemoteReconnectLocked();
       if (!redial.ok()) {
         if (!IsHelloRetryable(redial)) return redial;

@@ -8,6 +8,13 @@
 #include "source/simulated_source.h"
 
 namespace fusion {
+namespace {
+
+/// Selectivity prior for a (source, condition) pair never observed: the
+/// fraction of the source's cardinality assumed to satisfy the condition.
+constexpr double kDefaultSelectivity = 0.2;
+
+}  // namespace
 
 Result<ParametricCostModel> QuerySession::BuildSessionModel(
     const FusionQuery& query) {
@@ -35,8 +42,7 @@ Result<ParametricCostModel> QuerySession::BuildSessionModel(
           observed_result_size_.find({j, cond.ToString()});
       p.result_size.push_back(it != observed_result_size_.end()
                                   ? it->second
-                                  : p.cardinality *
-                                        options_.default_selectivity);
+                                  : p.cardinality * kDefaultSelectivity);
     }
     params.push_back(std::move(p));
   }

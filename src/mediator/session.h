@@ -84,9 +84,6 @@ class QuerySession {
     /// Disable for strictly cache-oblivious planning — execution still uses
     /// the cache either way.
     bool cache_aware_optimization = true;
-    /// Priors used for conditions never seen before (fraction of a source's
-    /// cardinality assumed to satisfy an unknown condition).
-    double default_selectivity = 0.2;
     /// Cardinality prior when a source has never been observed.
     double default_cardinality = 1000.0;
     /// Universe-size prior before any observation.

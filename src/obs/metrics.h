@@ -163,10 +163,6 @@ inline constexpr char kCacheInvalidations[] = "cache_invalidations_total";
 inline constexpr char kCacheBytes[] = "cache_bytes";      // gauge
 inline constexpr char kCacheEntries[] = "cache_entries";  // gauge
 inline constexpr char kEmulatedSemijoins[] = "emulated_semijoins_total";
-/// Emulated-semijoin probes skipped by the merge-column Bloom pre-filter
-/// (ExecOptions::bloom_probe_prefilter) — guaranteed-miss bindings.
-inline constexpr char kSemijoinProbesSkipped[] =
-    "semijoin_probes_skipped_total";
 inline constexpr char kOptimizerPlansConsidered[] =
     "optimizer_plans_considered";
 inline constexpr char kRpcBytesSent[] = "rpc_bytes_sent";

@@ -30,8 +30,6 @@ struct TenantSloSnapshot {
   /// (not lifetime — a tenant that recovered reads healthy again).
   double error_rate = 0.0;
   HistogramSnapshot latency_ms;
-
-  double LatencyQuantileMs(double q) const { return latency_ms.Quantile(q); }
 };
 
 /// Per-tenant SLO accounting for the serving tier. One registry per

@@ -1,21 +1,6 @@
 #include "plan/cost_estimator.h"
 
-#include <cmath>
-
 namespace fusion {
-
-double EstimateLocalEvalSeconds(double rows, size_t atoms, bool columnar,
-                                const LocalEvalParams& params) {
-  if (rows <= 0.0) return 0.0;
-  const double atom_count = static_cast<double>(atoms == 0 ? 1 : atoms);
-  if (!columnar) {
-    return rows * atom_count * params.row_path_seconds_per_row;
-  }
-  const double batches =
-      std::ceil(rows / static_cast<double>(params.batch_rows));
-  return batches * params.seconds_per_batch +
-         rows * atom_count * params.seconds_per_row;
-}
 
 Result<PlanCostBreakdown> EstimatePlanCost(const Plan& plan,
                                            const CostModel& model) {
@@ -60,12 +45,6 @@ Result<PlanCostBreakdown> EstimatePlanCost(const Plan& plan,
         }
         var_est[op.target] = model.SqResult(static_cast<size_t>(op.cond),
                                             static_cast<size_t>(src));
-        // Informational only (never in `total`): the mediator-side CPU time
-        // of this select under the batch evaluator. The model abstracts
-        // conditions by index, so one atom and the universe size stand in
-        // for atom count and the loaded relation's cardinality.
-        out.local_eval_seconds += EstimateLocalEvalSeconds(
-            model.universe_size(), /*atoms=*/1, /*columnar=*/true);
         break;
       }
       case PlanOpKind::kUnion: {

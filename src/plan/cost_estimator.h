@@ -18,37 +18,7 @@ struct PlanCostBreakdown {
   double total = 0.0;
   std::vector<double> per_op;
   SetEstimate result;
-  /// Informational estimate of mediator-side evaluation time for the plan's
-  /// local-select ops (seconds), under the batch/columnar evaluator. NOT
-  /// included in `total`: the paper's model prices local mediator work at
-  /// zero and every plan choice, golden ledger, and cost test depends on
-  /// that. This field exists so EXPLAIN and benchmarks can report where
-  /// mediator CPU time goes now that the data plane is vectorized.
-  double local_eval_seconds = 0.0;
 };
-
-/// Calibration constants for the batch local-eval time estimate. Defaults
-/// are rough figures for the columnar path on commodity hardware; the
-/// benchmark harness can refit them from measured batch rates.
-struct LocalEvalParams {
-  /// Rows evaluated per batch kernel invocation (bitmap word granularity
-  /// amortizes setup across this many rows).
-  size_t batch_rows = 4096;
-  /// Fixed cost per batch: kernel dispatch + bitmap allocation.
-  double seconds_per_batch = 2e-7;
-  /// Per-row, per-atom cost of the columnar kernels.
-  double seconds_per_row = 1e-9;
-  /// Per-row, per-atom cost of the row-at-a-time interpreter (Value
-  /// dispatch + attribute lookup per atom). Kept for comparison output.
-  double row_path_seconds_per_row = 4e-8;
-};
-
-/// Estimated seconds to evaluate a condition of `atoms` atoms over `rows`
-/// rows, via the columnar batch path when `columnar` (amortized per-batch
-/// overhead + vectorized per-row cost) or the legacy row interpreter
-/// otherwise.
-double EstimateLocalEvalSeconds(double rows, size_t atoms, bool columnar,
-                                const LocalEvalParams& params = {});
 
 /// Walks `plan` propagating SetEstimates through every variable and charging
 /// each source query via `model`. With an OracleCostModel the returned total

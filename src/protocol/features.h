@@ -50,7 +50,6 @@ class FeatureSet {
   static FeatureSet FromNames(const std::vector<std::string>& names);
 
   void Add(Feature feature) { bits_ |= Bit(feature); }
-  void Remove(Feature feature) { bits_ &= ~Bit(feature); }
   bool Has(Feature feature) const { return (bits_ & Bit(feature)) != 0; }
   bool empty() const { return bits_ == 0; }
 

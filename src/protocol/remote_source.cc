@@ -163,7 +163,7 @@ Result<std::unique_ptr<RemoteSource>> RemoteSource::ConnectTcp(
                  static_cast<int>(source->endpoints_.size()));
     Status dialed = Status::Unavailable("never dialed");
     for (int attempt = 1; attempt <= attempts; ++attempt) {
-      if (attempt > 1) policy.Backoff(source->active_, attempt - 1);
+      if (attempt > 1) policy.Backoff(attempt - 1);
       dialed = source->TcpDialActiveLocked();
       if (dialed.ok()) break;
       source->TcpAdvanceReplicaLocked();
@@ -226,7 +226,7 @@ Result<std::string> RemoteSource::TcpExchangeLocked(
                                 static_cast<int>(endpoints_.size()));
   Status last_error = Status::Unavailable("never sent");
   for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) failover_.Backoff(active_, attempt - 1);
+    if (attempt > 1) failover_.Backoff(attempt - 1);
     if (!socket_.valid()) {
       const Status dialed = TcpDialActiveLocked();
       if (!dialed.ok()) {

@@ -14,9 +14,6 @@
 namespace fusion {
 namespace {
 
-/// Idle upstream connections kept per shard; extras are closed on release.
-constexpr size_t kMaxIdleLinksPerShard = 8;
-
 /// Warm-locality ledger bound: past this many distinct keys the ledger is
 /// cleared (stats restart cold; routing is stateless and unaffected).
 constexpr size_t kMaxWarmEntries = 64 * 1024;
@@ -125,6 +122,12 @@ void QueryRouter::ReleaseLink(size_t shard, std::unique_ptr<Link> link) {
   // else: dropped — the destructor closes the connection.
 }
 
+size_t QueryRouter::idle_links(size_t shard) const {
+  ShardPool& pool = *pools_[shard];
+  std::lock_guard<std::mutex> lock(pool.mutex);
+  return pool.idle.size();
+}
+
 void QueryRouter::Count(size_t Counters::*field, Counter& metric) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -145,7 +148,7 @@ Result<std::string> QueryRouter::Exchange(size_t shard,
   const int attempts = std::max(1, options_.reconnect.max_attempts);
   Status last_error = Status::Unavailable("never dialed");
   for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) options_.reconnect.Backoff(0, attempt - 1);
+    if (attempt > 1) options_.reconnect.Backoff(attempt - 1);
     Result<std::unique_ptr<Link>> link = AcquireLink(shard);
     if (!link.ok()) {
       last_error = link.status();

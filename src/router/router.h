@@ -67,6 +67,11 @@ class QueryRouter {
   /// under a second.
   static RetryPolicy DefaultReconnectPolicy();
 
+  /// Idle upstream connections kept per shard; extras are closed on
+  /// release, so a burst of concurrent forwards leaves at most this many
+  /// sockets open once it drains.
+  static constexpr size_t kMaxIdleLinksPerShard = 8;
+
   QueryRouter(ShardMap shards, const Options& options);
   ~QueryRouter();
 
@@ -103,6 +108,9 @@ class QueryRouter {
 
   /// The router process's STATS exposition (served for the STATS verb).
   std::string StatsText() const;
+
+  /// Upstream connections to `shard` pooled idle right now (for tests).
+  size_t idle_links(size_t shard) const;
 
  private:
   /// One pooled upstream connection with its negotiated feature set.

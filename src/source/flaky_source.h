@@ -73,11 +73,6 @@ class FlakySource : public SourceWrapper {
   const SimulatedSource* AsSimulated() const override {
     return inner_->AsSimulated();
   }
-  /// Metadata, not a metered call: passes through without failure injection.
-  std::shared_ptr<const BloomFilter> MergeBloom(
-      const std::string& attribute) override {
-    return inner_->MergeBloom(attribute);
-  }
 
   Result<ItemSet> Select(const Condition& cond,
                          const std::string& merge_attribute,

@@ -61,25 +61,6 @@ Result<ItemSet> SimulatedSource::Select(const Condition& cond,
   return items;
 }
 
-std::shared_ptr<const BloomFilter> SimulatedSource::MergeBloom(
-    const std::string& attribute) {
-  std::lock_guard<std::mutex> lock(index_mu_);
-  auto it = blooms_.find(attribute);
-  if (it != blooms_.end()) return it->second;
-  const Result<size_t> idx = relation_.schema().IndexOf(attribute);
-  if (!idx.ok()) return nullptr;
-  auto filter =
-      std::make_shared<BloomFilter>(std::max<size_t>(1, relation_.size()),
-                                    /*target_fpp=*/0.01);
-  for (const Tuple& t : relation_.tuples()) {
-    const Value& v = t[idx.value()];
-    if (!v.is_null()) filter->Insert(v);
-  }
-  std::shared_ptr<const BloomFilter> built = std::move(filter);
-  blooms_.emplace(attribute, built);
-  return built;
-}
-
 Result<const ColumnIndex*> SimulatedSource::IndexFor(
     const std::string& attribute) const {
   std::lock_guard<std::mutex> lock(index_mu_);

@@ -55,12 +55,6 @@ class SimulatedSource : public SourceWrapper {
 
   const SimulatedSource* AsSimulated() const override { return this; }
 
-  /// Lazily built (and cached) Bloom filter over the non-NULL values of
-  /// `attribute`, at ~1% false-positive rate. Returns nullptr for unknown
-  /// attributes. Shares the index mutex; built filters are immutable.
-  std::shared_ptr<const BloomFilter> MergeBloom(
-      const std::string& attribute) override;
-
   /// The costs this source charges, as pure functions of the data volumes —
   /// shared with cost models so estimates and metering agree by construction.
   double SelectCost(size_t result_size) const;
@@ -82,7 +76,6 @@ class SimulatedSource : public SourceWrapper {
   NetworkProfile network_;
   mutable std::mutex index_mu_;
   mutable std::map<std::string, ColumnIndex> indexes_;
-  mutable std::map<std::string, std::shared_ptr<const BloomFilter>> blooms_;
 };
 
 }  // namespace fusion

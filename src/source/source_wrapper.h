@@ -1,10 +1,8 @@
 #ifndef FUSION_SOURCE_SOURCE_WRAPPER_H_
 #define FUSION_SOURCE_SOURCE_WRAPPER_H_
 
-#include <memory>
 #include <string>
 
-#include "common/bloom.h"
 #include "common/item_set.h"
 #include "common/status.h"
 #include "relational/condition.h"
@@ -65,17 +63,6 @@ class SourceWrapper {
   /// SimulatedSource, enabling perfect-information statistics in controlled
   /// experiments. Real deployments return the default null.
   virtual const SimulatedSource* AsSimulated() const { return nullptr; }
-
-  /// Optional: a Bloom filter over the source's non-NULL values of
-  /// `attribute`, for mediator-side semijoin probe pre-filtering. A Bloom
-  /// filter has no false negatives, so a mediator may skip any probe whose
-  /// binding the filter rejects without changing the answer. Sources that
-  /// cannot provide one (e.g. remote wrappers without the extension) return
-  /// the default nullptr and the mediator probes everything.
-  virtual std::shared_ptr<const BloomFilter> MergeBloom(
-      const std::string& attribute) {
-    return nullptr;
-  }
 };
 
 }  // namespace fusion

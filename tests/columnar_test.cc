@@ -9,13 +9,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/bloom.h"
 #include "common/item_set.h"
 #include "common/rng.h"
-#include "exec/executor.h"
 #include "relational/columnar.h"
 #include "relational/relation.h"
-#include "source/catalog.h"
 #include "source/simulated_source.h"
 
 namespace fusion {
@@ -735,174 +732,6 @@ TEST(ItemSetKernelTest, IntFormApproxBytesIsEightBytesPerItem) {
   const ItemSet ints = ItemSet::FromInts({1, 2, 3});
   const ItemSet values({Value(int64_t{1}), Value(int64_t{2}), Value(3.5)});
   EXPECT_LT(ints.ApproxBytes(), values.ApproxBytes());
-}
-
-// ---------------------------------------------------------------------------
-// Bloom filter
-// ---------------------------------------------------------------------------
-
-TEST(BloomFilterTest, NoFalseNegatives) {
-  Rng rng(8);
-  BloomFilter filter(500, 0.01);
-  std::vector<Value> inserted;
-  for (int i = 0; i < 500; ++i) {
-    Value v = RandomValueFor(
-        rng,
-        i % 3 == 0 ? ValueType::kInt64
-                   : (i % 3 == 1 ? ValueType::kDouble : ValueType::kString),
-        /*allow_null=*/false);
-    filter.Insert(v);
-    inserted.push_back(std::move(v));
-  }
-  for (const Value& v : inserted) EXPECT_TRUE(filter.MayContain(v));
-}
-
-TEST(BloomFilterTest, CrossTypeNumericEqualityIsBloomSafe) {
-  // int64 5 == double 5.0 under Value::Compare; Value::Hash makes them
-  // collide, so a filter fed int64s cannot false-negative the equal double.
-  BloomFilter filter(16, 0.01);
-  filter.Insert(Value(int64_t{5}));
-  EXPECT_TRUE(filter.MayContain(Value(5.0)));
-  filter.Insert(Value(7.0));
-  EXPECT_TRUE(filter.MayContain(Value(int64_t{7})));
-}
-
-TEST(BloomFilterTest, CrossTypeEqualityAbove2To53IsBloomSafe) {
-  // int64 ±(2^53 + 1) rounds to the double ±2^53 and so compares equal to
-  // it; a filter fed either form must admit the other.
-  constexpr int64_t kTwo53 = int64_t{1} << 53;
-  for (const int64_t sign : {int64_t{1}, int64_t{-1}}) {
-    const Value big(sign * (kTwo53 + 1));
-    const Value rounded(static_cast<double>(sign * kTwo53));
-    ASSERT_EQ(big, rounded);
-    BloomFilter ints(16, 0.01);
-    ints.Insert(big);
-    EXPECT_TRUE(ints.MayContain(rounded));
-    BloomFilter doubles(16, 0.01);
-    doubles.Insert(rounded);
-    EXPECT_TRUE(doubles.MayContain(big));
-  }
-}
-
-TEST(BloomFilterTest, MembershipPatternIsPinned) {
-  // A one-hash filter answers MayContainHash(h) from a single bit chosen by
-  // the key mixer, so this pattern pins the mixer's every output bit that
-  // reaches the bit index.
-  BloomFilter filter(64, 0.5);
-  ASSERT_EQ(filter.num_bits(), 93u);
-  ASSERT_EQ(filter.num_hashes(), 1u);
-  for (uint64_t h = 0; h < 20; ++h) filter.InsertHash(h * 7919);
-  std::string mask;
-  for (uint64_t h = 1000; h < 1256; h += 4) {
-    int nibble = 0;
-    for (int b = 0; b < 4; ++b) {
-      if (filter.MayContainHash(h + static_cast<uint64_t>(b))) {
-        nibble |= 1 << b;
-      }
-    }
-    mask += "0123456789abcdef"[nibble];
-  }
-  EXPECT_EQ(mask,
-            "450000680908014160141302200c0000c1800002405214102428000812270848");
-}
-
-TEST(BloomFilterTest, EmptyFilterRejectsEverything) {
-  const BloomFilter filter;
-  EXPECT_FALSE(filter.MayContain(Value(int64_t{1})));
-  EXPECT_FALSE(filter.MayContain(Value("x")));
-}
-
-TEST(BloomFilterTest, FalsePositiveRateIsSane) {
-  BloomFilter filter(1000, 0.01);
-  for (int64_t i = 0; i < 1000; ++i) filter.Insert(Value(i));
-  size_t false_positives = 0;
-  const size_t probes = 10000;
-  for (size_t i = 0; i < probes; ++i) {
-    if (filter.MayContain(Value(static_cast<int64_t>(1000000 + i)))) {
-      ++false_positives;
-    }
-  }
-  // ~1% target; allow generous slack against hash unluckiness.
-  EXPECT_LT(false_positives, probes / 20);
-}
-
-// ---------------------------------------------------------------------------
-// Bloom probe pre-filter: answers identical, probes skipped, charges shrink
-// ---------------------------------------------------------------------------
-
-/// Source 0 holds M in {m0..m59}; source 1 (passed-bindings only) holds only
-/// {m0..m9}, so 50 of the 60 probe bindings are guaranteed misses.
-struct BloomInstance {
-  SourceCatalog catalog;
-  FusionQuery query;
-};
-
-BloomInstance MakeBloomInstance() {
-  Schema schema({{"M", ValueType::kString}, {"i", ValueType::kInt64}});
-  Relation wide(schema), narrow(schema);
-  for (int64_t k = 0; k < 60; ++k) {
-    EXPECT_TRUE(wide.Append({Value("m" + std::to_string(k)), Value(k)}).ok());
-  }
-  for (int64_t k = 0; k < 10; ++k) {
-    EXPECT_TRUE(narrow.Append({Value("m" + std::to_string(k)), Value(k)}).ok());
-  }
-  Capabilities native;
-  Capabilities passed_only;
-  passed_only.semijoin = SemijoinSupport::kPassedBindingsOnly;
-  BloomInstance out;
-  EXPECT_TRUE(out.catalog
-                  .Add(std::make_unique<SimulatedSource>(
-                      "wide", std::move(wide), native, NetworkProfile{}))
-                  .ok());
-  EXPECT_TRUE(out.catalog
-                  .Add(std::make_unique<SimulatedSource>(
-                      "narrow", std::move(narrow), passed_only,
-                      NetworkProfile{}))
-                  .ok());
-  out.query = FusionQuery(
-      "M", {Condition::Compare("i", CompareOp::kGe, Value(int64_t{0})),
-            Condition::Compare("i", CompareOp::kGe, Value(int64_t{0}))});
-  return out;
-}
-
-TEST(BloomPrefilterTest, SkipsGuaranteedMissProbesWithIdenticalAnswer) {
-  Plan plan;
-  const int x = plan.EmitSelect(0, 0);
-  const int s = plan.EmitSemiJoin(1, 1, x);
-  plan.SetResult(s);
-
-  const BloomInstance base = MakeBloomInstance();
-  ExecOptions off;
-  const auto report_off = ExecutePlan(plan, base.catalog, base.query, off);
-  ASSERT_TRUE(report_off.ok()) << report_off.status().ToString();
-  EXPECT_EQ(report_off->semijoin_probes_skipped, 0u);
-
-  const BloomInstance bloomed = MakeBloomInstance();
-  ExecOptions on;
-  on.bloom_probe_prefilter = true;
-  const auto report_on = ExecutePlan(plan, bloomed.catalog, bloomed.query, on);
-  ASSERT_TRUE(report_on.ok()) << report_on.status().ToString();
-
-  // Byte-identical answer; 50 of 60 probes skipped; skipped probes left no
-  // charges, so the metered total strictly shrinks.
-  EXPECT_EQ(report_on->answer.ToString(), report_off->answer.ToString());
-  EXPECT_EQ(report_on->semijoin_probes_skipped, 50u);
-  EXPECT_LT(report_on->ledger.total(), report_off->ledger.total());
-  size_t probes_on = 0, probes_off = 0;
-  for (const Charge& c : report_on->ledger.charges()) {
-    if (c.kind == ChargeKind::kEmulatedSemiJoinProbe) ++probes_on;
-  }
-  for (const Charge& c : report_off->ledger.charges()) {
-    if (c.kind == ChargeKind::kEmulatedSemiJoinProbe) ++probes_off;
-  }
-  EXPECT_EQ(probes_off, 60u);
-  EXPECT_EQ(probes_on, 10u);
-}
-
-TEST(BloomPrefilterTest, DefaultOffPreservesMeteredProbeAccounting) {
-  // The cost model (and its golden tests) meter one probe per candidate;
-  // the Bloom option must stay opt-in.
-  EXPECT_FALSE(ExecOptions{}.bloom_probe_prefilter);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Degraded-mode execution tests: sound partial answers when sources are
 // exhausted (outages, retries spent, deadlines), the per-condition
 // CompletenessReport, the refusal to degrade at non-monotone plan positions,
-// deadline/cost-budget termination in both executors, and sequential ↔
-// parallel equivalence of the degraded result.
+// deadline termination in both executors, and sequential ↔ parallel
+// equivalence of the degraded result.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -209,7 +209,7 @@ TEST(DegradedTest, SemiJoinLeafDegradesSoundly) {
 }
 
 // ---------------------------------------------------------------------------
-// Deadlines and budgets
+// Deadlines
 // ---------------------------------------------------------------------------
 
 TEST(DegradedTest, DeadlineTerminatesSequentialExecutionInTime) {
@@ -293,27 +293,6 @@ TEST(DegradedTest, PerCallTimeoutMakesSlowCallsRetriable) {
   ASSERT_FALSE(report->completeness.excluded.empty());
   EXPECT_NE(report->completeness.excluded[0].reason.find("per-call timeout"),
             std::string::npos);
-}
-
-TEST(DegradedTest, CostBudgetStopsAdmittingCalls) {
-  // Each selection costs ≈ overhead 10 + transfer. A budget of 15 admits
-  // the first call and exhausts before the rest.
-  const SourceCatalog catalog = TwoSourceCatalog({});
-  ExecOptions exec;
-  exec.cost_budget = 15.0;
-  const auto report =
-      ExecutePlan(FilterPlanFor2x2(), catalog, DuiSpQuery(), exec);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(report.status().message().find("budget"), std::string::npos);
-
-  ExecOptions degrade = exec;
-  degrade.on_source_failure = SourceFailurePolicy::kDegrade;
-  const auto partial =
-      ExecutePlan(FilterPlanFor2x2(), catalog, DuiSpQuery(), degrade);
-  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  EXPECT_FALSE(partial->completeness.answer_complete);
-  EXPECT_LE(partial->ledger.total(), 15.0 + 12.0);  // budget + one call
 }
 
 // ---------------------------------------------------------------------------

@@ -295,16 +295,10 @@ TEST(ValidateOptionsTest, RejectsBadOptionsBeforeContactingSources) {
   exec.simulated_seconds_per_cost = -0.5;
   expect_invalid(exec);
   exec = ExecOptions{};
-  exec.retry.jitter_fraction = 1.0;
-  expect_invalid(exec);
-  exec = ExecOptions{};
   exec.retry.backoff_multiplier = 0.5;
   expect_invalid(exec);
   exec = ExecOptions{};
   exec.deadline_seconds = -1.0;
-  expect_invalid(exec);
-  exec = ExecOptions{};
-  exec.cost_budget = -1.0;
   expect_invalid(exec);
 }
 
@@ -321,64 +315,15 @@ TEST(BackoffTest, ExponentialGrowthWithCap) {
   retry.initial_backoff_seconds = 0.1;
   retry.backoff_multiplier = 2.0;
   retry.max_backoff_seconds = 0.5;
-  EXPECT_DOUBLE_EQ(retry.BackoffSeconds(0, 1), 0.1);
-  EXPECT_DOUBLE_EQ(retry.BackoffSeconds(0, 2), 0.2);
-  EXPECT_DOUBLE_EQ(retry.BackoffSeconds(0, 3), 0.4);
-  EXPECT_DOUBLE_EQ(retry.BackoffSeconds(0, 4), 0.5);  // capped
-  EXPECT_DOUBLE_EQ(retry.BackoffSeconds(0, 9), 0.5);
+  EXPECT_DOUBLE_EQ(retry.BackoffSeconds(1), 0.1);
+  EXPECT_DOUBLE_EQ(retry.BackoffSeconds(2), 0.2);
+  EXPECT_DOUBLE_EQ(retry.BackoffSeconds(3), 0.4);
+  EXPECT_DOUBLE_EQ(retry.BackoffSeconds(4), 0.5);  // capped
+  EXPECT_DOUBLE_EQ(retry.BackoffSeconds(9), 0.5);
 }
 
 TEST(BackoffTest, NoBackoffByDefault) {
-  EXPECT_DOUBLE_EQ(RetryPolicy{}.BackoffSeconds(0, 1), 0.0);
-}
-
-TEST(BackoffTest, JitterIsDeterministicPerSeedSourceAndAttempt) {
-  RetryPolicy retry;
-  retry.initial_backoff_seconds = 0.1;
-  retry.jitter_fraction = 0.3;
-  retry.jitter_seed = 42;
-  RetryPolicy same = retry;
-  RetryPolicy other = retry;
-  other.jitter_seed = 43;
-  bool any_differs_across_seeds = false;
-  for (size_t source = 0; source < 4; ++source) {
-    double base = retry.initial_backoff_seconds;
-    for (int attempt = 1; attempt <= 5; ++attempt) {
-      const double a = retry.BackoffSeconds(source, attempt);
-      // Identical policy ⇒ identical schedule, every time (pure function).
-      EXPECT_DOUBLE_EQ(a, same.BackoffSeconds(source, attempt));
-      EXPECT_DOUBLE_EQ(a, retry.BackoffSeconds(source, attempt));
-      // Jitter stays inside the symmetric band around the capped base.
-      const double capped = std::min(base, retry.max_backoff_seconds);
-      EXPECT_GE(a, capped * (1.0 - retry.jitter_fraction) - 1e-12);
-      EXPECT_LE(a, capped * (1.0 + retry.jitter_fraction) + 1e-12);
-      if (a != other.BackoffSeconds(source, attempt)) {
-        any_differs_across_seeds = true;
-      }
-      base *= retry.backoff_multiplier;
-    }
-  }
-  EXPECT_TRUE(any_differs_across_seeds);
-}
-
-TEST(BackoffTest, JitterScheduleIsPinned) {
-  // Golden values: any change to the jitter hash (or its mixing order)
-  // moves these bits.
-  RetryPolicy retry;
-  retry.initial_backoff_seconds = 0.1;
-  retry.jitter_fraction = 0.3;
-  retry.jitter_seed = 42;
-  const double expected[3][3] = {
-      {0.11277612023714796, 0.24389966200528368, 0.32077289498290801},
-      {0.090383325732940833, 0.25444565408349229, 0.4194430478977248},
-      {0.1176361480014347, 0.15694009633569547, 0.30687642308461643}};
-  for (size_t source = 0; source < 3; ++source) {
-    for (int attempt = 1; attempt <= 3; ++attempt) {
-      EXPECT_EQ(retry.BackoffSeconds(source, attempt),
-                expected[source][attempt - 1])
-          << "source " << source << " attempt " << attempt;
-    }
-  }
+  EXPECT_DOUBLE_EQ(RetryPolicy{}.BackoffSeconds(1), 0.0);
 }
 
 TEST(BackoffTest, RetriesActuallySleep) {

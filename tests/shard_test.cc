@@ -6,6 +6,8 @@
 // over past a dead shard, and apply INVALIDATE broadcasts idempotently.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -477,6 +479,87 @@ TEST(RouterTest, MalformedShardReplyIsAParseErrorNotAFailover) {
     EXPECT_EQ(router.counters().failovers, 0u) << frame;
     router.Shutdown();
   }
+}
+
+/// A fake shard that holds every SUBMIT until the test opens its gate, so
+/// the router keeps one upstream connection checked out per held forward.
+class GatedShard {
+ public:
+  void ServeConnection(ChaosSocket socket) {
+    for (;;) {
+      const Result<std::string> message = socket.Receive();
+      if (!message.ok()) return;
+      const auto request = ParseClientRequest(message.value());
+      ClientResponse response;
+      if (request.ok() && request->kind == ClientRequest::Kind::kHello) {
+        response.server = "gated";
+        response.features = ClientProtocolFeatures();
+      } else {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++held_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return open_; });
+        response.ticket = 5;
+        response.state = "done";
+      }
+      if (!socket.Send(SerializeClientResponse(response)).ok()) return;
+    }
+  }
+
+  /// Waits until `n` SUBMITs are held at once; false after 10 s.
+  bool AwaitHeld(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return held_ >= n; });
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t held_ = 0;
+  bool open_ = false;
+};
+
+TEST(RouterTest, IdleLinkPoolStaysBoundedAfterABurst) {
+  // More concurrent forwards to one shard than the pool keeps: each held
+  // forward dials its own upstream link, and once the burst drains only
+  // kMaxIdleLinksPerShard of them may stay open.
+  constexpr size_t kForwards = QueryRouter::kMaxIdleLinksPerShard + 4;
+  GatedShard shard;
+  Daemon<GatedShard> daemon(&shard);
+  ASSERT_TRUE(daemon.Start().ok());
+  auto shard_map = ShardMap::Make({{"s0", Endpoint(daemon.port())}});
+  ASSERT_TRUE(shard_map.ok());
+  QueryRouter router(std::move(shard_map).value(), QueryRouter::Options{});
+
+  ClientRequest submit;
+  submit.kind = ClientRequest::Kind::kSubmit;
+  submit.sql = kDuiAndSp;
+  const std::string wire = SerializeClientRequest(submit);
+  std::vector<std::string> replies(kForwards);
+  std::vector<std::thread> forwards;
+  for (size_t i = 0; i < kForwards; ++i) {
+    forwards.emplace_back([&, i] { replies[i] = router.Handle(wire); });
+  }
+  const bool all_held = shard.AwaitHeld(kForwards);
+  shard.Open();
+  for (std::thread& thread : forwards) thread.join();
+  ASSERT_TRUE(all_held);
+  EXPECT_EQ(router.counters().forwards, kForwards);
+  for (const std::string& reply : replies) {
+    const auto response = ParseClientResponse(reply);
+    ASSERT_TRUE(response.ok()) << reply;
+    EXPECT_TRUE(response->ok) << reply;
+  }
+  EXPECT_EQ(router.idle_links(0), QueryRouter::kMaxIdleLinksPerShard);
+  router.Shutdown();
+  EXPECT_EQ(router.idle_links(0), 0u);
 }
 
 TEST(RouterTest, EmbeddedInvalidateWorksWithoutAFleet) {
