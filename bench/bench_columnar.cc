@@ -1,5 +1,7 @@
 // Columnar data-plane microbenchmark: the batch evaluator vs the legacy
-// row-at-a-time interpreter on wide records, the sorted-run ItemSet kernels
+// row-at-a-time interpreter on wide records, source-side selection and
+// native semijoins by full scan vs equality-driven row lists, the sorted-run
+// ItemSet kernels
 // vs a generic Value-merge reference (pairwise, interleaved in-place, and
 // n-ary unions), int-form item sets vs Value storage (SJA+'s difference
 // chain, cache-hit copies, 8-way union, learned-universe inserts), the
@@ -123,6 +125,81 @@ void BenchLocalEval(size_t rows, int repeats, bool smoke) {
     // The refactor's reason to exist; answers were checked identical above.
     FUSION_CHECK(speedup >= 5.0)
         << "columnar local eval below the 5x bar: " << speedup;
+  }
+}
+
+/// A cold_budget-shaped source: entities 0..31999 kept at coverage 0.25
+/// (~8k rows, M ascending), six flag columns A1..A6 set at selectivity 0.08.
+Relation FlagSourceRelation(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ColumnDef> cols;
+  cols.push_back({"M", ValueType::kInt64});
+  for (int i = 1; i <= 6; ++i) cols.push_back({StrFormat("A%d", i), ValueType::kInt64});
+  Relation rel{Schema(std::move(cols))};
+  for (int64_t e = 0; e < 32000; ++e) {
+    if (!rng.Bernoulli(0.25)) continue;
+    Tuple t;
+    t.push_back(Value(e));
+    for (int i = 0; i < 6; ++i) {
+      t.push_back(Value(static_cast<int64_t>(rng.Bernoulli(0.08))));
+    }
+    rel.AppendUnchecked(std::move(t));
+  }
+  return rel;
+}
+
+/// Source-side selection as the serving path runs it: sq's SelectItems and
+/// a native sjq's SemiJoinItems over a cold_budget-shaped source, per call,
+/// on the full scan against the equality-driven path. NOT(NOT(c)) is c with
+/// an operator above its equality atom, so it runs the scan kernels over
+/// every row; c itself starts from the `A3 = 1` row list.
+void BenchEqualityDriven(int repeats) {
+  bench::Banner("columnar: source-side selection, scan vs equality-driven");
+  const Relation rel = FlagSourceRelation(/*seed=*/7);
+  rel.WarmColumnar();
+  Rng rng(11);
+  std::vector<int64_t> cand;
+  for (int i = 0; i < 500; ++i) cand.push_back(rng.Uniform(0, 31999));
+  const ItemSet candidates = ItemSet::FromInts(std::move(cand));
+  const Condition flag = Condition::Eq("A3", Value(int64_t{1}));
+  const Condition flag_cut = Condition::And(
+      flag, Condition::Compare("M", CompareOp::kLe, Value(int64_t{20000})));
+  struct Case {
+    const char* name;
+    Condition cond;
+    bool semijoin;
+  };
+  const Case cases[] = {{"sq  A3 = 1", flag, false},
+                        {"sq  A3 = 1 AND M <= 20000", flag_cut, false},
+                        {"sjq A3 = 1, 500 candidates", flag, true}};
+  std::printf("  %zu rows, 6 flag columns at selectivity 0.08\n", rel.size());
+  for (const Case& c : cases) {
+    const Condition scan = Condition::Not(Condition::Not(c.cond));
+    const auto run = [&](const Condition& cond, EvalPath path) {
+      return c.semijoin ? rel.SemiJoinItems(cond, "M", candidates, path)
+                        : rel.SelectItems(cond, "M", path);
+    };
+    // Untimed: check answers against the row interpreter and build the
+    // row list the driven path memoizes.
+    const auto expected = run(c.cond, EvalPath::kRow);
+    FUSION_CHECK(expected.ok());
+    for (const Condition* cond : {&scan, &c.cond}) {
+      const auto got = run(*cond, EvalPath::kAuto);
+      FUSION_CHECK(got.ok() && *got == *expected) << c.name;
+    }
+    const auto time_us = [&](const Condition& cond) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int i = 0; i < repeats; ++i) {
+        const auto got = run(cond, EvalPath::kAuto);
+        FUSION_CHECK(got.ok() && got->size() == expected->size());
+      }
+      return 1000.0 * MillisSince(start) / repeats;
+    };
+    const double scan_us = time_us(scan);
+    const double driven_us = time_us(c.cond);
+    std::printf("  %-28s %4zu items   scan %8.2f us   driven %8.2f us   %6.2fx\n",
+                c.name, expected->size(), scan_us, driven_us,
+                driven_us > 0.0 ? scan_us / driven_us : 0.0);
   }
 }
 
@@ -676,6 +753,7 @@ void Run(bool smoke) {
   const size_t rows = smoke ? 5000 : 150000;
   const int repeats = smoke ? 2 : 20;
   BenchLocalEval(rows, repeats, smoke);
+  BenchEqualityDriven(smoke ? 20 : 5000);
   BenchItemSetKernels(smoke ? 5000 : 200000, smoke ? 3 : 50);
   BenchUnionInPlaceInterleaved(smoke ? 4000 : 100000, 8, smoke ? 2 : 20);
   BenchUnionAll(smoke ? 500 : 20000, 8, smoke ? 2 : 50);

@@ -563,8 +563,13 @@ ItemSet::ItemSet(std::vector<Value> values) {
 }
 
 ItemSet ItemSet::FromInts(std::vector<int64_t> values) {
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
+  // Gathers in row order are often already strictly ascending (sources
+  // clustered on the merge attribute); one linear check skips the sort.
+  if (std::adjacent_find(values.begin(), values.end(),
+                         std::greater_equal<int64_t>()) != values.end()) {
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+  }
   return FromSortedUnique(std::move(values));
 }
 

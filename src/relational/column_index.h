@@ -17,9 +17,11 @@ namespace fusion {
 ///
 /// This is an implementation accelerator, not a cost-model feature: the
 /// simulated per-tuple processing charge still reflects the *source's*
-/// declared scan cost, while the simulator itself answers semijoins and
-/// record fetches in O(candidates) instead of O(|R|) — the difference
-/// matters when benches run thousands of emulated per-binding probes.
+/// declared scan cost, while the simulator itself answers record fetches
+/// (SimulatedSource::FetchRecords, which returns whole rows) in
+/// O(items) instead of O(|R|). That is its only caller: selections and
+/// native semijoins run on the relation's columnar mirror, driven by its
+/// equality row lists (ColumnarTable::RowsEqual).
 class ColumnIndex {
  public:
   /// Builds the index over `column` (NULLs are not indexed).

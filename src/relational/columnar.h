@@ -2,7 +2,10 @@
 #define FUSION_RELATIONAL_COLUMNAR_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -114,6 +117,10 @@ class ColumnView {
 /// from the schema's declared column type — callers fall back to the row
 /// evaluator, so hand-assembled ill-typed relations keep their exact legacy
 /// semantics.
+///
+/// The one mutable part is the equality row-list memo behind RowsEqual: the
+/// batch evaluator drives `attr = k` conjunctions from it instead of scanning
+/// every row.
 class ColumnarTable {
  public:
   static Result<ColumnarTable> FromRows(const Schema& schema,
@@ -124,12 +131,33 @@ class ColumnarTable {
   size_t num_columns() const { return columns_.size(); }
   ColumnView column(size_t i) const { return ColumnView(&columns_[i], num_rows_); }
 
+  /// Ascending positions of the rows whose column `column` (int64 or string)
+  /// holds `key`: the int64 value itself, or the dictionary code for string
+  /// columns. Lists are built on first use and memoized for the table's
+  /// lifetime, so a constant is scanned for once however many queries name
+  /// it. Only constants that were queried and match some row are kept; a
+  /// column's lists partition its rows, so the memo never exceeds 4 bytes
+  /// per row per queried column (plus one map node per list). Thread-safe.
+  const std::vector<uint32_t>& RowsEqual(size_t column, int64_t key) const;
+
+  /// Resident bytes of the column arrays. Deliberately excludes the
+  /// RowsEqual memo: it grows with query history, and byte-budgeted caches
+  /// size entries from this figure, so counting it would make eviction order
+  /// (and with it metered cost) depend on which queries ran before.
   size_t ApproxBytes() const;
 
  private:
+  struct RowListMemo {
+    std::mutex mu;
+    // Per column: key → ascending row list. Node-based, so references to
+    // stored lists stay valid while other keys are inserted.
+    std::vector<std::unordered_map<int64_t, std::vector<uint32_t>>> lists;
+  };
+
   Schema schema_;
   size_t num_rows_ = 0;
   std::vector<Column> columns_;
+  std::unique_ptr<RowListMemo> row_lists_ = std::make_unique<RowListMemo>();
 };
 
 /// Process-wide batch-evaluation statistics (relaxed atomics). The relational
@@ -138,7 +166,9 @@ class ColumnarTable {
 /// its `relational.batch_rows_per_query` metric).
 struct ColumnarEvalStats {
   uint64_t batch_evals = 0;      // EvaluateBatch calls
-  uint64_t rows_evaluated = 0;   // rows covered by those calls
+  uint64_t rows_evaluated = 0;   // rows covered by those calls (the driving
+                                 // row list's length when equality-driven)
+  uint64_t row_lists_built = 0;  // RowsEqual memo misses (lists scanned for)
 };
 ColumnarEvalStats GetColumnarEvalStats();
 

@@ -86,6 +86,19 @@ std::shared_ptr<const ColumnarTable> Relation::columnar() const {
   return nullptr;
 }
 
+namespace {
+
+/// The int64 column's values at the selected rows, as an int-form set.
+ItemSet GatherInts(const ColumnView& col, const SelectionBitmap& keep) {
+  const int64_t* ints = col.ints();
+  std::vector<int64_t> out;
+  out.reserve(keep.CountSet());
+  keep.ForEachSet([&](size_t r) { out.push_back(ints[r]); });
+  return ItemSet::FromInts(std::move(out));
+}
+
+}  // namespace
+
 Result<Relation> Relation::Select(const Condition& cond,
                                   EvalPath path) const {
   FUSION_RETURN_IF_ERROR(cond.Validate(schema_));
@@ -118,14 +131,7 @@ Result<ItemSet> Relation::SelectItems(const Condition& cond,
       FUSION_RETURN_IF_ERROR(cond.EvaluateBatch(*table, &keep));
       const ColumnView col = table->column(idx);
       if (col.has_nulls()) keep.AndWith(col.column().valid);
-      if (col.type() == ValueType::kInt64) {
-        // Gather raw integers straight into an int-form set.
-        const int64_t* ints = col.ints();
-        std::vector<int64_t> out;
-        out.reserve(keep.CountSet());
-        keep.ForEachSet([&](size_t r) { out.push_back(ints[r]); });
-        return ItemSet::FromInts(std::move(out));
-      }
+      if (col.type() == ValueType::kInt64) return GatherInts(col, keep);
       std::vector<Value> out;
       out.reserve(keep.CountSet());
       keep.ForEachSet([&](size_t r) { out.push_back(col.GetValue(r)); });
@@ -154,15 +160,8 @@ Result<ItemSet> Relation::SemiJoinItems(const Condition& cond,
       const ColumnView col = table->column(idx);
       if (col.has_nulls()) keep.AndWith(col.column().valid);
       if (col.type() == ValueType::kInt64 && candidates.is_int64()) {
-        const int64_t* ints = col.ints();
-        const std::vector<int64_t>& wanted = candidates.ints();
-        std::vector<int64_t> out;
-        keep.ForEachSet([&](size_t r) {
-          if (std::binary_search(wanted.begin(), wanted.end(), ints[r])) {
-            out.push_back(ints[r]);
-          }
-        });
-        return ItemSet::FromInts(std::move(out));
+        // Selection ∩ candidates with the int-form merge kernels.
+        return ItemSet::Intersect(GatherInts(col, keep), candidates);
       }
       std::vector<Value> out;
       keep.ForEachSet([&](size_t r) {

@@ -82,26 +82,12 @@ Result<ItemSet> SimulatedSource::SemiJoin(const Condition& cond,
                                "' does not support native semijoin queries (" +
                                capabilities_.ToString() + ")");
   }
-  // Index-accelerated evaluation: only the candidates' rows are touched.
-  // Semantically identical to Relation::SemiJoinItems over a full scan.
-  FUSION_RETURN_IF_ERROR(cond.Validate(relation_.schema()));
-  FUSION_ASSIGN_OR_RETURN(const ColumnIndex* index,
-                          IndexFor(merge_attribute));
-  std::vector<Value> matched;
-  for (const Value& candidate : candidates) {
-    const std::vector<size_t>* rows = index->Rows(candidate);
-    if (rows == nullptr) continue;
-    for (const size_t row : *rows) {
-      FUSION_ASSIGN_OR_RETURN(
-          const bool keep,
-          cond.Evaluate(relation_.schema(), relation_.tuple(row)));
-      if (keep) {
-        matched.push_back(candidate);
-        break;
-      }
-    }
-  }
-  ItemSet items(std::move(matched));
+  // Selection ∩ candidates. On the columnar mirror (every relation but the
+  // tiniest) an equality-driven condition touches only its constant's rows,
+  // and row tuples are never read.
+  FUSION_ASSIGN_OR_RETURN(
+      ItemSet items,
+      relation_.SemiJoinItems(cond, merge_attribute, candidates));
   if (ledger != nullptr) {
     Charge charge;
     charge.source = name_;

@@ -63,11 +63,12 @@ class SimulatedSource : public SourceWrapper {
   double FetchCost(size_t item_count, size_t record_count) const;
 
  private:
-  /// Lazily built hash index over `attribute`, mutex-guarded so concurrent
-  /// queries (parallel plan workers, racing executions) build it exactly
-  /// once. Pure accelerator: results and metered costs are identical to the
-  /// scan path (property-tested). Built indexes are immutable; map nodes are
-  /// pointer-stable, so returned pointers survive later insertions.
+  /// Lazily built hash index over `attribute` for FetchRecords,
+  /// mutex-guarded so concurrent queries (parallel plan workers, racing
+  /// executions) build it exactly once. Pure accelerator: results and
+  /// metered costs are identical to the scan path. Built indexes are
+  /// immutable; map nodes are pointer-stable, so returned pointers survive
+  /// later insertions.
   Result<const ColumnIndex*> IndexFor(const std::string& attribute) const;
 
   std::string name_;

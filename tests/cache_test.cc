@@ -938,7 +938,7 @@ TEST(CacheAwareOptimizationTest, CostModelRepricesOnlyCachedCalls) {
     }
     double LqCost(size_t) const override { return 7.0; }
     SetEstimate SqResult(size_t, size_t) const override {
-      return SetEstimate{10.0};
+      return SetEstimate{10.0, std::nullopt};
     }
     SetEstimate SjqResult(size_t, size_t, const SetEstimate& x) const override {
       return x;
@@ -951,7 +951,7 @@ TEST(CacheAwareOptimizationTest, CostModelRepricesOnlyCachedCalls) {
   view.lq_cached = {1, 0};
   EXPECT_TRUE(view.AnySet());
   const CacheAwareCostModel model(base, view);
-  const SetEstimate x{4.0};
+  const SetEstimate x{4.0, std::nullopt};
   EXPECT_EQ(model.SqCost(0, 0), 0.0);
   EXPECT_EQ(model.SqCost(1, 0), 5.0);
   EXPECT_EQ(model.SjqCost(0, 0, x), 0.0);

@@ -340,6 +340,238 @@ TEST(ColumnarTest, ApproxBytesGrowsWhenMirrorIsWarm) {
 }
 
 // ---------------------------------------------------------------------------
+// Equality-driven evaluation: `attr = k` conjunctions start from the
+// constant's memoized row list instead of scanning every row
+// ---------------------------------------------------------------------------
+
+/// Low-cardinality flag columns with NULLs — the shape equality-driven
+/// evaluation serves — plus an int merge column M (with a few NULLs), a
+/// string merge column N and a double column with NaNs.
+Schema FlagSchema() {
+  return Schema({{"M", ValueType::kInt64},
+                 {"N", ValueType::kString},
+                 {"f0", ValueType::kInt64},
+                 {"f1", ValueType::kInt64},
+                 {"g0", ValueType::kString},
+                 {"g1", ValueType::kString},
+                 {"d", ValueType::kDouble}});
+}
+
+Relation RandomFlagRelation(Rng& rng, size_t rows) {
+  Relation rel(FlagSchema());
+  for (size_t r = 0; r < rows; ++r) {
+    auto maybe_null = [&](Value v) {
+      return rng.Bernoulli(0.1) ? Value::Null() : std::move(v);
+    };
+    const char* tags[] = {"a", "b", "c"};
+    rel.AppendUnchecked(
+        {maybe_null(Value(rng.Uniform(0, 200))),
+         Value("n" + std::to_string(rng.Uniform(0, 150))),
+         maybe_null(Value(rng.Uniform(0, 2))),
+         maybe_null(Value(rng.Uniform(0, 2))),
+         maybe_null(Value(tags[rng.Uniform(0, 2)])),
+         maybe_null(Value(tags[rng.Uniform(0, 2)])),
+         maybe_null(rng.Bernoulli(0.1)
+                        ? Value(std::numeric_limits<double>::quiet_NaN())
+                        : Value(static_cast<double>(rng.Uniform(0, 2))))});
+  }
+  return rel;
+}
+
+/// An equality atom on a flag column whose constant is present, absent,
+/// cross-type (an int column against 1.0 or '1', a string column against
+/// 1) or NaN on the double column.
+Condition RandomEqualityAtom(Rng& rng) {
+  switch (rng.Uniform(0, 7)) {
+    case 0:
+    case 1:
+      return Condition::Eq(rng.Bernoulli(0.5) ? "f0" : "f1",
+                           Value(rng.Uniform(0, 2)));
+    case 2:
+      return Condition::Eq("f0", Value(int64_t{7}));  // absent
+    case 3:
+      return Condition::Eq(rng.Bernoulli(0.5) ? "g0" : "g1",
+                           Value(rng.Bernoulli(0.8) ? "b" : "zz"));
+    case 4:
+      return Condition::Eq("f1", rng.Bernoulli(0.5) ? Value(1.0) : Value("1"));
+    case 5:
+      return Condition::Eq("g0", Value(int64_t{1}));
+    case 6:
+      return Condition::Eq("d", Value(std::numeric_limits<double>::quiet_NaN()));
+    default:
+      return Condition::Eq("d", Value(1.0));
+  }
+}
+
+/// Any other conjunct: a range on M, a NOT-equal, BETWEEN, IN, or a small
+/// OR/NOT subtree (checked on the row list via a scanned bitmap).
+Condition RandomOtherConjunct(Rng& rng) {
+  switch (rng.Uniform(0, 5)) {
+    case 0:
+      return Condition::Compare("M", CompareOp::kLe, Value(rng.Uniform(0, 200)));
+    case 1:
+      return Condition::Compare("g1", CompareOp::kNe, Value("a"));
+    case 2:
+      return Condition::Between("M", Value(rng.Uniform(0, 100)),
+                                Value(rng.Uniform(100, 200)));
+    case 3:
+      return Condition::In("f1", {Value(int64_t{0}), Value(2.0)});
+    case 4:
+      return Condition::Or(RandomEqualityAtom(rng), RandomEqualityAtom(rng));
+    default:
+      return Condition::Not(RandomEqualityAtom(rng));
+  }
+}
+
+/// A random AND-tree of 1-4 conjuncts, at least one an equality atom; a
+/// fifth of the trees are wrapped in OR/NOT, which must fall back to the
+/// scan.
+Condition RandomEqualityTree(Rng& rng) {
+  Condition cond = RandomEqualityAtom(rng);
+  const int64_t extra = rng.Uniform(0, 3);
+  for (int64_t i = 0; i < extra; ++i) {
+    const Condition next = rng.Bernoulli(0.3) ? RandomEqualityAtom(rng)
+                                              : RandomOtherConjunct(rng);
+    cond = rng.Bernoulli(0.5) ? Condition::And(cond, next)
+                              : Condition::And(next, cond);
+  }
+  switch (rng.Uniform(0, 9)) {
+    case 0:
+      return Condition::Not(cond);
+    case 1:
+      return Condition::Or(cond, RandomEqualityAtom(rng));
+    default:
+      return cond;
+  }
+}
+
+TEST(ColumnarTest, EqualityDrivenConjunctionsMatchRowPath) {
+  Rng rng(20261019);
+  for (int trial = 0; trial < 150; ++trial) {
+    const Relation rel = RandomFlagRelation(rng, 64 + trial * 7);
+    const Condition cond = RandomEqualityTree(rng);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + cond.ToString());
+
+    const auto row_sel = rel.Select(cond, EvalPath::kRow);
+    const auto col_sel = rel.Select(cond, EvalPath::kColumnar);
+    ASSERT_TRUE(row_sel.ok());
+    ASSERT_TRUE(col_sel.ok());
+    EXPECT_EQ(row_sel->ToString(), col_sel->ToString());
+
+    for (const char* merge : {"M", "N"}) {
+      const auto row_items = rel.SelectItems(cond, merge, EvalPath::kRow);
+      const auto col_items = rel.SelectItems(cond, merge, EvalPath::kColumnar);
+      ASSERT_TRUE(row_items.ok());
+      ASSERT_TRUE(col_items.ok());
+      EXPECT_EQ(row_items->ToString(), col_items->ToString());
+    }
+
+    const auto row_count = rel.CountWhere(cond, EvalPath::kRow);
+    const auto col_count = rel.CountWhere(cond, EvalPath::kColumnar);
+    ASSERT_TRUE(row_count.ok());
+    ASSERT_TRUE(col_count.ok());
+    EXPECT_EQ(row_count.value(), col_count.value());
+
+    std::vector<int64_t> cand;
+    for (int i = 0; i < 40; ++i) cand.push_back(rng.Uniform(0, 260));
+    const ItemSet candidates = ItemSet::FromInts(std::move(cand));
+    const auto row_sj =
+        rel.SemiJoinItems(cond, "M", candidates, EvalPath::kRow);
+    const auto col_sj =
+        rel.SemiJoinItems(cond, "M", candidates, EvalPath::kColumnar);
+    ASSERT_TRUE(row_sj.ok());
+    ASSERT_TRUE(col_sj.ok());
+    EXPECT_EQ(row_sj->ToString(), col_sj->ToString());
+  }
+}
+
+TEST(ColumnarTest, EqualityDrivenPathEvaluatesOnlyTheRowList) {
+  Rng rng(77);
+  const Relation rel = RandomFlagRelation(rng, 2000);
+  rel.WarmColumnar();
+  const size_t warm_bytes = rel.ApproxBytes();
+  const auto rows_for = [&](const Condition& cond) {
+    const uint64_t before = GetColumnarEvalStats().rows_evaluated;
+    EXPECT_TRUE(rel.CountWhere(cond, EvalPath::kColumnar).ok());
+    return GetColumnarEvalStats().rows_evaluated - before;
+  };
+  for (const Condition& atom :
+       {Condition::Eq("f0", Value(int64_t{1})), Condition::Eq("g1", Value("c"))}) {
+    SCOPED_TRACE(atom.ToString());
+    const size_t list = rel.CountWhere(atom, EvalPath::kRow).value();
+    ASSERT_GT(list, 0u);
+    ASSERT_LT(list, rel.size());
+    // Driven: the row list's length, however many conjuncts follow.
+    EXPECT_EQ(rows_for(atom), list);
+    EXPECT_EQ(rows_for(Condition::And(
+                  Condition::Compare("M", CompareOp::kLe, Value(int64_t{90})),
+                  atom)),
+              list);
+    // An OR or NOT above the atom falls back to the full scan.
+    EXPECT_EQ(rows_for(Condition::Not(Condition::Not(atom))), rel.size());
+    EXPECT_EQ(rows_for(Condition::Or(atom, Condition::False())), rel.size());
+  }
+  // Cross-type and double-column equalities scan too.
+  EXPECT_EQ(rows_for(Condition::Eq("f0", Value(1.0))), rel.size());
+  EXPECT_EQ(rows_for(Condition::Eq("d", Value(1.0))), rel.size());
+  // An absent string constant matches nothing and evaluates no row.
+  EXPECT_EQ(rows_for(Condition::Eq("g0", Value("zz"))), 0u);
+  // The memo grows with query history, so it must not move ApproxBytes
+  // (byte-budgeted caches size entries from it).
+  EXPECT_EQ(rel.ApproxBytes(), warm_bytes);
+}
+
+TEST(ColumnarTest, ConcurrentEqualityDrivenSelectsBuildEachListOnce) {
+  // 8 threads query one fresh relation: each its own constant plus one that
+  // every thread shares, on an int and a string column. Answers must equal
+  // the serial row path's, and each constant's row list is built once. Runs
+  // in the TSan matrix via the `concurrency` label.
+  Rng rng(4242);
+  Schema schema({{"M", ValueType::kInt64},
+                 {"k", ValueType::kInt64},
+                 {"s", ValueType::kString}});
+  Relation rel(schema);
+  for (int64_t r = 0; r < 4000; ++r) {
+    rel.AppendUnchecked({Value(r), Value(rng.Uniform(0, 15)),
+                         Value("s" + std::to_string(rng.Uniform(0, 15)))});
+  }
+  std::vector<Condition> conds;
+  for (int t = 0; t < 8; ++t) {
+    conds.push_back(Condition::Eq("k", Value(int64_t{t})));
+    conds.push_back(Condition::Eq("s", Value("s" + std::to_string(t))));
+  }
+  std::vector<std::string> expected;
+  for (const Condition& c : conds) {
+    expected.push_back(rel.SelectItems(c, "M", EvalPath::kRow)->ToString());
+  }
+  const uint64_t built_before = GetColumnarEvalStats().row_lists_built;
+  std::vector<std::thread> threads;
+  std::vector<std::vector<std::string>> got(8);
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        // Own constants (distinct per thread), then the shared ones (k = 0,
+        // s = 's0'), each in both columns.
+        for (const size_t i : {size_t(2 * t), size_t(2 * t + 1), size_t{0},
+                               size_t{1}}) {
+          const auto items = rel.SelectItems(conds[i], "M");
+          const std::string text =
+              items.ok() ? items->ToString() : items.status().ToString();
+          if (text != expected[i]) got[t].push_back(conds[i].ToString());
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < 8; ++t) {
+    EXPECT_TRUE(got[t].empty()) << "thread " << t << " diverged on "
+                                << got[t].front();
+  }
+  EXPECT_EQ(GetColumnarEvalStats().row_lists_built - built_before,
+            conds.size());
+}
+
+// ---------------------------------------------------------------------------
 // ItemSet: typed merge kernels vs std::set_* reference (satellite 5), plus
 // the right-sizing (satellite 1) and in-place merge (satellite 2) fixes
 // ---------------------------------------------------------------------------

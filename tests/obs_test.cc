@@ -54,7 +54,9 @@ TEST(MetricsTest, HistogramBucketBoundaries) {
   for (double v : {0.1, 1.0, 3.0, 17.5, 1024.0}) {
     const size_t i = Histogram::BucketIndex(v);
     EXPECT_LE(v, Histogram::BucketUpperBound(i)) << v;
-    if (i > 0) EXPECT_GT(v, Histogram::BucketUpperBound(i - 1)) << v;
+    if (i > 0) {
+      EXPECT_GT(v, Histogram::BucketUpperBound(i - 1)) << v;
+    }
   }
 }
 

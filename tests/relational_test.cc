@@ -8,6 +8,7 @@
 #include "relational/reference_evaluator.h"
 #include "relational/relation.h"
 #include "relational/schema.h"
+#include "source/simulated_source.h"
 
 namespace fusion {
 namespace {
@@ -531,43 +532,55 @@ TEST(ColumnIndexTest, RejectsUnknownColumn) {
   EXPECT_FALSE(ColumnIndex::Build(Figure1R1(), "Z").ok());
 }
 
-TEST(ColumnIndexTest, IndexedSemijoinMatchesScanSemantics) {
-  // Property: Relation::SemiJoinItems (scan) agrees with the index-based
-  // evaluation on random data.
+TEST(SemiJoinTest, NativeSemijoinMatchesFullScanWithIdenticalCharges) {
+  // Property: SimulatedSource::SemiJoin (columnar, equality-driven where
+  // the condition allows) returns what a full row scan of
+  // Relation::SemiJoinItems returns, and meters the charge that result
+  // implies — on relations below and above the columnar threshold, with
+  // NULLs in the merge and flag columns.
   Rng rng(123);
   const Schema schema({{"M", ValueType::kInt64}, {"F", ValueType::kInt64}});
-  for (int trial = 0; trial < 20; ++trial) {
+  for (int trial = 0; trial < 40; ++trial) {
     Relation r(schema);
-    const int rows = static_cast<int>(rng.Uniform(0, 60));
+    const int rows = static_cast<int>(rng.Uniform(0, 300));
     for (int i = 0; i < rows; ++i) {
       r.AppendUnchecked(
-          {Value(rng.Uniform(0, 25)), Value(rng.Uniform(0, 1))});
+          {rng.Bernoulli(0.05) ? Value::Null() : Value(rng.Uniform(0, 120)),
+           rng.Bernoulli(0.05) ? Value::Null() : Value(rng.Uniform(0, 1))});
     }
     std::vector<Value> candidate_values;
-    const int k = static_cast<int>(rng.Uniform(0, 15));
+    const int k = static_cast<int>(rng.Uniform(0, 60));
     for (int i = 0; i < k; ++i) {
-      candidate_values.push_back(Value(rng.Uniform(0, 25)));
+      candidate_values.push_back(Value(rng.Uniform(0, 140)));
     }
     const ItemSet candidates(std::move(candidate_values));
-    const Condition cond = Condition::Eq("F", Value(int64_t{1}));
-    const ItemSet scan = *r.SemiJoinItems(cond, "M", candidates);
-    const auto index = ColumnIndex::Build(r, "M");
-    ASSERT_TRUE(index.ok());
-    std::vector<Value> via_index;
-    for (const Value& c : candidates) {
-      const std::vector<size_t>* hits = index->Rows(c);
-      if (hits == nullptr) continue;
-      for (size_t row : *hits) {
-        if (*cond.Evaluate(schema, r.tuple(row))) {
-          via_index.push_back(c);
-          break;
-        }
-      }
-    }
-    EXPECT_EQ(ItemSet(std::move(via_index)), scan) << "trial " << trial;
+    const Condition flag = Condition::Eq("F", Value(int64_t{1}));
+    const Condition cond =
+        trial % 3 == 0 ? flag
+        : trial % 3 == 1
+            ? Condition::And(flag, Condition::Compare("M", CompareOp::kLe,
+                                                      Value(int64_t{80})))
+            : Condition::Or(flag, Condition::Eq("M", Value(int64_t{3})));
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": " + cond.ToString());
+    const ItemSet scan =
+        *r.SemiJoinItems(cond, "M", candidates, EvalPath::kRow);
+
+    Capabilities caps;
+    caps.semijoin = SemijoinSupport::kNative;
+    SimulatedSource source("R", r, caps, NetworkProfile{});
+    CostLedger ledger;
+    const auto native = source.SemiJoin(cond, "M", candidates, &ledger);
+    ASSERT_TRUE(native.ok());
+    EXPECT_EQ(*native, scan);
+    ASSERT_EQ(ledger.charges().size(), 1u);
+    const Charge& charge = ledger.charges()[0];
+    EXPECT_EQ(charge.items_sent, candidates.size());
+    EXPECT_EQ(charge.items_received, scan.size());
+    EXPECT_EQ(charge.tuples_scanned, r.size());
+    EXPECT_EQ(charge.cost, source.SemiJoinCost(candidates.size(), scan.size()));
+    EXPECT_EQ(charge.detail, cond.ToString());
   }
 }
-
 
 TEST(ConditionSimplifyTest, RangeFoldingTightensIntervals) {
   // D >= 1990 AND D <= 1995 AND D BETWEEN 1992 AND 1999 → D BETWEEN 1992 AND 1995.
