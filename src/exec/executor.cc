@@ -32,6 +32,18 @@ void RetryPolicy::Backoff(int attempt) const {
   }
 }
 
+std::vector<ItemSet> ExecutionReport::WitnessSets() const {
+  std::vector<ItemSet> witnesses;
+  witnesses.reserve(source_answers.size());
+  std::vector<const ItemSet*> sets;
+  for (const std::vector<SourceAnswer>& answers : source_answers) {
+    sets.clear();
+    for (const SourceAnswer& a : answers) sets.push_back(&a.items);
+    witnesses.push_back(ItemSet::UnionAll(sets));
+  }
+  return witnesses;
+}
+
 std::vector<int> CompletenessReport::ExcludedSources(int condition) const {
   std::vector<int> sources;
   for (const SourceExclusion& e : excluded) {
@@ -504,7 +516,8 @@ void PlanRun::Finalize(ExecutionReport& report) {
   report.per_op_cache.assign(num_ops, '-');
   exec_internal::CallStats stats;
   std::vector<std::string> reasons(num_ops);
-  std::vector<std::vector<const ItemSet*>> witnesses(catalog_.size());
+  report.answer = std::move(*items_[static_cast<size_t>(plan_.result())]);
+  report.source_answers.assign(catalog_.size(), {});
   for (const size_t k : order_) {
     OpSlot& slot = slots_[k];
     report.per_op_cost[k] = slot.ledger.total();
@@ -519,25 +532,30 @@ void PlanRun::Finalize(ExecutionReport& report) {
     } else if (s.cache_hits > 0) {
       report.per_op_cache[k] = 'h';
     }
+    const PlanOp& op = plan_.ops()[k];
+    if (op.source >= 0) {
+      // An sq/sjq answer is its SSA target (already moved into the report
+      // when it is the plan result); an lq's items live in the slot.
+      ExecutionReport::SourceAnswer answer;
+      const std::vector<Charge>& charges = slot.ledger.charges();
+      answer.arrived = std::any_of(
+          charges.begin(), charges.end(),
+          [](const Charge& c) { return !IsFailedAttempt(c); });
+      if (op.kind == PlanOpKind::kLoad) {
+        answer.items = std::move(slot.observed);
+      } else if (op.target == plan_.result()) {
+        answer.items = report.answer;
+      } else {
+        answer.items = std::move(*items_[op.target]);
+      }
+      report.source_answers[static_cast<size_t>(op.source)].push_back(
+          std::move(answer));
+    }
     report.ledger.MergeFrom(std::move(slot.ledger));
     stats.MergeFrom(s);
     if (slot.emulated) ++report.emulated_semijoins;
     reasons[k] = std::move(slot.degraded);
-    const PlanOp& op = plan_.ops()[k];
-    if (op.source >= 0) {
-      // Witness knowledge: an sq/sjq answer is its SSA target; an lq's
-      // items live in the slot.
-      witnesses[static_cast<size_t>(op.source)].push_back(
-          op.kind == PlanOpKind::kLoad ? &slot.observed : &*items_[op.target]);
-    }
   }
-  // One exact-size union per source: the report is retained by the
-  // service's recent outcomes, so its sets should carry no spare capacity.
-  report.per_source_items.clear();
-  for (const std::vector<const ItemSet*>& sets : witnesses) {
-    report.per_source_items.push_back(ItemSet::UnionAll(sets));
-  }
-  report.answer = std::move(*items_[static_cast<size_t>(plan_.result())]);
   // Never-demanded ops, plus semijoins answered ∅ without their call.
   report.skipped_ops = short_circuited_ + (num_ops - order_.size());
   report.retries_total = stats.retries;

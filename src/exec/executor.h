@@ -111,11 +111,23 @@ struct ExecutionReport {
   ///   'm'  at least one real miss (a source was contacted)
   ///   '-'  no cacheable calls (local op, skipped op, or no cache attached)
   std::vector<char> per_op_cache;
-  /// Witness knowledge gathered for free during execution: per source (by
-  /// catalog index), the merge values this source was observed to hold —
-  /// every item a source returned provably has a record there. Used by the
-  /// second-phase fetch planner to avoid asking every source.
-  std::vector<ItemSet> per_source_items;
+  /// The answer of one evaluated source op (sq, sjq, or an lq's items).
+  struct SourceAnswer {
+    ItemSet items;
+    /// True iff the op's sub-ledger holds a successful charge: a source was
+    /// contacted and these items (at least those not already cached)
+    /// arrived with it. False for exact and containment cache hits and for
+    /// ∅-substituted ops.
+    bool arrived = false;
+  };
+  /// Per source (by catalog index), the answers of its evaluated ops, moved
+  /// out of the execution in merge order. Every item a source returned
+  /// provably has a record there; session learning reads the arrived ones.
+  std::vector<std::vector<SourceAnswer>> source_answers;
+  /// Witness knowledge gathered for free during execution: per source, the
+  /// union of its op answers. Built on each call, for the second-phase
+  /// fetch planner, which uses it to avoid asking every source.
+  std::vector<ItemSet> WitnessSets() const;
   /// Measured elapsed wall-clock time of the whole execution, in seconds.
   /// Under ExecOptions::simulated_seconds_per_cost > 0 this is the *measured
   /// makespan*: dividing by the scale yields cost units directly comparable

@@ -17,7 +17,7 @@ struct FetchAssignment {
 
 /// Plans the second phase of two-phase processing using the witness
 /// knowledge gathered for free during phase 1 (ExecutionReport::
-/// per_source_items): every answered item was returned by at least one
+/// WitnessSets()): every answered item was returned by at least one
 /// source, so that source provably holds a record for it.
 ///
 /// Greedy weighted set cover: repeatedly pick the source whose known items

@@ -178,7 +178,7 @@ Result<QueryAnswer> Mediator::AnswerSql(const std::string& sql,
 Result<Relation> Mediator::FetchRecordsFromWitnesses(
     const FusionQuery& query, const QueryAnswer& phase1,
     CostLedger* ledger) {
-  const std::vector<ItemSet>& witnesses = phase1.execution.per_source_items;
+  const std::vector<ItemSet> witnesses = phase1.execution.WitnessSets();
   if (witnesses.size() != catalog_.size()) {
     return Status::InvalidArgument(
         "phase-1 report does not match this catalog");

@@ -17,9 +17,9 @@ constexpr double kDefaultSelectivity = 0.2;
 }  // namespace
 
 Result<ParametricCostModel> QuerySession::BuildSessionModel(
-    const FusionQuery& query) {
+    const std::vector<std::string>& cond_texts) {
   const SourceCatalog& catalog = mediator_.catalog();
-  const size_t m = query.num_conditions();
+  const size_t m = cond_texts.size();
   std::vector<SourceParams> params;
   params.reserve(catalog.size());
   for (size_t j = 0; j < catalog.size(); ++j) {
@@ -37,9 +37,8 @@ Result<ParametricCostModel> QuerySession::BuildSessionModel(
                         ? card_it->second
                         : options_.default_cardinality;
     p.result_size.reserve(m);
-    for (const Condition& cond : query.conditions()) {
-      const auto it =
-          observed_result_size_.find({j, cond.ToString()});
+    for (const std::string& text : cond_texts) {
+      const auto it = observed_result_size_.find({j, text});
       p.result_size.push_back(it != observed_result_size_.end()
                                   ? it->second
                                   : p.cardinality * kDefaultSelectivity);
@@ -56,9 +55,19 @@ namespace {
 
 /// Plan-memo key: the memo is consulted only when the caller asks for the
 /// same strategy (a strategy-comparison driver must get the strategy it
-/// asked for, not whatever plan happens to be anchored).
-std::string PlanMemoKey(const FusionQuery& query, OptimizerStrategy strategy) {
-  return std::string(OptimizerStrategyName(strategy)) + "|" + query.ToString();
+/// asked for, not whatever plan happens to be anchored). The rest is
+/// FusionQuery::ToString(), spelled from the already rendered conditions.
+std::string PlanMemoKey(const FusionQuery& query,
+                        const std::vector<std::string>& cond_texts,
+                        OptimizerStrategy strategy) {
+  std::string key = std::string(OptimizerStrategyName(strategy)) +
+                    "|fusion(" + query.merge_attribute() + "; ";
+  for (size_t i = 0; i < cond_texts.size(); ++i) {
+    if (i > 0) key += ", ";
+    key += cond_texts[i];
+  }
+  key += ")";
+  return key;
 }
 
 }  // namespace
@@ -95,16 +104,14 @@ QueryCacheView QuerySession::BuildCacheView(const FusionQuery& query) {
   return view;
 }
 
-void QuerySession::Learn(const FusionQuery& query, const OptimizedPlan& plan,
+void QuerySession::Learn(const std::vector<std::string>& cond_texts,
+                         const OptimizedPlan& plan,
                          const ExecutionReport& report) {
   std::lock_guard<std::mutex> lock(knowledge_mutex_);
   // Selections reveal exact per-(source, condition) result sizes. Walk the
-  // plan's ops next to the report's per-op costs/answers: we only get set
-  // *sizes* from the ledger, but the executor's witness sets give the items
-  // a source returned overall, and sq answers are the targets of kSelect
-  // ops — recover them by re-walking charges is fragile, so instead use
-  // the ledger charges in op order for selections (items_received is the
-  // answer size of that selection).
+  // plan's ops next to the report's per-op costs and take the ledger's
+  // successful sq charges in op order (items_received is the answer size
+  // of that selection).
   size_t charge_idx = 0;
   const auto& charges = report.ledger.charges();
   // Ops ∅-substituted by degraded-mode execution charged their failed
@@ -116,8 +123,7 @@ void QuerySession::Learn(const FusionQuery& query, const OptimizedPlan& plan,
   auto next_select_charge = [&]() -> const Charge* {
     while (charge_idx < charges.size()) {
       const Charge& c = charges[charge_idx++];
-      if (c.kind == ChargeKind::kSelect &&
-          c.detail.rfind("FAILED", 0) != 0) {
+      if (c.kind == ChargeKind::kSelect && !IsFailedAttempt(c)) {
         return &c;
       }
     }
@@ -137,12 +143,11 @@ void QuerySession::Learn(const FusionQuery& query, const OptimizedPlan& plan,
     }
     const Charge* charge = next_select_charge();
     if (charge == nullptr) break;
-    const std::string key =
-        query.conditions()[static_cast<size_t>(op.cond)].ToString();
-    observed_result_size_[{static_cast<size_t>(op.source), key}] =
+    observed_result_size_[{static_cast<size_t>(op.source),
+                           cond_texts[static_cast<size_t>(op.cond)]}] =
         static_cast<double>(charge->items_received);
   }
-  // Loads reveal cardinalities; witness sets grow the universe bound.
+  // Loads reveal cardinalities.
   for (const Charge& c : charges) {
     if (c.kind == ChargeKind::kLoad) {
       // Map the source name back to its index.
@@ -152,17 +157,27 @@ void QuerySession::Learn(const FusionQuery& query, const OptimizedPlan& plan,
       }
     }
   }
-  for (const ItemSet& items : report.per_source_items) {
-    if (items.is_int64() && observed_values_.empty()) {
-      observed_ints_.insert(items.ints().begin(), items.ints().end());
-      continue;
+  // The universe bound grows only where items arrive: an answer served
+  // from the cache (exactly or by containment) holds items that arrived
+  // with an earlier call, so it cannot add one.
+  for (const std::vector<ExecutionReport::SourceAnswer>& answers :
+       report.source_answers) {
+    for (const ExecutionReport::SourceAnswer& answer : answers) {
+      if (answer.arrived) LearnItemsLocked(answer.items);
     }
-    if (observed_values_.empty()) {
-      for (const int64_t x : observed_ints_) observed_values_.emplace(x);
-      observed_ints_ = {};
-    }
-    observed_values_.insert(items.begin(), items.end());
   }
+}
+
+void QuerySession::LearnItemsLocked(const ItemSet& items) {
+  if (items.is_int64() && observed_values_.empty()) {
+    observed_ints_.insert(items.ints().begin(), items.ints().end());
+    return;
+  }
+  if (observed_values_.empty()) {
+    for (const int64_t x : observed_ints_) observed_values_.emplace(x);
+    observed_ints_ = {};
+  }
+  observed_values_.insert(items.begin(), items.end());
 }
 
 Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
@@ -177,6 +192,18 @@ Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
   const std::optional<StatisticsMode> statistics =
       controls.statistics.has_value() ? controls.statistics
                                       : options_.statistics;
+
+  // Each condition is rendered once per query, outside the knowledge
+  // mutex: the statistics keys, the plan-memo key and learning share them.
+  std::vector<std::string> cond_texts;
+  cond_texts.reserve(query.num_conditions());
+  for (const Condition& cond : query.conditions()) {
+    cond_texts.push_back(cond.ToString());
+  }
+  const bool cache_aware =
+      options_.use_cache && options_.cache_aware_optimization;
+  const std::string memo_key =
+      cache_aware ? PlanMemoKey(query, cond_texts, strategy) : std::string();
 
   CostLedger probe_ledger;
   Result<OptimizedPlan> optimized_or = [&]() -> Result<OptimizedPlan> {
@@ -204,7 +231,7 @@ Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
     } else {
       std::lock_guard<std::mutex> lock(knowledge_mutex_);
       FUSION_ASSIGN_OR_RETURN(ParametricCostModel model,
-                              BuildSessionModel(query));
+                              BuildSessionModel(cond_texts));
       session_model.emplace(std::move(model));
     }
     const CostModel& model = fixed_model != nullptr
@@ -214,30 +241,44 @@ Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
     // Cache-aware re-optimization: calls the memo can already answer are
     // priced at zero, so a repeated (or overlapping) query plans *through*
     // the cache instead of re-deriving the cold-cache plan.
-    if (options_.use_cache && options_.cache_aware_optimization) {
+    if (cache_aware) {
       const QueryCacheView view = BuildCacheView(query);
       if (view.AnySet()) {
         if (span.active()) span.AddAttr("cache_aware", "true");
         const CacheAwareCostModel cached_model(model, view);
-        FUSION_ASSIGN_OR_RETURN(
-            OptimizedPlan fresh,
-            RunOptimizer(cached_model, strategy, options_.postopt));
         // Plan memo: re-running the plan this exact query executed last
         // time turns every call into an exact cache hit, while a *fresh*
         // plan with the same (often zero) estimate may order its semijoin
         // chains differently and miss the cached anchors. So when the
         // remembered plan re-prices at least as cheap as the fresh one,
         // prefer it — ties must break toward the anchored plan.
-        std::lock_guard<std::mutex> lock(knowledge_mutex_);
-        const auto it = plan_memo_.find(PlanMemoKey(query, strategy));
-        if (it != plan_memo_.end()) {
-          const auto estimate = EstimatePlanCost(it->second.plan, cached_model);
-          if (estimate.ok() && estimate->total <= fresh.estimated_cost) {
-            OptimizedPlan remembered = it->second;
-            remembered.estimated_cost = estimate->total;
-            if (span.active()) span.AddAttr("plan_memo", "reused");
-            return remembered;
+        std::optional<OptimizedPlan> remembered;
+        {
+          std::lock_guard<std::mutex> lock(knowledge_mutex_);
+          const auto it = plan_memo_.find(memo_key);
+          if (it != plan_memo_.end()) {
+            const auto estimate =
+                EstimatePlanCost(it->second.plan, cached_model);
+            if (estimate.ok()) {
+              remembered = it->second;
+              remembered->estimated_cost = estimate->total;
+            }
           }
+        }
+        // Every cost term is non-negative, so no fresh plan prices below 0:
+        // a memo that re-prices at 0 is what the comparison below would
+        // pick anyway, and the optimizer need not run.
+        if (remembered.has_value() && remembered->estimated_cost <= 0.0) {
+          if (span.active()) span.AddAttr("plan_memo", "reused");
+          return std::move(*remembered);
+        }
+        FUSION_ASSIGN_OR_RETURN(
+            OptimizedPlan fresh,
+            RunOptimizer(cached_model, strategy, options_.postopt));
+        if (remembered.has_value() &&
+            remembered->estimated_cost <= fresh.estimated_cost) {
+          if (span.active()) span.AddAttr("plan_memo", "reused");
+          return std::move(*remembered);
         }
         return fresh;
       }
@@ -267,22 +308,21 @@ Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
 
   {
     ScopedSpan span(SpanCategory::kPhase, "learn");
-    Learn(query, optimized, execution);
+    Learn(cond_texts, optimized, execution);
   }
-  if (options_.use_cache && options_.cache_aware_optimization) {
+  if (cache_aware) {
     // Remember the executed plan for this (query, strategy): its source
     // calls are now cached under exactly its candidate sets, so replaying
     // it on the next identical query is free.
     std::lock_guard<std::mutex> lock(knowledge_mutex_);
-    const std::string key = PlanMemoKey(query, strategy);
-    if (plan_memo_.find(key) == plan_memo_.end()) {
-      plan_memo_order_.push_back(key);
+    if (plan_memo_.find(memo_key) == plan_memo_.end()) {
+      plan_memo_order_.push_back(memo_key);
       if (plan_memo_order_.size() > kPlanMemoCapacity) {
         plan_memo_.erase(plan_memo_order_.front());
         plan_memo_order_.pop_front();
       }
     }
-    plan_memo_[key] = optimized;
+    plan_memo_[memo_key] = optimized;
   }
 
   QueryAnswer answer;

@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "exec/source_call_cache.h"
 #include "exec/source_health.h"
@@ -143,8 +144,9 @@ class QuerySession {
     std::lock_guard<std::mutex> lock(knowledge_mutex_);
     return plan_memo_.size();
   }
-  /// Distinct merge-attribute items seen in any execution so far: the
-  /// learned universe lower bound (before the default_universe floor).
+  /// Distinct merge-attribute items that successful executions so far
+  /// received from sources: the learned universe lower bound (before the
+  /// default_universe floor).
   size_t observed_universe_size() const {
     std::lock_guard<std::mutex> lock(knowledge_mutex_);
     return UniverseSizeLocked();
@@ -158,9 +160,11 @@ class QuerySession {
   void InvalidateSource(size_t source) { cache_.Invalidate(source); }
 
  private:
-  /// Builds the per-query parametric model from session knowledge.
-  /// Caller must hold knowledge_mutex_.
-  Result<ParametricCostModel> BuildSessionModel(const FusionQuery& query);
+  /// Builds the per-query parametric model from session knowledge, given
+  /// the canonical query's rendered conditions. Caller must hold
+  /// knowledge_mutex_.
+  Result<ParametricCostModel> BuildSessionModel(
+      const std::vector<std::string>& cond_texts);
 
   /// observed_universe_size(). Caller must hold knowledge_mutex_.
   size_t UniverseSizeLocked() const {
@@ -174,9 +178,14 @@ class QuerySession {
 
   /// Learns from one execution: exact result sizes for every selection the
   /// plan issued, source cardinalities from loads, and the universe lower
-  /// bound from all observed items. Takes knowledge_mutex_ itself.
-  void Learn(const FusionQuery& query, const OptimizedPlan& plan,
-             const ExecutionReport& report);
+  /// bound from the answers of the ops that contacted a source (a cache hit
+  /// holds no item that did not arrive earlier). `cond_texts` are the
+  /// canonical query's rendered conditions. Takes knowledge_mutex_ itself.
+  void Learn(const std::vector<std::string>& cond_texts,
+             const OptimizedPlan& plan, const ExecutionReport& report);
+  /// Adds `items` to the learned universe. Caller must hold
+  /// knowledge_mutex_.
+  void LearnItemsLocked(const ItemSet& items);
 
   Mediator mediator_;
   Options options_;
@@ -188,8 +197,9 @@ class QuerySession {
   mutable std::mutex knowledge_mutex_;
   std::map<std::pair<size_t, std::string>, double> observed_result_size_;
   std::map<size_t, double> observed_cardinality_;
-  /// Every item any execution has returned, kept incrementally: a query
-  /// pays for the items it saw, not for the session's whole history. While
+  /// Every item any successful execution received from a source, kept
+  /// incrementally: a query pays for the items that arrived with it, not
+  /// for the session's whole history. While
   /// every observed set is int-form the items live raw in `observed_ints_`;
   /// the first set holding any other item moves them, once, into
   /// `observed_values_`, which is non-empty from then on. Either way the
@@ -204,8 +214,9 @@ class QuerySession {
   /// Last executed plan per (strategy, canonical query), FIFO-bounded. On a
   /// repeated query the memoized plan's calls are exact cache hits, so
   /// cache-aware optimization prefers it over an equally-priced fresh plan
-  /// whose semijoin chains would miss the cached anchors. Guarded by
-  /// knowledge_mutex_.
+  /// whose semijoin chains would miss the cached anchors — and when it
+  /// re-prices at 0, no plan can beat it, so the optimizer is not run.
+  /// Guarded by knowledge_mutex_.
   static constexpr size_t kPlanMemoCapacity = 128;
   std::map<std::string, OptimizedPlan> plan_memo_;
   std::deque<std::string> plan_memo_order_;

@@ -14,10 +14,6 @@
 namespace fusion {
 namespace {
 
-/// Warm-locality ledger bound: past this many distinct keys the ledger is
-/// cleared (stats restart cold; routing is stateless and unaffected).
-constexpr size_t kMaxWarmEntries = 64 * 1024;
-
 /// Transport-level failures a redial (or a failover to the next-ranked
 /// shard) can cure; protocol-level failures are final.
 bool IsTransportError(const Status& status) {
@@ -126,6 +122,11 @@ size_t QueryRouter::idle_links(size_t shard) const {
   ShardPool& pool = *pools_[shard];
   std::lock_guard<std::mutex> lock(pool.mutex);
   return pool.idle.size();
+}
+
+size_t QueryRouter::warm_entries() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return last_shard_.size();
 }
 
 void QueryRouter::Count(size_t Counters::*field, Counter& metric) {

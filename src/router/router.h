@@ -71,6 +71,9 @@ class QueryRouter {
   /// release, so a burst of concurrent forwards leaves at most this many
   /// sockets open once it drains.
   static constexpr size_t kMaxIdleLinksPerShard = 8;
+  /// Warm-locality ledger bound: past this many distinct keys the ledger is
+  /// cleared (stats restart cold; routing is stateless and unaffected).
+  static constexpr size_t kMaxWarmEntries = 64 * 1024;
 
   QueryRouter(ShardMap shards, const Options& options);
   ~QueryRouter();
@@ -111,6 +114,8 @@ class QueryRouter {
 
   /// Upstream connections to `shard` pooled idle right now (for tests).
   size_t idle_links(size_t shard) const;
+  /// Keys in the warm-locality ledger right now (for tests).
+  size_t warm_entries() const;
 
  private:
   /// One pooled upstream connection with its negotiated feature set.
@@ -154,8 +159,8 @@ class QueryRouter {
   mutable std::mutex mutex_;
   bool shutting_down_ = false;
   /// key -> shard that served it last: the warm-locality ledger behind
-  /// warm_forwards/warm_hits. Bounded: cleared wholesale past 64k keys
-  /// (locality stats restart; routing itself is stateless and unaffected).
+  /// warm_forwards/warm_hits. Bounded: cleared wholesale past
+  /// kMaxWarmEntries keys.
   std::map<std::string, size_t> last_shard_;
   Counters counters_;
 };

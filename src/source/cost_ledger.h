@@ -29,6 +29,12 @@ struct Charge {
   double cost = 0.0;
 };
 
+/// True for the charge a failed attempt leaves: the request round trip was
+/// paid but no answer came back (FlakySource details it "FAILED <op>").
+inline bool IsFailedAttempt(const Charge& charge) {
+  return charge.detail.rfind("FAILED", 0) == 0;
+}
+
 /// Accumulates the actual cost of executing a plan: every wrapper call
 /// appends a Charge. The paper's cost of a plan is exactly `total()` —
 /// the sum of the constituent source-query costs (local mediator ops are

@@ -99,10 +99,11 @@ void ExpectSameExecution(const ExecutionReport& seq,
   // Each op's cost is its own sub-ledger's total under every scheduler, so
   // the per-op costs agree exactly, not just within rounding.
   EXPECT_EQ(seq.per_op_cost, par.per_op_cost);
-  ASSERT_EQ(seq.per_source_items.size(), par.per_source_items.size());
-  for (size_t j = 0; j < seq.per_source_items.size(); ++j) {
-    EXPECT_EQ(seq.per_source_items[j], par.per_source_items[j])
-        << "source " << j;
+  const std::vector<ItemSet> seq_witnesses = seq.WitnessSets();
+  const std::vector<ItemSet> par_witnesses = par.WitnessSets();
+  ASSERT_EQ(seq_witnesses.size(), par_witnesses.size());
+  for (size_t j = 0; j < seq_witnesses.size(); ++j) {
+    EXPECT_EQ(seq_witnesses[j], par_witnesses[j]) << "source " << j;
   }
 }
 

@@ -13,9 +13,11 @@
 #include "exec/source_call_cache.h"
 #include "mediator/mediator.h"
 #include "mediator/session.h"
+#include "obs/metrics.h"
 #include "optimizer/filter.h"
 #include "optimizer/spj_baseline.h"
 #include "relational/reference_evaluator.h"
+#include "source/flaky_source.h"
 #include "source/simulated_source.h"
 #include "workload/synthetic.h"
 
@@ -96,11 +98,13 @@ TEST(SourceCallCacheTest, CachedRunsKeepWitnessKnowledge) {
   const auto cached =
       ExecutePlan(filter->plan, instance.catalog, instance.query, options);
   ASSERT_TRUE(cached.ok());
-  // per_source_items must match between the metered and the cached run, so
+  // Witness sets must match between the metered and the cached run, so
   // witness-based fetch planning keeps working on cache hits.
-  ASSERT_EQ(cached->per_source_items.size(), warm->per_source_items.size());
-  for (size_t j = 0; j < warm->per_source_items.size(); ++j) {
-    EXPECT_EQ(cached->per_source_items[j], warm->per_source_items[j]);
+  const std::vector<ItemSet> warm_witnesses = warm->WitnessSets();
+  const std::vector<ItemSet> cached_witnesses = cached->WitnessSets();
+  ASSERT_EQ(cached_witnesses.size(), warm_witnesses.size());
+  for (size_t j = 0; j < warm_witnesses.size(); ++j) {
+    EXPECT_EQ(cached_witnesses[j], warm_witnesses[j]);
   }
 }
 
@@ -144,7 +148,7 @@ TEST(SourceCallCacheTest, DistinctConditionsDoNotCollide) {
 
 /// Answers each query in turn and checks, after every one, that the
 /// session's learned universe equals the size of the ItemSet union of every
-/// per_source_items set reported so far. Returns that union.
+/// witness set reported so far. Returns that union.
 ItemSet CheckUniverseAfterEachQuery(QuerySession& session,
                                     const std::vector<FusionQuery>& queries) {
   ItemSet seen;
@@ -152,7 +156,7 @@ ItemSet CheckUniverseAfterEachQuery(QuerySession& session,
     const auto answer = session.Answer(queries[q]);
     EXPECT_TRUE(answer.ok()) << answer.status().ToString();
     if (!answer.ok()) break;
-    for (const ItemSet& items : answer->execution.per_source_items) {
+    for (const ItemSet& items : answer->execution.WitnessSets()) {
       seen = ItemSet::Union(seen, items);
     }
     EXPECT_EQ(session.observed_universe_size(), seen.size()) << "query " << q;
@@ -284,6 +288,58 @@ TEST(SessionUniverseTest, MixedInt64AndIntegralDoubleItemsCountOnce) {
   EXPECT_EQ(session.observed_universe_size(), 101u);
 }
 
+// The universe bound learns the answers of the ops that contacted a source,
+// once the query has succeeded. A query that fails after one source answer
+// learns nothing; that answer stays in the cache, and a later query served
+// from the cache does not learn it either (a cache hit adds no item under
+// successful-only sequences, so only this failure path differs from
+// learning every witness set).
+TEST(SessionUniverseTest, FailedQueryLearnsNothing) {
+  const Schema schema({{"M", ValueType::kInt64}, {"f", ValueType::kInt64}});
+  Relation rows(schema);
+  for (int64_t k = 0; k < 60; ++k) {
+    ASSERT_TRUE(rows.Append({Value(k), Value(k % 5)}).ok());
+  }
+  FlakySource::Options flaky;
+  // Call 0 answers, call 1 fails (a permanent outage, not retried), later
+  // calls answer again.
+  flaky.outage_start = 1;
+  flaky.outage_end = 2;
+  SourceCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .Add(std::make_unique<FlakySource>(
+                      std::make_unique<SimulatedSource>(
+                          "R", std::move(rows), Capabilities{},
+                          NetworkProfile{}),
+                      flaky))
+                  .ok());
+  // f >= 1 holds for 48 keys, f <= 3 for 48, both for 36.
+  const FusionQuery query(
+      "M", {Condition::Compare("f", CompareOp::kGe, Value(int64_t{1})),
+            Condition::Compare("f", CompareOp::kLe, Value(int64_t{3}))});
+  QuerySession::Options options;
+  options.strategy = OptimizerStrategy::kFilter;
+  options.execution.retry.max_attempts = 1;
+  QuerySession session(Mediator(std::move(catalog)), options);
+
+  const auto failed = session.Answer(query);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(session.cache().entries(), 1u);
+  EXPECT_EQ(session.observed_universe_size(), 0u);
+
+  const auto answered = session.Answer(query);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered->items.size(), 36u);
+  EXPECT_EQ(answered->execution.cache_hits, 1u);
+  // Only the second selection arrived with this query.
+  EXPECT_EQ(session.observed_universe_size(), 48u);
+  ItemSet witnessed;
+  for (const ItemSet& items : answered->execution.WitnessSets()) {
+    witnessed = ItemSet::Union(witnessed, items);
+  }
+  EXPECT_EQ(witnessed.size(), 60u);
+}
+
 // ---------------------------------------------------------------------------
 // Plan memo bound
 // ---------------------------------------------------------------------------
@@ -307,6 +363,111 @@ TEST(SessionPlanMemoTest, StaysAtCapacityPastIt) {
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   }
   EXPECT_EQ(session.memoized_plans(), 128u);
+}
+
+/// What the session's cache can answer for `query`'s (condition, source)
+/// pairs right now: the view cache-aware planning prices against.
+QueryCacheView CacheViewOf(const QuerySession& session,
+                           const FusionQuery& query, size_t num_sources) {
+  const size_t m = query.num_conditions();
+  QueryCacheView view;
+  view.sq_answerable.assign(m, std::vector<char>(num_sources, 0));
+  view.sjq_answerable.assign(m, std::vector<char>(num_sources, 0));
+  view.lq_cached.assign(num_sources, 0);
+  for (size_t j = 0; j < num_sources; ++j) {
+    const bool lq = session.cache().ContainsLoad(j);
+    view.lq_cached[j] = lq ? 1 : 0;
+    for (size_t i = 0; i < m; ++i) {
+      const std::string key = query.conditions()[i].CacheKey();
+      if (lq || session.cache().ContainsSelect(j, key)) {
+        view.sq_answerable[i][j] = 1;
+        view.sjq_answerable[i][j] = 1;
+      } else if (session.cache().ContainsSemiJoin(j, key)) {
+        view.sjq_answerable[i][j] = 1;
+      }
+    }
+  }
+  return view;
+}
+
+// A repeated query whose remembered plan the cache answers whole re-prices
+// at 0, and no plan prices below 0: the session runs that plan without
+// running the optimizer. Once a source of the plan is invalidated the memo
+// prices above 0, the optimizer runs again, and the session picks what the
+// memo-vs-fresh comparison picks.
+TEST(SessionPlanMemoTest, ZeroPricedMemoHitSkipsTheOptimizer) {
+  SyntheticSpec spec;
+  spec.universe_size = 500;
+  spec.num_sources = 4;
+  spec.num_conditions = 3;
+  spec.selectivity = {0.05, 0.3, 0.5};
+  spec.frac_native_semijoin = 0.5;
+  spec.frac_passed_bindings = 0.25;
+  spec.seed = 23;
+  auto instance = GenerateSynthetic(spec);
+  ASSERT_TRUE(instance.ok());
+  const FusionQuery query = instance->query;
+  const FusionQuery canonical = query.Canonicalized();
+  const std::vector<const SimulatedSource*> simulated = instance->simulated;
+  const size_t num_sources = simulated.size();
+  QuerySession::Options options;
+  // Fixed oracle statistics, so the test can rebuild the session's model.
+  options.statistics = StatisticsMode::kOracle;
+  QuerySession session(Mediator(std::move(instance->catalog)), options);
+  const Counter& plans = MetricsRegistry::Global().counter(
+      metrics::kOptimizerPlansConsidered);
+
+  const auto cold = session.Answer(query);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_GT(cold->execution.ledger.total(), 0.0);
+  ASSERT_EQ(session.memoized_plans(), 1u);
+
+  const uint64_t before_warm = plans.value();
+  const auto warm = session.Answer(query);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(plans.value() - before_warm, 0u);
+  EXPECT_EQ(warm->optimized.plan.ToString(), cold->optimized.plan.ToString());
+  EXPECT_DOUBLE_EQ(warm->optimized.estimated_cost, 0.0);
+  EXPECT_DOUBLE_EQ(warm->execution.ledger.total(), 0.0);
+  EXPECT_EQ(warm->items, cold->items);
+
+  // Invalidate the first source the plan asks.
+  int invalidated = -1;
+  for (const PlanOp& op : warm->optimized.plan.ops()) {
+    if (op.source >= 0) {
+      invalidated = op.source;
+      break;
+    }
+  }
+  ASSERT_GE(invalidated, 0);
+  session.InvalidateSource(static_cast<size_t>(invalidated));
+
+  // The comparison the session makes, rebuilt from the same inputs: memo
+  // re-priced against a fresh plan under the cache-aware model, ties to
+  // the memo.
+  const auto oracle = OracleCostModel::Create(simulated, canonical);
+  ASSERT_TRUE(oracle.ok());
+  const QueryCacheView view = CacheViewOf(session, canonical, num_sources);
+  ASSERT_TRUE(view.AnySet());
+  const CacheAwareCostModel cached_model(*oracle, view);
+  const auto memo_price =
+      EstimatePlanCost(warm->optimized.plan, cached_model);
+  ASSERT_TRUE(memo_price.ok());
+  EXPECT_GT(memo_price->total, 0.0);
+  const auto fresh = RunOptimizer(cached_model, OptimizerStrategy::kSjaPlus,
+                                  PostOptOptions{});
+  ASSERT_TRUE(fresh.ok());
+  const Plan& expected = memo_price->total <= fresh->estimated_cost
+                             ? warm->optimized.plan
+                             : fresh->plan;
+
+  const uint64_t before_refresh = plans.value();
+  const auto refreshed = session.Answer(query);
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_GT(plans.value() - before_refresh, 0u);
+  EXPECT_EQ(refreshed->optimized.plan.ToString(), expected.ToString());
+  EXPECT_GT(refreshed->execution.ledger.total(), 0.0);
+  EXPECT_EQ(refreshed->items, cold->items);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 // over past a dead shard, and apply INVALIDATE broadcasts idempotently.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -560,6 +561,55 @@ TEST(RouterTest, IdleLinkPoolStaysBoundedAfterABurst) {
   EXPECT_EQ(router.idle_links(0), QueryRouter::kMaxIdleLinksPerShard);
   router.Shutdown();
   EXPECT_EQ(router.idle_links(0), 0u);
+}
+
+TEST(RouterTest, WarmLocalityMapStaysBounded) {
+  // One more distinct routing key than the warm-locality ledger keeps: the
+  // ledger fills to kMaxWarmEntries, then starts over instead of growing.
+  // Four sender threads share the keys; the bound holds after every forward.
+  constexpr size_t kKeys = QueryRouter::kMaxWarmEntries + 1;
+  constexpr size_t kThreads = 4;
+  ClientResponse done;
+  done.ticket = 5;
+  done.state = "done";
+  ScriptedShard shard(SerializeClientResponse(done));
+  Daemon<ScriptedShard> daemon(&shard);
+  ASSERT_TRUE(daemon.Start().ok());
+  auto shard_map = ShardMap::Make({{"s0", Endpoint(daemon.port())}});
+  ASSERT_TRUE(shard_map.ok());
+  QueryRouter router(std::move(shard_map).value(), QueryRouter::Options{});
+
+  std::atomic<size_t> next{0};
+  std::atomic<size_t> failed{0};
+  std::atomic<size_t> max_seen{0};
+  std::vector<std::thread> senders;
+  for (size_t t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&] {
+      ClientRequest submit;
+      submit.kind = ClientRequest::Kind::kSubmit;
+      for (size_t i = next++; i < kKeys; i = next++) {
+        submit.sql = "SELECT u1.L FROM U u1 WHERE u1.V = 'k" +
+                     std::to_string(i) + "'";
+        const auto response =
+            ParseClientResponse(router.Handle(SerializeClientRequest(submit)));
+        if (!response.ok() || !response->ok) ++failed;
+        const size_t entries = router.warm_entries();
+        size_t seen = max_seen.load();
+        while (entries > seen &&
+               !max_seen.compare_exchange_weak(seen, entries)) {
+        }
+      }
+    });
+  }
+  for (std::thread& sender : senders) sender.join();
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(router.counters().forwards, kKeys);
+  EXPECT_EQ(router.counters().warm_forwards, 0u);
+  EXPECT_LE(max_seen.load(), QueryRouter::kMaxWarmEntries);
+  EXPECT_GT(max_seen.load(), QueryRouter::kMaxWarmEntries - kThreads);
+  // The last key in found the ledger full and cleared it first.
+  EXPECT_EQ(router.warm_entries(), 1u);
+  router.Shutdown();
 }
 
 TEST(RouterTest, EmbeddedInvalidateWorksWithoutAFleet) {
