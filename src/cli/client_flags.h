@@ -1,25 +1,14 @@
 #ifndef FUSION_CLI_CLIENT_FLAGS_H_
 #define FUSION_CLI_CLIENT_FLAGS_H_
 
-#include <cstring>
 #include <optional>
 #include <string>
 
+#include "cli/flags.h"  // ParseFlagValue
 #include "common/status.h"
 #include "mediator/client.h"
 
 namespace fusion {
-
-/// `--flag=value` splitter shared by the fusion command-line tools.
-inline bool ParseFlagValue(const char* arg, const char* name,
-                           std::string* out) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
 
 Result<OptimizerStrategy> StrategyFromName(const std::string& name);
 

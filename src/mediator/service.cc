@@ -7,6 +7,7 @@
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "protocol/tcp_server.h"
 #include "query/parser.h"
 
 namespace fusion {
@@ -523,20 +524,8 @@ std::string QueryService::Handle(const std::string& request_text) {
 }
 
 void QueryService::ServeConnection(ChaosSocket socket) {
-  if (socket.valid()) {
-    socket.inner().SetReceiveLimit(8 * kMaxClientProtocolLineBytes);
-    if (options_.stall_deadline_seconds > 0.0) {
-      // Best-effort: a failed setsockopt leaves the connection unguarded,
-      // not unserved.
-      (void)socket.inner().SetStallDeadline(options_.stall_deadline_seconds);
-    }
-  }
-  for (;;) {
-    const Result<std::string> message = socket.Receive();
-    if (!message.ok()) return;  // peer closed, stalled, or transport error
-    const std::string response = Handle(*message);
-    if (!socket.Send(response).ok()) return;
-  }
+  ServeFrames(socket, kMaxClientFrameBytes,
+              [this](const std::string& frame) { return Handle(frame); });
 }
 
 }  // namespace fusion

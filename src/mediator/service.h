@@ -45,7 +45,7 @@ namespace fusion {
 /// Surfaces: the programmatic Submit/Wait/Cancel/Status API (used by tests
 /// and embedded drivers), the protocol-level Handle() mapping one FUSIONQ/1
 /// request to one response, and ServeConnection() — the blocking
-/// read-dispatch-reply loop fusionqd runs per accepted socket.
+/// read-dispatch-reply loop run per accepted socket.
 ///
 /// All public methods are thread-safe; one QueryService instance serves
 /// every connection thread of the daemon.
@@ -73,11 +73,6 @@ class QueryService {
     /// re-executes (at-most-once within the window, at-least-once beyond
     /// it). Both windows are also bounded by kMaxRetainedBytes.
     size_t max_dedup = 1024;
-    /// Stalled-peer guard for ServeConnection: a connection whose peer goes
-    /// silent *mid-frame* for this long is dropped, so a torn write or a
-    /// wedged client cannot pin a connection thread forever. Idle
-    /// connections (no frame in progress) never time out. 0 disables.
-    double stall_deadline_seconds = 10.0;
     /// The shared session's configuration (statistics, cache, breakers,
     /// execution policy) — one ClientOptions, same struct the embedded
     /// client uses.
@@ -155,12 +150,11 @@ class QueryService {
   /// concurrent clients exercise the shared cache and breakers.
   std::string Handle(const std::string& request_text);
 
-  /// Runs the per-connection serve loop: receive one request, Handle it,
-  /// send the response, until the peer closes (or the socket errors).
-  /// fusionqd runs this on one thread per accepted connection. Accepts a
-  /// plain MessageSocket (implicitly wrapped, no chaos) or a ChaosSocket
-  /// carrying a fault-injection policy; Options::stall_deadline_seconds is
-  /// armed on the connection either way.
+  /// Runs the per-connection serve loop (ServeFrames over Handle, with the
+  /// FUSIONQ/1 receive limit and TcpServer's stall deadline) until the peer
+  /// closes or the socket errors. Accepts a plain MessageSocket (implicitly
+  /// wrapped, no chaos) or a ChaosSocket carrying a fault-injection policy.
+  /// fusionqd serves the same loop through TcpServer (FrameHandler).
   void ServeConnection(ChaosSocket socket);
 
   /// Begins shutdown: rejects new submissions and cancels all outstanding

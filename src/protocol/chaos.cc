@@ -50,15 +50,15 @@ Status ChaosSocket::Send(const std::string& message) {
     }
     if (chaos_->Fire(policy.drop_rate)) {
       CountFault(g_drops, metrics::kChaosDropsTotal);
-      socket_.Close();
+      socket_.Shutdown();
       return Status::Unavailable("chaos: connection reset before send");
     }
     if (message.size() > 1 && chaos_->Fire(policy.torn_write_rate)) {
       CountFault(g_torn_writes, metrics::kChaosTornWritesTotal);
-      // Ship a strict prefix so the peer holds half a frame, then close:
+      // Ship a strict prefix so the peer holds half a frame, then shut down:
       // the peer's next Receive sees "connection closed mid-message".
       const Status sent = socket_.Send(message.substr(0, message.size() / 2));
-      socket_.Close();
+      socket_.Shutdown();
       return sent.ok() ? Status::Unavailable("chaos: torn write") : sent;
     }
   }
@@ -78,7 +78,7 @@ Result<std::string> ChaosSocket::Receive() {
     }
     if (chaos_->Fire(policy.drop_rate)) {
       CountFault(g_drops, metrics::kChaosDropsTotal);
-      socket_.Close();
+      socket_.Shutdown();
       return Status::Unavailable("chaos: connection reset before receive");
     }
   }

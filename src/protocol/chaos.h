@@ -11,9 +11,9 @@
 
 namespace fusion {
 
-/// Fault-injection policy for the wire layer: every serving path (fusionqd's
-/// FUSIONQ/1 connections, TcpSourceServer's FUSIONP/1 connections) can wrap
-/// its sockets in a ChaosSocket driven by one of these, so connection
+/// Fault-injection policy for the wire layer: TcpServer (the one server
+/// behind fusionqd's FUSIONQ/1 and fusionsd's FUSIONP/1 connections) wraps
+/// every accepted socket in a ChaosSocket driven by one of these, so connection
 /// resets, torn writes, byte-level delays, accept-time refusals, and
 /// mid-stream hangs are injected continuously — in tests (the `chaos` ctest
 /// label) and in live daemons (`fusionqd --chaos-drop-rate=...`).
@@ -33,7 +33,7 @@ struct ChaosPolicy {
   double delay_rate = 0.0;
   double delay_ms = 2.0;
   /// Probability an accepted connection is refused (closed immediately,
-  /// before any byte is served). Applied by the serve loops at accept time.
+  /// before any byte is served). Applied by TcpServer at accept time.
   double accept_refuse_rate = 0.0;
   /// Probability an operation hangs for hang_ms before proceeding — long
   /// enough to trip stall deadlines, bounded so tests stay fast.
@@ -96,7 +96,9 @@ struct ChaosCounts {
 ///
 /// Injected failures surface exactly like real network failures
 /// (kUnavailable locally, a reset/torn frame remotely), so recovery code
-/// paths cannot tell chaos from a genuine outage — which is the point.
+/// paths cannot tell chaos from a genuine outage — which is the point. An
+/// injected reset shuts the connection down but keeps the fd until Close(),
+/// so a server's live-connection registry never holds a released fd.
 class ChaosSocket {
  public:
   ChaosSocket() = default;
@@ -133,7 +135,7 @@ class ChaosSocket {
 /// Process-wide injected-fault totals (all deciders' sockets).
 ChaosCounts GlobalChaosCounts();
 
-/// Accept-time refusal decision for serve loops: true when the freshly
+/// Accept-time refusal decision for TcpServer: true when the freshly
 /// accepted connection should be closed immediately, before serving a byte
 /// (counted as a chaos refusal). Null/disabled deciders never refuse.
 bool ChaosRefuseAccept(ChaosDecider* chaos);

@@ -148,6 +148,9 @@ struct ClientResponse {
 /// Longest line either FUSIONQ/1 parser accepts (64 KiB): a longer line is
 /// rejected with kParseError, and no line is ever copied to be checked.
 inline constexpr size_t kMaxClientProtocolLineBytes = 64 * 1024;
+/// Receive cap on one whole FUSIONQ/1 frame at a server (fusionqd,
+/// fusionrd): a peer streaming more without an `end` line is cut off.
+inline constexpr size_t kMaxClientFrameBytes = 8 * kMaxClientProtocolLineBytes;
 
 /// The feature tokens this build of the protocol speaks, advertised on
 /// HELLO in both directions: FeatureSet::All().Names() from the registry

@@ -93,6 +93,10 @@ inline constexpr WireWords<SemijoinSupport> kSemijoinWireWords[] = {
 /// kMaxClientProtocolLineBytes so a malicious or corrupted peer cannot
 /// drive an allocation storm through either dialect.
 inline constexpr size_t kMaxSourceProtocolLineBytes = 256 * 1024;
+/// Receive cap on one whole FUSIONP/1 frame, both directions: far above
+/// any legitimate frame (load and fetch ship relations), low enough that a
+/// garbage-spewing peer is cut off cleanly.
+inline constexpr size_t kMaxSourceFrameBytes = 64 * 1024 * 1024;
 
 std::string SerializeRequest(const SourceRequest& request);
 Result<SourceRequest> ParseRequest(const std::string& text);

@@ -14,9 +14,6 @@ namespace {
 /// long is treated as dead and failed over, so a hung source cannot pin an
 /// executor worker.
 constexpr double kTcpStallDeadlineSeconds = 10.0;
-/// Unterminated-receive cap — far above any legitimate frame this protocol
-/// ships, low enough that a garbage-spewing peer is cut off cleanly.
-constexpr size_t kTcpReceiveLimitBytes = 64 * 1024 * 1024;
 
 /// Span-name suffixes per request kind ("rpc.sjq").
 constexpr WireWords<SourceRequest::Kind> kSpanNames[] = {
@@ -180,7 +177,7 @@ Status RemoteSource::TcpDialActiveLocked() {
   if (!dialed.ok()) return dialed.status();
   socket_ = std::move(dialed).value();
   (void)socket_.SetStallDeadline(kTcpStallDeadlineSeconds);
-  socket_.SetReceiveLimit(kTcpReceiveLimitBytes);
+  socket_.SetReceiveLimit(kMaxSourceFrameBytes);
   // Validate the replica via HELLO before trusting it with a query — and,
   // after the first connect, that it really is a replica of the same
   // source (same name) rather than a misconfigured endpoint.

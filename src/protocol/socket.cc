@@ -8,8 +8,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 namespace fusion {
@@ -84,6 +86,10 @@ void MessageSocket::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+void MessageSocket::Shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 Status MessageSocket::Send(const std::string& message) {
@@ -240,9 +246,19 @@ Result<MessageSocket> TcpListener::Accept() {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       return MessageSocket(fd);
     }
-    if (errno == EINTR) continue;
-    // EBADF/EINVAL after Close(): the shutdown path, not an error worth a
-    // scary message.
+    // A connection reset while still queued is the peer's business, not
+    // the listener's.
+    if (errno == EINTR || errno == ECONNABORTED) continue;
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+        errno == ENOMEM) {
+      // Out of fds or memory: connections that finish give them back, and
+      // the pending one waits in the backlog. Ending the accept loop here
+      // would stop the daemon as if it had been signalled.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
+    // EBADF/EINVAL after Close() or shutdown(2): the shutdown path, not an
+    // error worth a scary message.
     return Status::Unavailable("listener closed");
   }
 }

@@ -14,8 +14,9 @@ namespace fusion {
 /// Receive reads until it has one whole `end`-terminated message, buffering
 /// any bytes that follow for the next call.
 ///
-/// POSIX sockets only — fusionqd and `fusionq --connect` are the intended
-/// users; in-process tests keep using plain function transports.
+/// POSIX sockets only. Every server side runs under TcpServer
+/// (protocol/tcp_server.h); the dialing side is `fusion::Client`,
+/// RemoteSource and the router's shard links.
 class MessageSocket {
  public:
   MessageSocket() = default;
@@ -57,7 +58,12 @@ class MessageSocket {
 
   void Close();
 
-  /// The connected fd, for out-of-band shutdown paths (a daemon calling
+  /// Ends the connection both ways (the peer sees it closed, a blocked
+  /// Receive() returns) but keeps the fd until Close(), so its number
+  /// cannot be reused while a server still tracks it.
+  void Shutdown();
+
+  /// The connected fd, for out-of-band shutdown paths (a server calling
   /// shutdown(2) to wake a Receive() blocked on another thread).
   int fd() const { return fd_; }
 
@@ -73,8 +79,9 @@ class MessageSocket {
 /// name-resolution exercise.
 Result<MessageSocket> DialTcp(const std::string& endpoint);
 
-/// Listening endpoint for fusionqd. Bind with port 0 to let the kernel pick
-/// an ephemeral port (read it back via port()).
+/// Listening endpoint; TcpServer owns the one accept loop over it. Bind
+/// with port 0 to let the kernel pick an ephemeral port (read it back via
+/// port()).
 class TcpListener {
  public:
   TcpListener() = default;
@@ -91,14 +98,14 @@ class TcpListener {
   int port() const { return port_; }
 
   /// Blocks for the next connection. Returns kUnavailable once the
-  /// listener has been Close()d (the daemon's shutdown path: closing the
-  /// fd from a signal handler unblocks the accept loop).
+  /// listener has been Close()d or shut down (the daemons' signal path
+  /// shuts the fd down to unblock the accept loop).
   Result<MessageSocket> Accept();
 
   void Close();
 
-  /// The listening fd, for shutdown paths that must close from a signal
-  /// handler (close(2) is async-signal-safe).
+  /// The listening fd, for shutdown paths that run in a signal handler
+  /// (shutdown(2) is async-signal-safe).
   int fd() const { return fd_.load(std::memory_order_acquire); }
 
  private:

@@ -1,7 +1,5 @@
 #include "protocol/source_server.h"
 
-#include <sys/socket.h>
-
 #include "common/str_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -100,90 +98,6 @@ std::string SourceServer::Handle(const std::string& request_text) {
                    : SerializeResponse(ErrorResponse(request.status()));
   span.AddAttr("bytes_sent", response_text.size());
   return response_text;
-}
-
-TcpSourceServer::TcpSourceServer(std::unique_ptr<SourceWrapper> impl,
-                                 const Options& options)
-    : server_(std::move(impl)), options_(options) {
-  if (options_.chaos.enabled()) {
-    chaos_ = std::make_shared<ChaosDecider>(options_.chaos);
-  }
-}
-
-Status TcpSourceServer::Start() {
-  FUSION_ASSIGN_OR_RETURN(listener_,
-                          TcpListener::Bind(options_.host, options_.port));
-  acceptor_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
-}
-
-void TcpSourceServer::AcceptLoop() {
-  while (true) {
-    Result<MessageSocket> accepted = listener_.Accept();
-    if (!accepted.ok()) return;  // listener closed: shutdown
-    MessageSocket socket = std::move(accepted).value();
-    if (ChaosRefuseAccept(chaos_.get())) {
-      socket.Close();
-      continue;
-    }
-    if (options_.stall_deadline_seconds > 0.0) {
-      (void)socket.SetStallDeadline(options_.stall_deadline_seconds);
-    }
-    socket.SetReceiveLimit(64 * 1024 * 1024);
-    ChaosSocket connection(std::move(socket), chaos_);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      connection.Close();
-      return;
-    }
-    const int fd = connection.fd();
-    live_fds_.insert(fd);
-    serving_.emplace_back(
-        [this, fd](ChaosSocket s) {
-          ServeConnection(s);
-          // Deregister *before* closing, so Stop() can never shutdown(2)
-          // a recycled fd number.
-          {
-            std::lock_guard<std::mutex> inner_lock(mu_);
-            live_fds_.erase(fd);
-          }
-          s.Close();
-        },
-        std::move(connection));
-  }
-}
-
-void TcpSourceServer::ServeConnection(ChaosSocket& socket) {
-  while (true) {
-    Result<std::string> request = socket.Receive();
-    // Clean close, reset, stall, oversized garbage — all end the
-    // connection the same way; the peer's recovery layer decides whether
-    // to redial.
-    if (!request.ok()) return;
-    const std::string response = server_.Handle(request.value());
-    if (!socket.Send(response).ok()) return;
-  }
-}
-
-void TcpSourceServer::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  // Closing the listener unblocks (and ends) the accept loop.
-  listener_.Close();
-  if (acceptor_.joinable()) acceptor_.join();
-  // Reset every live connection so its serve loop's recv returns, then
-  // join. No new threads can appear: the acceptor is gone.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& thread : serving_) {
-    if (thread.joinable()) thread.join();
-  }
-  serving_.clear();
 }
 
 }  // namespace fusion

@@ -2,15 +2,9 @@
 #define FUSION_PROTOCOL_SOURCE_SERVER_H_
 
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "protocol/chaos.h"
 #include "protocol/message.h"
-#include "protocol/socket.h"
 #include "source/source_wrapper.h"
 
 namespace fusion {
@@ -36,63 +30,6 @@ class SourceServer {
   SourceResponse HandleParsed(const SourceRequest& request);
 
   std::unique_ptr<SourceWrapper> impl_;
-};
-
-/// Serves one SourceServer over TCP: the process side of a networked
-/// FUSIONP/1 deployment (and of replica failover — run two of these over
-/// equivalent wrappers and hand both endpoints to RemoteSource::ConnectTcp).
-/// One acceptor thread plus one thread per connection, each running the
-/// receive → Handle → send loop until the peer closes.
-///
-/// Faults: Options::chaos wires a seeded ChaosPolicy into every connection
-/// (plus accept-time refusals), and Options::stall_deadline_seconds drops
-/// connections whose peer goes silent mid-frame — a stalled or byzantine
-/// mediator cannot pin a connection thread.
-///
-/// Start() binds (port 0 = ephemeral; see port()); Stop() — also run by the
-/// destructor — closes the listener, resets every live connection, and
-/// joins all threads. Tests "kill a replica" by calling Stop() mid-run.
-class TcpSourceServer {
- public:
-  struct Options {
-    std::string host = "127.0.0.1";
-    int port = 0;  // 0 = pick an ephemeral port
-    /// Fault injection at this server's edge (disabled by default).
-    ChaosPolicy chaos;
-    /// Mid-frame stall guard per connection (0 disables).
-    double stall_deadline_seconds = 10.0;
-  };
-
-  TcpSourceServer(std::unique_ptr<SourceWrapper> impl, const Options& options);
-  ~TcpSourceServer() { Stop(); }
-
-  TcpSourceServer(const TcpSourceServer&) = delete;
-  TcpSourceServer& operator=(const TcpSourceServer&) = delete;
-
-  /// Binds and starts accepting. Fails (kUnavailable) if the port is taken.
-  Status Start();
-  /// Stops accepting, resets live connections, joins all threads.
-  /// Idempotent.
-  void Stop();
-
-  /// The bound port (valid after Start()).
-  int port() const { return listener_.port(); }
-  const SourceWrapper& impl() const { return server_.impl(); }
-
- private:
-  void AcceptLoop();
-  void ServeConnection(ChaosSocket& socket);
-
-  SourceServer server_;
-  Options options_;
-  std::shared_ptr<ChaosDecider> chaos_;  // null when chaos is disabled
-  TcpListener listener_;
-  std::thread acceptor_;
-
-  std::mutex mu_;
-  bool stopping_ = false;              // guarded by mu_
-  std::set<int> live_fds_;             // guarded by mu_
-  std::vector<std::thread> serving_;   // appended under mu_ by the acceptor
 };
 
 }  // namespace fusion

@@ -10,6 +10,7 @@
 #include "common/str_util.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "protocol/tcp_server.h"
 
 namespace fusion {
 namespace {
@@ -333,18 +334,8 @@ std::string QueryRouter::Handle(const std::string& request_text) {
 }
 
 void QueryRouter::ServeConnection(ChaosSocket socket) {
-  if (socket.valid()) {
-    socket.inner().SetReceiveLimit(8 * kMaxClientProtocolLineBytes);
-    if (options_.stall_deadline_seconds > 0.0) {
-      (void)socket.inner().SetStallDeadline(options_.stall_deadline_seconds);
-    }
-  }
-  for (;;) {
-    const Result<std::string> message = socket.Receive();
-    if (!message.ok()) return;
-    const std::string response = Handle(message.value());
-    if (!socket.Send(response).ok()) return;
-  }
+  ServeFrames(socket, kMaxClientFrameBytes,
+              [this](const std::string& frame) { return Handle(frame); });
 }
 
 QueryRouter::Counters QueryRouter::counters() const {

@@ -58,8 +58,6 @@ class QueryRouter {
     std::string server_name = "fusionrd";
     /// Dial/redial schedule per forward (attempts × capped backoff).
     RetryPolicy reconnect = DefaultReconnectPolicy();
-    /// Stalled-peer guard for ServeConnection (see QueryService::Options).
-    double stall_deadline_seconds = 10.0;
   };
 
   /// 4 attempts, 10 ms doubling to a 250 ms cap — a shard mid-restart
@@ -86,7 +84,8 @@ class QueryRouter {
   /// responses, never malformed text).
   std::string Handle(const std::string& request_text);
 
-  /// The per-connection serve loop fusionrd runs per accepted socket.
+  /// The per-connection serve loop, as QueryService::ServeConnection.
+  /// fusionrd serves the same loop through TcpServer (FrameHandler).
   void ServeConnection(ChaosSocket socket);
 
   /// Closes every pooled upstream connection; new forwards redial.

@@ -17,6 +17,7 @@
 #include "protocol/source_server.h"
 #include "source/flaky_source.h"
 #include "source/simulated_source.h"
+#include "test_daemon.h"
 #include "workload/dmv.h"
 
 namespace fusion {

@@ -16,8 +16,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,7 +28,9 @@
 #include "protocol/remote_source.h"
 #include "protocol/socket.h"
 #include "protocol/source_server.h"
+#include "protocol/tcp_server.h"
 #include "source/simulated_source.h"
+#include "test_daemon.h"
 #include "workload/dmv.h"
 #include "workload/synthetic.h"
 
@@ -44,10 +44,6 @@ constexpr char kDuiAndSp93[] =
     "SELECT u1.L FROM U u1, U u2 "
     "WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp' AND u1.D >= 1993";
 constexpr char kDuiOnly[] = "SELECT u1.L FROM U u1 WHERE u1.V = 'dui'";
-
-std::string Endpoint(int port) {
-  return "127.0.0.1:" + std::to_string(port);
-}
 
 /// Millisecond-scale retry schedule so failover/reconnect tests finish in
 /// well under a second even when every attempt is needed.
@@ -88,112 +84,31 @@ std::unique_ptr<QueryService> Figure1Service(QueryService::Options options) {
                                         options);
 }
 
-/// The test-side twin of fusionqd's serve loop: one QueryService over TCP,
-/// optional chaos on every connection, plus a switch that loses exactly one
-/// SUBMIT response *after* executing it — the deterministic trigger for the
-/// idempotent-replay path (frame delivered, answer lost, client re-SUBMITs).
-class TestDaemon {
- public:
-  struct Options {
-    ChaosPolicy chaos;
-    bool drop_first_submit_response = false;
-  };
-
-  TestDaemon(QueryService* service, const Options& options)
-      : service_(service), options_(options) {
-    if (options.chaos.enabled()) {
-      chaos_ = std::make_shared<ChaosDecider>(options.chaos);
-    }
-  }
-  ~TestDaemon() { Stop(); }
-
-  Status Start() {
-    FUSION_ASSIGN_OR_RETURN(listener_, TcpListener::Bind("127.0.0.1", 0));
-    acceptor_ = std::thread([this] { AcceptLoop(); });
-    return Status::Ok();
-  }
-
-  int port() const { return listener_.port(); }
-
-  void Stop() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) return;
-      stopping_ = true;
-    }
-    listener_.Close();
-    if (acceptor_.joinable()) acceptor_.join();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
-    for (std::thread& thread : serving_) {
-      if (thread.joinable()) thread.join();
-    }
-    serving_.clear();
-  }
-
- private:
-  void AcceptLoop() {
-    while (true) {
-      auto accepted = listener_.Accept();
-      if (!accepted.ok()) return;
-      MessageSocket socket = std::move(accepted).value();
-      if (ChaosRefuseAccept(chaos_.get())) {
-        socket.Close();
-        continue;
-      }
-      (void)socket.SetStallDeadline(5.0);
-      const int fd = socket.fd();
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        socket.Close();
-        return;
-      }
-      live_fds_.insert(fd);
-      serving_.emplace_back(
-          [this, fd](ChaosSocket connection) {
-            Serve(connection);
-            // Deregister before closing so Stop() can never shutdown(2) a
-            // recycled fd number.
-            {
-              std::lock_guard<std::mutex> inner(mu_);
-              live_fds_.erase(fd);
-            }
-            connection.Close();
-          },
-          ChaosSocket(std::move(socket), chaos_));
-    }
-  }
-
-  void Serve(ChaosSocket& socket) {
-    while (true) {
-      auto frame = socket.Receive();
-      if (!frame.ok()) return;
-      const std::string response = service_->Handle(frame.value());
-      if (options_.drop_first_submit_response &&
-          frame.value().rfind("FUSIONQ/1 SUBMIT", 0) == 0 &&
-          !submit_response_dropped_.exchange(true)) {
+/// fusionqd's handler plus a switch that loses exactly one SUBMIT response
+/// *after* executing it — the deterministic trigger for the idempotent-
+/// replay path (frame delivered, answer lost, client re-SUBMITs).
+TcpServer::Handler DropFirstSubmitResponse(QueryService* service) {
+  auto dropped = std::make_shared<std::atomic<bool>>(false);
+  return [service, dropped](ChaosSocket& socket) {
+    ServeFrames(socket, kMaxClientFrameBytes, [&](const std::string& frame) {
+      std::string response = service->Handle(frame);
+      if (frame.rfind("FUSIONQ/1 SUBMIT", 0) == 0 && !dropped->exchange(true)) {
         // The query executed; its answer dies on the wire. The client must
         // reconnect and replay via its request-id, never re-execute.
-        return;
+        socket.inner().Shutdown();
       }
-      if (!socket.Send(response).ok()) return;
-    }
-  }
+      return response;
+    });
+  };
+}
 
-  QueryService* service_;
-  Options options_;
-  std::shared_ptr<ChaosDecider> chaos_;  // null when chaos is disabled
-  TcpListener listener_;
-  std::thread acceptor_;
-  std::atomic<bool> submit_response_dropped_{false};
-
-  std::mutex mu_;
-  bool stopping_ = false;
-  std::set<int> live_fds_;
-  std::vector<std::thread> serving_;
-};
+/// fusionqd's serve loop with seeded chaos on every connection.
+std::unique_ptr<TcpServer> ChaosDaemon(QueryService* service,
+                                       const ChaosPolicy& chaos) {
+  return std::make_unique<TcpServer>(
+      FrameHandler(service, kMaxClientFrameBytes),
+      std::make_shared<ChaosDecider>(chaos));
+}
 
 // ---------------------------------------------------------------------------
 // ChaosDecider: the seeded decision stream
@@ -424,9 +339,7 @@ TEST(ServiceServeConnectionTest, ServesFramesAndAdvertisesIdempotency) {
 
 TEST(ClientReconnectTest, LostResponseReplaysInsteadOfReexecuting) {
   auto service = Figure1Service(QueryService::Options());
-  TestDaemon::Options daemon_options;
-  daemon_options.drop_first_submit_response = true;
-  TestDaemon daemon(service.get(), daemon_options);
+  TcpServer daemon(DropFirstSubmitResponse(service.get()));
   ASSERT_TRUE(daemon.Start().ok());
 
   auto client = Client::Builder()
@@ -446,18 +359,18 @@ TEST(ClientReconnectTest, LostResponseReplaysInsteadOfReexecuting) {
 
 TEST(ClientReconnectTest, SurvivesSeededConnectionChaos) {
   auto service = Figure1Service(QueryService::Options());
-  TestDaemon::Options daemon_options;
+  ChaosPolicy chaos;
   // ~35% of exchanges die under these rates; a 20-attempt millisecond
   // backoff ladder makes query failure vanishingly unlikely while still
   // forcing many reconnects.
-  daemon_options.chaos.drop_rate = 0.15;
-  daemon_options.chaos.torn_write_rate = 0.1;
-  daemon_options.chaos.seed = 20260809;
-  TestDaemon daemon(service.get(), daemon_options);
-  ASSERT_TRUE(daemon.Start().ok());
+  chaos.drop_rate = 0.15;
+  chaos.torn_write_rate = 0.1;
+  chaos.seed = 20260809;
+  auto daemon = ChaosDaemon(service.get(), chaos);
+  ASSERT_TRUE(daemon->Start().ok());
 
   auto client = Client::Builder()
-                    .To(Client::Target::Remote(Endpoint(daemon.port())))
+                    .To(Client::Target::Remote(Endpoint(daemon->port())))
                     .ClientId("chaotic")
                     .Reconnect(FastRetry(20))
                     .Build();
@@ -624,15 +537,15 @@ TEST(ChaosSoakTest, ChaoticRunMatchesFaultFreeSerialRun) {
   service_options.client = client_options;
   QueryService service(Mediator(std::move(remote_catalog)), service_options);
 
-  TestDaemon::Options daemon_options;
-  daemon_options.chaos.drop_rate = 0.1;
-  daemon_options.chaos.torn_write_rate = 0.1;
-  daemon_options.chaos.seed = 4242;
-  TestDaemon daemon(&service, daemon_options);
-  ASSERT_TRUE(daemon.Start().ok());
+  ChaosPolicy chaos;
+  chaos.drop_rate = 0.1;
+  chaos.torn_write_rate = 0.1;
+  chaos.seed = 4242;
+  auto daemon = ChaosDaemon(&service, chaos);
+  ASSERT_TRUE(daemon->Start().ok());
 
   auto chaotic = Client::Builder()
-                     .To(Client::Target::Remote(Endpoint(daemon.port())))
+                     .To(Client::Target::Remote(Endpoint(daemon->port())))
                      .ClientId("soak")
                      .Reconnect(FastRetry(10))
                      .Build();

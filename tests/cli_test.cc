@@ -4,6 +4,7 @@
 #include <string>
 
 #include "cli/catalog_config.h"
+#include "cli/flags.h"
 #include "common/file_util.h"
 #include "mediator/mediator.h"
 
@@ -186,6 +187,76 @@ TEST(CatalogConfigTest, RejectsMalformedEndpoints) {
   EXPECT_FALSE(with_endpoint("host:0").ok());        // port out of range
   EXPECT_FALSE(with_endpoint("host:65536").ok());    // port out of range
   EXPECT_FALSE(with_endpoint("two hosts:9001").ok());  // inner whitespace
+}
+
+// ---------------------------------------------------------------------------
+// The --chaos-* flags fusionqd and fusionsd share
+// ---------------------------------------------------------------------------
+
+TEST(ChaosFlagsTest, ParsesEveryFlag) {
+  ChaosFlags flags;
+  for (const char* arg :
+       {"--chaos-drop-rate=0.1", "--chaos-torn-rate=0.05",
+        "--chaos-delay-rate=0.2", "--chaos-delay-ms=3.5",
+        "--chaos-refuse-rate=1", "--chaos-hang-rate=0", "--chaos-hang-ms=75",
+        "--chaos-seed=18446744073709551615"}) {
+    Status error = Status::Internal("unset");
+    EXPECT_TRUE(flags.Consume(arg, &error)) << arg;
+    EXPECT_TRUE(error.ok()) << arg << ": " << error.ToString();
+  }
+  EXPECT_DOUBLE_EQ(flags.policy.drop_rate, 0.1);
+  EXPECT_DOUBLE_EQ(flags.policy.torn_write_rate, 0.05);
+  EXPECT_DOUBLE_EQ(flags.policy.delay_rate, 0.2);
+  EXPECT_DOUBLE_EQ(flags.policy.delay_ms, 3.5);
+  EXPECT_DOUBLE_EQ(flags.policy.accept_refuse_rate, 1.0);
+  EXPECT_DOUBLE_EQ(flags.policy.hang_rate, 0.0);
+  EXPECT_DOUBLE_EQ(flags.policy.hang_ms, 75.0);
+  EXPECT_EQ(flags.policy.seed, 18446744073709551615ull);
+  EXPECT_TRUE(flags.seed_set);
+  // A pinned seed is served as given; no enabled fault, no decider.
+  ASSERT_NE(flags.Decider(), nullptr);
+  EXPECT_EQ(flags.Decider()->policy().seed, 18446744073709551615ull);
+  EXPECT_EQ(ChaosFlags().Decider(), nullptr);
+
+  Status error;
+  EXPECT_FALSE(flags.Consume("--port=1", &error));
+  EXPECT_FALSE(flags.Consume("--chaos-drop-rates=0.1", &error));
+}
+
+TEST(ChaosFlagsTest, RejectsValuesThatAreNotStrictNumbersInRange) {
+  // atof/strtoull read all of these as 0 (or a prefix), which left chaos
+  // silently off or mis-set.
+  for (const char* arg :
+       {"--chaos-drop-rate=abc", "--chaos-seed=xyz", "--chaos-drop-rate=0.1x",
+        "--chaos-torn-rate=", "--chaos-delay-rate= 0.1", "--chaos-hang-rate=nan",
+        "--chaos-refuse-rate=1.5", "--chaos-drop-rate=-0.1",
+        "--chaos-delay-ms=-2", "--chaos-hang-ms=inf", "--chaos-seed=-1",
+        "--chaos-seed=12 ", "--chaos-seed=18446744073709551616"}) {
+    ChaosFlags flags;
+    Status error;
+    EXPECT_TRUE(flags.Consume(arg, &error)) << arg;
+    EXPECT_EQ(error.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_FALSE(flags.seed_set) << arg;
+    EXPECT_FALSE(flags.policy.enabled()) << arg;
+  }
+}
+
+TEST(ListenFlagsTest, PortIsAStrictNumberInRange) {
+  ListenFlags flags;
+  Status error;
+  EXPECT_TRUE(flags.Consume("--port=0", &error));
+  EXPECT_TRUE(error.ok());
+  EXPECT_TRUE(flags.Consume("--port=65535", &error));
+  EXPECT_TRUE(error.ok());
+  EXPECT_EQ(flags.port, 65535);
+  EXPECT_TRUE(flags.Consume("--port-file=/x", &error));
+  EXPECT_EQ(flags.port_file, "/x");
+  for (const char* arg : {"--port=abc", "--port=80x", "--port=-1",
+                          "--port=65536", "--port="}) {
+    EXPECT_TRUE(flags.Consume(arg, &error)) << arg;
+    EXPECT_EQ(error.code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_EQ(flags.port, 65535) << arg;
+  }
 }
 
 }  // namespace

@@ -1,0 +1,232 @@
+// The built daemons as processes: fusionqd, fusionrd and fusionsd each
+// serve 200 short connections (after 100 warm-up ones) without growing
+// their address space by a mapping per connection, and each exits 0 on SIGTERM with idle clients
+// still connected. The binaries' paths come from the build
+// (FUSIONQD_BIN and friends); every child is spawned on --port=0 and
+// reports its port through --port-file.
+#include <gtest/gtest.h>
+
+#include <dirent.h>
+#include <fcntl.h>
+#include <signal.h>
+#include <spawn.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdlib>
+#include <fstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/file_util.h"
+#include "protocol/socket.h"
+
+extern char** environ;
+
+namespace fusion {
+namespace {
+
+constexpr char kPing[] = "PING\nend\n";
+
+struct Child {
+  pid_t pid = -1;
+  int port = 0;
+};
+
+std::string ScratchPath(const std::string& name) {
+  const char* dir = std::getenv("TMPDIR");
+  return std::string(dir != nullptr ? dir : "/tmp") + "/daemon_test_" +
+         std::to_string(::getpid()) + "_" + name;
+}
+
+/// Spawns args[0] with args[1..], stdout discarded; -1 on failure.
+pid_t SpawnQuiet(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, "/dev/null",
+                                   O_WRONLY, 0);
+  pid_t pid = -1;
+  const int spawned =
+      posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  EXPECT_EQ(spawned, 0) << args[0];
+  return spawned == 0 ? pid : -1;
+}
+
+/// Spawns `binary` with `args` plus --port=0 --port-file and waits (up to
+/// 10 s) for the port file.
+Child Spawn(const std::string& binary, std::vector<std::string> args) {
+  const std::string port_file = ScratchPath("port");
+  ::unlink(port_file.c_str());
+  args.insert(args.begin(), binary);
+  args.push_back("--port=0");
+  args.push_back("--port-file=" + port_file);
+  Child child;
+  child.pid = SpawnQuiet(std::move(args));
+  if (child.pid < 0) return child;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const auto text = ReadFileToString(port_file);
+    if (text.ok() && !text->empty()) {
+      child.port = std::atoi(text->c_str());
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::unlink(port_file.c_str());
+  EXPECT_GT(child.port, 0) << binary << " wrote no port file";
+  return child;
+}
+
+size_t MapsLines(pid_t pid) {
+  std::ifstream maps("/proc/" + std::to_string(pid) + "/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+size_t Threads(pid_t pid) {
+  size_t threads = 0;
+  DIR* dir = ::opendir(("/proc/" + std::to_string(pid) + "/task").c_str());
+  if (dir == nullptr) return 0;
+  while (const dirent* entry = ::readdir(dir)) threads += entry->d_name[0] != '.';
+  ::closedir(dir);
+  return threads;
+}
+
+/// One request/reply on a fresh connection, left open. The ping is no verb
+/// of either dialect, so every daemon answers it with an ERROR frame.
+MessageSocket Ping(int port) {
+  auto socket = DialTcp("127.0.0.1:" + std::to_string(port));
+  EXPECT_TRUE(socket.ok()) << socket.status().ToString();
+  if (!socket.ok()) return MessageSocket();
+  EXPECT_TRUE(socket->Send(kPing).ok());
+  const auto reply = socket->Receive();
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  return std::move(socket).value();
+}
+
+/// Waits up to `seconds` for the child to exit; its wait status, or -1
+/// after killing a child that did not exit in time.
+int WaitExit(pid_t pid, int seconds) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  int status = 0;
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (::waitpid(pid, &status, WNOHANG) == pid) return status;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, &status, 0);
+  return -1;
+}
+
+/// Connections are served one at a time, so the count measures what a
+/// finished connection leaves behind. (Bursts of concurrent connections
+/// also grow glibc's per-thread malloc arenas, which it caps at 8 per
+/// core.) The first 100 connections warm up what is set up once per
+/// process: a sanitizer runtime's thread bookkeeping adds ~100 mappings
+/// there and then stays flat.
+void ExpectBoundedStateAndCleanShutdown(const std::string& binary,
+                                        std::vector<std::string> args) {
+  const Child child = Spawn(binary, std::move(args));
+  ASSERT_GT(child.port, 0);
+  for (int i = 0; i < 100; ++i) Ping(child.port).Close();
+  const size_t maps_before = MapsLines(child.pid);
+  ASSERT_GT(maps_before, 0u);
+  for (int i = 0; i < 200; ++i) Ping(child.port).Close();
+  const size_t maps_after = MapsLines(child.pid);
+  // A joinable, never-joined thread per connection held a stack and its
+  // guard page: 2 mappings each, ~400 here.
+  EXPECT_LT(maps_after, maps_before + 50)
+      << binary << ": /proc/PID/maps " << maps_before << " -> " << maps_after;
+
+  std::vector<MessageSocket> idle;
+  for (int i = 0; i < 3; ++i) idle.push_back(Ping(child.port));
+  ASSERT_EQ(::kill(child.pid, SIGTERM), 0);
+  const int status = WaitExit(child.pid, 5);
+  ASSERT_NE(status, -1) << binary << " did not exit within 5 s of SIGTERM";
+  EXPECT_TRUE(WIFEXITED(status)) << binary << " status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << binary;
+}
+
+TEST(DaemonProcessTest, FusionqdStaysBoundedAndStopsOnSigterm) {
+  ExpectBoundedStateAndCleanShutdown(FUSIONQD_BIN,
+                                     {"--catalog=" DMV_CATALOG});
+}
+
+TEST(DaemonProcessTest, FusionrdStaysBoundedAndStopsOnSigterm) {
+  // No request here reaches a shard, so the shard endpoint is never dialed.
+  ExpectBoundedStateAndCleanShutdown(FUSIONRD_BIN, {"--shard=127.0.0.1:9"});
+}
+
+TEST(DaemonProcessTest, FusionsdStaysBoundedAndStopsOnSigterm) {
+  ExpectBoundedStateAndCleanShutdown(
+      FUSIONSD_BIN, {"--catalog=" DMV_CATALOG, "--source=R1"});
+}
+
+TEST(DaemonProcessTest, RunningOutOfFdsDoesNotStopTheDaemon) {
+  // The child inherits a 32-fd limit: more clients than that leave accept()
+  // failing with EMFILE until some hang up. That used to end the accept
+  // loop, and with it the daemon, as if it had been signalled.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = 32;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  const Child child = Spawn(FUSIONQD_BIN, {"--catalog=" DMV_CATALOG});
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_GT(child.port, 0);
+  // One connection served, and its thread gone, while fds are free: the
+  // first time UBSan checks a finished thread's type it opens a pipe.
+  const size_t idle_threads = Threads(child.pid);
+  Ping(child.port).Close();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (Threads(child.pid) > idle_threads &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::vector<MessageSocket> crowd;
+  for (int i = 0; i < 48; ++i) {
+    auto socket = DialTcp("127.0.0.1:" + std::to_string(child.port));
+    ASSERT_TRUE(socket.ok()) << i << ": " << socket.status().ToString();
+    crowd.push_back(std::move(socket).value());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  crowd.clear();
+  Ping(child.port).Close();  // served once fds come back
+
+  ASSERT_EQ(::kill(child.pid, SIGTERM), 0);
+  const int status = WaitExit(child.pid, 5);
+  ASSERT_NE(status, -1);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+}
+
+TEST(DaemonProcessTest, MalformedChaosFlagsRefuseToStart) {
+  // Before strict parsing, both started and served with chaos silently off.
+  const std::vector<std::vector<std::string>> runs = {
+      {FUSIONQD_BIN, "--catalog=" DMV_CATALOG},
+      {FUSIONSD_BIN, "--catalog=" DMV_CATALOG, "--source=R1"}};
+  for (std::vector<std::string> args : runs) {
+    args.insert(args.end(),
+                {"--port=0", "--chaos-drop-rate=abc", "--chaos-seed=xyz"});
+    const pid_t pid = SpawnQuiet(args);
+    ASSERT_GT(pid, 0);
+    const int status = WaitExit(pid, 5);
+    ASSERT_NE(status, -1) << args[0] << " started serving";
+    EXPECT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args[0];
+  }
+}
+
+}  // namespace
+}  // namespace fusion

@@ -107,7 +107,7 @@ TEST_P(DifferentialTransportTest,
   options.workers = 4;
   const size_t num_shards = transport == Transport::kTcpFleet ? 2 : 1;
   std::vector<std::unique_ptr<QueryService>> services;
-  std::vector<std::unique_ptr<Daemon<QueryService>>> daemons;
+  std::vector<std::unique_ptr<TcpServer>> daemons;
   std::vector<Shard> shards;
   for (size_t s = 0; s < num_shards; ++s) {
     Result<SourceCatalog> catalog =
@@ -118,20 +118,22 @@ TEST_P(DifferentialTransportTest,
         Mediator(std::move(catalog).value()), options));
     if (transport == Transport::kInProcess) continue;
     daemons.push_back(
-        std::make_unique<Daemon<QueryService>>(services.back().get()));
+        std::make_unique<TcpServer>(
+            FrameHandler(services.back().get(), kMaxClientFrameBytes)));
     ASSERT_TRUE(daemons.back()->Start().ok());
     shards.push_back(
         {"shard-" + std::to_string(s), Endpoint(daemons.back()->port())});
   }
   std::string endpoint = shards.empty() ? "" : shards[0].endpoint;
   std::unique_ptr<QueryRouter> router;
-  std::unique_ptr<Daemon<QueryRouter>> router_daemon;
+  std::unique_ptr<TcpServer> router_daemon;
   if (transport == Transport::kTcpFleet) {
     auto map = ShardMap::Make(shards);
     ASSERT_TRUE(map.ok()) << map.status().ToString();
     router = std::make_unique<QueryRouter>(std::move(map).value(),
                                            QueryRouter::Options{});
-    router_daemon = std::make_unique<Daemon<QueryRouter>>(router.get());
+    router_daemon = std::make_unique<TcpServer>(
+        FrameHandler(router.get(), kMaxClientFrameBytes));
     ASSERT_TRUE(router_daemon->Start().ok());
     endpoint = Endpoint(router_daemon->port());
   }

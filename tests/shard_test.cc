@@ -226,9 +226,9 @@ TEST(ServiceInvalidateTest, HandlesTheWireVerb) {
 /// its own byte-identical replica of the Figure 1 federation.
 struct Fleet {
   std::vector<std::unique_ptr<QueryService>> services;
-  std::vector<std::unique_ptr<Daemon<QueryService>>> shard_daemons;
+  std::vector<std::unique_ptr<TcpServer>> shard_daemons;
   std::unique_ptr<QueryRouter> router;
-  std::unique_ptr<Daemon<QueryRouter>> router_daemon;
+  std::unique_ptr<TcpServer> router_daemon;
 
   std::string endpoint() const {
     return Endpoint(router_daemon->port());
@@ -241,7 +241,8 @@ Fleet StartFleet(size_t k) {
   for (size_t i = 0; i < k; ++i) {
     fleet.services.push_back(Figure1Service());
     fleet.shard_daemons.push_back(
-        std::make_unique<Daemon<QueryService>>(fleet.services.back().get()));
+        std::make_unique<TcpServer>(
+            FrameHandler(fleet.services.back().get(), kMaxClientFrameBytes)));
     EXPECT_TRUE(fleet.shard_daemons.back()->Start().ok());
     Shard shard;
     shard.name = "shard-" + std::to_string(i);
@@ -253,7 +254,8 @@ Fleet StartFleet(size_t k) {
   fleet.router = std::make_unique<QueryRouter>(std::move(map).value(),
                                                QueryRouter::Options{});
   fleet.router_daemon =
-      std::make_unique<Daemon<QueryRouter>>(fleet.router.get());
+      std::make_unique<TcpServer>(
+          FrameHandler(fleet.router.get(), kMaxClientFrameBytes));
   EXPECT_TRUE(fleet.router_daemon->Start().ok());
   return fleet;
 }
@@ -422,20 +424,15 @@ class ScriptedShard {
  public:
   explicit ScriptedShard(std::string reply) : reply_(std::move(reply)) {}
 
-  void ServeConnection(ChaosSocket socket) {
-    for (;;) {
-      const Result<std::string> message = socket.Receive();
-      if (!message.ok()) return;
-      const auto request = ParseClientRequest(message.value());
-      std::string reply = reply_;
-      if (request.ok() && request->kind == ClientRequest::Kind::kHello) {
-        ClientResponse hello;
-        hello.server = "scripted";
-        hello.features = ClientProtocolFeatures();
-        reply = SerializeClientResponse(hello);
-      }
-      if (!socket.Send(reply).ok()) return;
+  std::string Handle(const std::string& message) {
+    const auto request = ParseClientRequest(message);
+    if (request.ok() && request->kind == ClientRequest::Kind::kHello) {
+      ClientResponse hello;
+      hello.server = "scripted";
+      hello.features = ClientProtocolFeatures();
+      return SerializeClientResponse(hello);
     }
+    return reply_;
   }
 
  private:
@@ -452,19 +449,20 @@ TEST(RouterTest, MalformedShardReplyIsAParseErrorNotAFailover) {
       {"FUSIONQ/1 OK\nticket 5\nitem i:notanumber\nend\n", "int64"}};
   for (const auto& [frame, detail] : cases) {
     std::vector<std::unique_ptr<ScriptedShard>> shards;
-    std::vector<std::unique_ptr<Daemon<ScriptedShard>>> daemons;
+    std::vector<std::unique_ptr<TcpServer>> daemons;
     std::vector<Shard> map;
     for (int i = 0; i < 2; ++i) {
       shards.push_back(std::make_unique<ScriptedShard>(frame));
       daemons.push_back(
-          std::make_unique<Daemon<ScriptedShard>>(shards.back().get()));
+          std::make_unique<TcpServer>(
+              FrameHandler(shards.back().get(), kMaxClientFrameBytes)));
       ASSERT_TRUE(daemons.back()->Start().ok());
       map.push_back({"s" + std::to_string(i), Endpoint(daemons.back()->port())});
     }
     auto shard_map = ShardMap::Make(map);
     ASSERT_TRUE(shard_map.ok());
     QueryRouter router(std::move(shard_map).value(), QueryRouter::Options{});
-    Daemon<QueryRouter> router_daemon(&router);
+    TcpServer router_daemon(FrameHandler(&router, kMaxClientFrameBytes));
     ASSERT_TRUE(router_daemon.Start().ok());
     auto client = Client::Builder()
                       .To(Client::Target::Remote(Endpoint(router_daemon.port())))
@@ -486,25 +484,21 @@ TEST(RouterTest, MalformedShardReplyIsAParseErrorNotAFailover) {
 /// the router keeps one upstream connection checked out per held forward.
 class GatedShard {
  public:
-  void ServeConnection(ChaosSocket socket) {
-    for (;;) {
-      const Result<std::string> message = socket.Receive();
-      if (!message.ok()) return;
-      const auto request = ParseClientRequest(message.value());
-      ClientResponse response;
-      if (request.ok() && request->kind == ClientRequest::Kind::kHello) {
-        response.server = "gated";
-        response.features = ClientProtocolFeatures();
-      } else {
-        std::unique_lock<std::mutex> lock(mu_);
-        ++held_;
-        cv_.notify_all();
-        cv_.wait(lock, [this] { return open_; });
-        response.ticket = 5;
-        response.state = "done";
-      }
-      if (!socket.Send(SerializeClientResponse(response)).ok()) return;
+  std::string Handle(const std::string& message) {
+    const auto request = ParseClientRequest(message);
+    ClientResponse response;
+    if (request.ok() && request->kind == ClientRequest::Kind::kHello) {
+      response.server = "gated";
+      response.features = ClientProtocolFeatures();
+    } else {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++held_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+      response.ticket = 5;
+      response.state = "done";
     }
+    return SerializeClientResponse(response);
   }
 
   /// Waits until `n` SUBMITs are held at once; false after 10 s.
@@ -533,7 +527,7 @@ TEST(RouterTest, IdleLinkPoolStaysBoundedAfterABurst) {
   // kMaxIdleLinksPerShard of them may stay open.
   constexpr size_t kForwards = QueryRouter::kMaxIdleLinksPerShard + 4;
   GatedShard shard;
-  Daemon<GatedShard> daemon(&shard);
+  TcpServer daemon(FrameHandler(&shard, kMaxClientFrameBytes));
   ASSERT_TRUE(daemon.Start().ok());
   auto shard_map = ShardMap::Make({{"s0", Endpoint(daemon.port())}});
   ASSERT_TRUE(shard_map.ok());
@@ -573,7 +567,7 @@ TEST(RouterTest, WarmLocalityMapStaysBounded) {
   done.ticket = 5;
   done.state = "done";
   ScriptedShard shard(SerializeClientResponse(done));
-  Daemon<ScriptedShard> daemon(&shard);
+  TcpServer daemon(FrameHandler(&shard, kMaxClientFrameBytes));
   ASSERT_TRUE(daemon.Start().ok());
   auto shard_map = ShardMap::Make({{"s0", Endpoint(daemon.port())}});
   ASSERT_TRUE(shard_map.ok());

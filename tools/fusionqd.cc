@@ -2,8 +2,8 @@
 //
 // Loads a catalog once, builds ONE shared QuerySession (result cache,
 // circuit breakers, learned statistics), and serves concurrent FUSIONQ/1
-// clients over TCP: every accepted connection gets a thread running the
-// service's receive → dispatch → reply loop, and every query funnels
+// clients over TCP: a TcpServer gives every accepted connection a thread
+// running the service's receive → dispatch → reply loop, and every query funnels
 // through the same admission queue, fair per-client scheduler, and executor
 // pool. Point `fusionq --connect=host:port` (or any FUSIONQ/1 speaker) at
 // it.
@@ -16,45 +16,33 @@
 //
 // --port=0 binds an ephemeral port; the actual port is printed on the
 // "listening on" line, so scripts can parse it.
-#include <sys/socket.h>
-
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cli/catalog_config.h"
 #include "cli/client_flags.h"
-#include "common/file_util.h"
-#include "common/rng.h"
+#include "cli/flags.h"
 #include "mediator/client.h"
 #include "mediator/service.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "protocol/chaos.h"
-#include "protocol/socket.h"
+#include "protocol/tcp_server.h"
 
 namespace fusion {
 namespace {
 
 struct Args {
   std::string catalog_path;
-  std::string host = "127.0.0.1";
-  int port = 4631;
+  ListenFlags listen;
   int workers = 4;
   int max_queue = 64;
   std::string name = "fusionqd";
-  /// Readiness hook: the bound port is written here once the daemon is
-  /// accepting, so harnesses using --port=0 can poll the file instead of
-  /// parsing stdout.
-  std::string port_file;
   std::string sql;   // --smoke's test query
   /// Record spans for every served request; write Chrome trace-event JSON
   /// here at shutdown. Served spans carry the client's trace ids, so this
@@ -65,13 +53,13 @@ struct Args {
   /// accepted connection may be refused, reset, torn, delayed, or hung per
   /// this seeded policy — the daemon abuses itself so operators can drill
   /// client recovery against a real deployment.
-  ChaosPolicy chaos;
-  bool chaos_seed_set = false;
+  ChaosFlags chaos;
   bool smoke = false;
   bool help = false;
   ClientFlags client;
 
   Args() {
+    listen.port = 4631;
     // Daemon defaults differ from the one-shot CLI: a long-lived service
     // exists to amortize — result cache on, session-learned statistics.
     client.cache = true;
@@ -98,18 +86,7 @@ void PrintUsage() {
       "                   Spans keep the submitting client's trace ids, so\n"
       "                   tools/trace_merge.py can stitch this file with\n"
       "                   client-side exports into one distributed trace\n"
-      "  --chaos-drop-rate=P    probability a send/receive resets the\n"
-      "                         connection instead (default 0)\n"
-      "  --chaos-torn-rate=P    probability a send ships half the frame and\n"
-      "                         closes (default 0)\n"
-      "  --chaos-delay-rate=P   probability an operation is delayed\n"
-      "  --chaos-delay-ms=MS    the injected delay (default 2)\n"
-      "  --chaos-refuse-rate=P  probability an accepted connection is closed\n"
-      "                         before serving a byte (default 0)\n"
-      "  --chaos-hang-rate=P    probability an operation hangs hang-ms\n"
-      "  --chaos-hang-ms=MS     the injected hang (default 50)\n"
-      "  --chaos-seed=N         fault-schedule seed (default: FUSION_SEED,\n"
-      "                         else 1) — same seed, same fault schedule\n"
+      "%s"
       "  --smoke          in-process self-test: serve on an ephemeral port,\n"
       "                   run two concurrent clients over real sockets\n"
       "                   (requires --sql), verify identical answers and a\n"
@@ -117,32 +94,25 @@ void PrintUsage() {
       "  --sql=QUERY      the query --smoke submits\n"
       "\nshared client flags (same meanings as fusionq; defaults here:\n"
       "--cache on, --stats=session):\n%s",
-      ClientFlags::Help());
+      ChaosFlags::Help(), ClientFlags::Help());
 }
 
 Result<Args> ParseArgs(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    Status client_error = Status::Ok();
-    if (args.client.Consume(a, &client_error)) {
-      FUSION_RETURN_IF_ERROR(client_error);
+    Status flag_error = Status::Ok();
+    if (args.client.Consume(a, &flag_error) ||
+        args.listen.Consume(a, &flag_error) ||
+        args.chaos.Consume(a, &flag_error)) {
+      FUSION_RETURN_IF_ERROR(flag_error);
       continue;
     }
     if (ParseFlagValue(a, "--catalog", &args.catalog_path)) continue;
-    if (ParseFlagValue(a, "--host", &args.host)) continue;
     if (ParseFlagValue(a, "--name", &args.name)) continue;
-    if (ParseFlagValue(a, "--port-file", &args.port_file)) continue;
     if (ParseFlagValue(a, "--sql", &args.sql)) continue;
     if (ParseFlagValue(a, "--trace", &args.trace_out)) continue;
     std::string number;
-    if (ParseFlagValue(a, "--port", &number)) {
-      args.port = std::atoi(number.c_str());
-      if (args.port < 0 || args.port > 65535) {
-        return Status::InvalidArgument("--port must be in [0, 65535]");
-      }
-      continue;
-    }
     if (ParseFlagValue(a, "--workers", &number)) {
       args.workers = std::atoi(number.c_str());
       if (args.workers < 1) {
@@ -155,46 +125,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
       if (args.max_queue < 1) {
         return Status::InvalidArgument("--max-queue must be >= 1");
       }
-      continue;
-    }
-    bool chaos_rate = false;
-    double* rate = nullptr;
-    if (ParseFlagValue(a, "--chaos-drop-rate", &number)) {
-      rate = &args.chaos.drop_rate;
-      chaos_rate = true;
-    } else if (ParseFlagValue(a, "--chaos-torn-rate", &number)) {
-      rate = &args.chaos.torn_write_rate;
-      chaos_rate = true;
-    } else if (ParseFlagValue(a, "--chaos-delay-rate", &number)) {
-      rate = &args.chaos.delay_rate;
-      chaos_rate = true;
-    } else if (ParseFlagValue(a, "--chaos-refuse-rate", &number)) {
-      rate = &args.chaos.accept_refuse_rate;
-      chaos_rate = true;
-    } else if (ParseFlagValue(a, "--chaos-hang-rate", &number)) {
-      rate = &args.chaos.hang_rate;
-      chaos_rate = true;
-    }
-    if (chaos_rate) {
-      *rate = std::atof(number.c_str());
-      if (*rate < 0.0 || *rate > 1.0) {
-        return Status::InvalidArgument(
-            std::string("chaos rates must be in [0, 1]: ") + a);
-      }
-      continue;
-    }
-    if (ParseFlagValue(a, "--chaos-delay-ms", &number)) {
-      args.chaos.delay_ms = std::atof(number.c_str());
-      continue;
-    }
-    if (ParseFlagValue(a, "--chaos-hang-ms", &number)) {
-      args.chaos.hang_ms = std::atof(number.c_str());
-      continue;
-    }
-    if (ParseFlagValue(a, "--chaos-seed", &number)) {
-      args.chaos.seed = static_cast<uint64_t>(
-          std::strtoull(number.c_str(), nullptr, 10));
-      args.chaos_seed_set = true;
       continue;
     }
     if (std::strcmp(a, "--smoke") == 0) {
@@ -210,41 +140,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// The accepted connections' fds, so shutdown can unblock their Receive()s
-/// (shutdown(2) wakes a blocked recv; close alone does not). Registered at
-/// accept time — the fd number survives the socket being moved into its
-/// serve thread.
-class ConnectionRegistry {
- public:
-  void Register(int fd) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fds_.push_back(fd);
-  }
-
-  void ShutdownAll() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const int fd : fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<int> fds_;
-};
-
-// The listening fd, for the async-signal-safe shutdown path: SIGINT/SIGTERM
-// shut it down and close it, which makes the blocked accept() return and
-// the main loop exit. shutdown(2) first — close alone does not wake an
-// accept() blocked on another thread, and the signal may land on any.
-std::atomic<int> g_listener_fd{-1};
-
-void HandleSignal(int) {
-  const int fd = g_listener_fd.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-}
-
 Result<QueryService::Options> ServiceOptionsFromArgs(const Args& args) {
   QueryService::Options options;
   options.server_name = args.name;
@@ -254,86 +149,34 @@ Result<QueryService::Options> ServiceOptionsFromArgs(const Args& args) {
   return options;
 }
 
-int Serve(const Args& args) {
-  auto catalog = LoadCatalogFromFile(args.catalog_path);
-  if (!catalog.ok()) {
-    std::fprintf(stderr, "catalog: %s\n", catalog.status().ToString().c_str());
-    return 1;
-  }
-  const size_t num_sources = catalog->size();
-  const auto options = ServiceOptionsFromArgs(args);
-  if (!options.ok()) {
-    std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
-    return 2;
-  }
-  auto listener = TcpListener::Bind(args.host, args.port);
-  if (!listener.ok()) {
-    std::fprintf(stderr, "bind: %s\n", listener.status().ToString().c_str());
-    return 1;
-  }
-  QueryService service(Mediator(std::move(catalog).value()), *options);
+int Serve(const Args& args, QueryService& service, size_t num_sources) {
   if (!args.trace_out.empty()) Tracer::Global().Enable();
-
-  g_listener_fd.store(listener->fd());
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
+  const std::shared_ptr<ChaosDecider> chaos = args.chaos.Decider();
+  TcpServer server(FrameHandler(&service, kMaxClientFrameBytes), chaos);
+  const Status listening = args.listen.Start(server);
+  if (!listening.ok()) {
+    std::fprintf(stderr, "%s\n", listening.message().c_str());
+    return 1;
+  }
 
   std::printf("%s: listening on %s:%d (%zu sources, workers=%d, queue=%d)\n",
-              args.name.c_str(), args.host.c_str(), listener->port(),
+              args.name.c_str(), args.listen.host.c_str(), server.port(),
               num_sources, args.workers, args.max_queue);
-  std::fflush(stdout);
-  if (!args.port_file.empty()) {
-    // Atomic write: the readiness file is a polled signal, and a fast
-    // reader must see the whole port or no file at all — never a torn
-    // prefix (the fopen-then-fprintf it replaced created an *empty* file
-    // before the port landed).
-    const Status wrote = WriteFileAtomic(
-        args.port_file, std::to_string(listener->port()) + "\n");
-    if (!wrote.ok()) {
-      std::fprintf(stderr, "port-file: %s\n", wrote.message().c_str());
-      return 1;
-    }
-  }
-
-  std::shared_ptr<ChaosDecider> chaos;
-  if (args.chaos.enabled()) {
-    ChaosPolicy policy = args.chaos;
-    // FUSION_SEED replays the whole daemon's fault schedule unless the
-    // operator pinned one explicitly.
-    if (!args.chaos_seed_set) policy.seed = GlobalSeed(policy.seed);
-    chaos = std::make_shared<ChaosDecider>(policy);
+  if (chaos != nullptr) {
+    const ChaosPolicy& policy = chaos->policy();
     std::printf(
         "%s: chaos enabled (drop=%.3g torn=%.3g delay=%.3g refuse=%.3g "
         "hang=%.3g seed=%llu)\n",
         args.name.c_str(), policy.drop_rate, policy.torn_write_rate,
         policy.delay_rate, policy.accept_refuse_rate, policy.hang_rate,
         static_cast<unsigned long long>(policy.seed));
-    std::fflush(stdout);
   }
+  std::fflush(stdout);
 
-  ConnectionRegistry connections;
-  std::vector<std::thread> threads;
-  for (;;) {
-    Result<MessageSocket> accepted = listener->Accept();
-    if (!accepted.ok()) break;  // listener closed: shutdown
-    MessageSocket socket = std::move(accepted).value();
-    if (ChaosRefuseAccept(chaos.get())) {
-      socket.Close();
-      continue;
-    }
-    connections.Register(socket.fd());
-    threads.emplace_back(
-        [&service, chaos](MessageSocket s) {
-          service.ServeConnection(ChaosSocket(std::move(s), chaos));
-        },
-        std::move(socket));
-  }
-  // Signal path: reject new work, cancel in-flight queries, wake blocked
-  // connection reads, then join everything.
+  server.Wait();  // until SIGINT/SIGTERM
   std::printf("%s: shutting down\n", args.name.c_str());
   service.Shutdown();
-  connections.ShutdownAll();
-  for (std::thread& t : threads) t.join();
+  server.Stop();
   if (!args.trace_out.empty()) {
     const std::vector<SpanRecord> spans = Tracer::Global().Drain();
     const Status written = WriteChromeTrace(spans, args.trace_out);
@@ -351,43 +194,14 @@ int Serve(const Args& args) {
 /// sockets, inside one process — two concurrent clients submit the same
 /// query, answers must match byte for byte, and a repeat query must be
 /// answered warm (metered cost an order of magnitude below the first).
-int Smoke(const Args& args) {
-  if (args.sql.empty()) {
-    std::fprintf(stderr, "--smoke requires --sql\n");
-    return 2;
-  }
-  auto catalog = LoadCatalogFromFile(args.catalog_path);
-  if (!catalog.ok()) {
-    std::fprintf(stderr, "catalog: %s\n", catalog.status().ToString().c_str());
+int Smoke(const Args& args, QueryService& service) {
+  TcpServer server(FrameHandler(&service, kMaxClientFrameBytes));
+  const Status started = server.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "bind: %s\n", started.ToString().c_str());
     return 1;
   }
-  const auto options = ServiceOptionsFromArgs(args);
-  if (!options.ok()) {
-    std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
-    return 2;
-  }
-  auto listener = TcpListener::Bind("127.0.0.1", 0);
-  if (!listener.ok()) {
-    std::fprintf(stderr, "bind: %s\n", listener.status().ToString().c_str());
-    return 1;
-  }
-  const std::string endpoint =
-      "127.0.0.1:" + std::to_string(listener->port());
-  QueryService service(Mediator(std::move(catalog).value()), *options);
-
-  // Serve exactly two connections, each on its own thread — the smoke's
-  // clients below.
-  std::vector<std::thread> server_threads;
-  std::thread acceptor([&] {
-    for (int i = 0; i < 2; ++i) {
-      Result<MessageSocket> accepted = listener->Accept();
-      if (!accepted.ok()) return;
-      server_threads.emplace_back(
-          [&service, socket = std::move(accepted).value()]() mutable {
-            service.ServeConnection(std::move(socket));
-          });
-    }
-  });
+  const std::string endpoint = "127.0.0.1:" + std::to_string(server.port());
 
   auto first_or = Client::Builder()
                       .To(Client::Target::Remote(endpoint))
@@ -398,11 +212,9 @@ int Smoke(const Args& args) {
                  first_or.status().ToString().c_str());
     return 1;
   }
-  // unique_ptr so the connection can be closed (below) before the serve
-  // threads are joined — they run until their peer hangs up.
-  auto first = std::make_unique<Client>(std::move(first_or).value());
+  Client first = std::move(first_or).value();
   // Phase 1: one cold query pays the full metered cost.
-  Result<ClientAnswer> cold = first->QuerySql(args.sql);
+  Result<ClientAnswer> cold = first.QuerySql(args.sql);
   if (!cold.ok()) {
     std::fprintf(stderr, "smoke: cold query failed: %s\n",
                  cold.status().ToString().c_str());
@@ -419,7 +231,7 @@ int Smoke(const Args& args) {
   // shared across clients through the service path.
   Result<ClientAnswer> warm_same = Status::Unavailable("not run");
   Result<ClientAnswer> warm_other = Status::Unavailable("not run");
-  std::thread same([&] { warm_same = first->QuerySql(args.sql); });
+  std::thread same([&] { warm_same = first.QuerySql(args.sql); });
   std::thread other([&] {
     auto second = Client::Builder()
                       .To(Client::Target::Remote(endpoint))
@@ -433,9 +245,6 @@ int Smoke(const Args& args) {
   });
   same.join();
   other.join();
-  first.reset();  // hang up so the serve loops (and their threads) exit
-  acceptor.join();
-  for (std::thread& t : server_threads) t.join();
 
   for (const auto* run : {&warm_same, &warm_other}) {
     if (!run->ok()) {
@@ -478,7 +287,24 @@ int Run(int argc, char** argv) {
     PrintUsage();
     return args->help ? 0 : 2;
   }
-  return args->smoke ? Smoke(*args) : Serve(*args);
+  if (args->smoke && args->sql.empty()) {
+    std::fprintf(stderr, "--smoke requires --sql\n");
+    return 2;
+  }
+  auto catalog = LoadCatalogFromFile(args->catalog_path);
+  if (!catalog.ok()) {
+    std::fprintf(stderr, "catalog: %s\n", catalog.status().ToString().c_str());
+    return 1;
+  }
+  const size_t num_sources = catalog->size();
+  const auto options = ServiceOptionsFromArgs(*args);
+  if (!options.ok()) {
+    std::fprintf(stderr, "%s\n", options.status().ToString().c_str());
+    return 2;
+  }
+  QueryService service(Mediator(std::move(catalog).value()), *options);
+  return args->smoke ? Smoke(*args, service)
+                     : Serve(*args, service, num_sources);
 }
 
 }  // namespace

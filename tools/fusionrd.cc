@@ -17,22 +17,14 @@
 //
 // --port=0 binds an ephemeral port; the actual port is printed on the
 // "listening on" line and written to --port-file (atomically) when given.
-#include <sys/socket.h>
-
-#include <atomic>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "cli/client_flags.h"
-#include "common/file_util.h"
-#include "protocol/socket.h"
+#include "cli/flags.h"
+#include "protocol/tcp_server.h"
 #include "router/router.h"
 #include "router/shard_map.h"
 
@@ -41,13 +33,11 @@ namespace {
 
 struct Args {
   std::vector<Shard> shards;
-  std::string host = "127.0.0.1";
-  int port = 4630;
+  ListenFlags listen;
   std::string name = "fusionrd";
-  /// Readiness hook, same contract as fusionqd: the bound port is written
-  /// here (atomically — whole file or no file) once accepting.
-  std::string port_file;
   bool help = false;
+
+  Args() { listen.port = 4630; }
 };
 
 void PrintUsage() {
@@ -69,6 +59,11 @@ Result<Args> ParseArgs(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
+    Status listen_error = Status::Ok();
+    if (args.listen.Consume(a, &listen_error)) {
+      FUSION_RETURN_IF_ERROR(listen_error);
+      continue;
+    }
     std::string value;
     if (ParseFlagValue(a, "--shard", &value)) {
       Shard shard;
@@ -84,17 +79,7 @@ Result<Args> ParseArgs(int argc, char** argv) {
       args.shards.push_back(std::move(shard));
       continue;
     }
-    if (ParseFlagValue(a, "--host", &args.host)) continue;
     if (ParseFlagValue(a, "--name", &args.name)) continue;
-    if (ParseFlagValue(a, "--port-file", &args.port_file)) continue;
-    std::string number;
-    if (ParseFlagValue(a, "--port", &number)) {
-      args.port = std::atoi(number.c_str());
-      if (args.port < 0 || args.port > 65535) {
-        return Status::InvalidArgument("--port must be in [0, 65535]");
-      }
-      continue;
-    }
     if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       args.help = true;
       continue;
@@ -104,39 +89,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// Accepted-connection fds so shutdown can unblock their Receive()s —
-/// shutdown(2) wakes a blocked recv; close alone does not.
-class ConnectionRegistry {
- public:
-  void Register(int fd) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fds_.push_back(fd);
-  }
-
-  void ShutdownAll() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const int fd : fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<int> fds_;
-};
-
-// Async-signal-safe shutdown: SIGINT/SIGTERM shut the listener down (then
-// close it), so the blocked accept() returns and the main loop exits.
-// shutdown(2) first — close alone does not wake an accept() blocked on
-// another thread, and the signal may be delivered to any of them.
-std::atomic<int> g_listener_fd{-1};
-
-void HandleSignal(int) {
-  const int fd = g_listener_fd.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-}
-
 int Serve(const Args& args) {
   auto shard_map = ShardMap::Make(args.shards);
   if (!shard_map.ok()) {
@@ -144,21 +96,18 @@ int Serve(const Args& args) {
                  shard_map.status().ToString().c_str());
     return 2;
   }
-  auto listener = TcpListener::Bind(args.host, args.port);
-  if (!listener.ok()) {
-    std::fprintf(stderr, "bind: %s\n", listener.status().ToString().c_str());
-    return 1;
-  }
   QueryRouter::Options options;
   options.server_name = args.name;
   QueryRouter router(std::move(shard_map).value(), options);
-
-  g_listener_fd.store(listener->fd());
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
+  TcpServer server(FrameHandler(&router, kMaxClientFrameBytes));
+  const Status listening = args.listen.Start(server);
+  if (!listening.ok()) {
+    std::fprintf(stderr, "%s\n", listening.message().c_str());
+    return 1;
+  }
 
   std::printf("%s: listening on %s:%d (routing to %zu shards)\n",
-              args.name.c_str(), args.host.c_str(), listener->port(),
+              args.name.c_str(), args.listen.host.c_str(), server.port(),
               router.shards().size());
   for (size_t i = 0; i < router.shards().size(); ++i) {
     const Shard& shard = router.shards().shard(i);
@@ -166,32 +115,11 @@ int Serve(const Args& args) {
                 shard.name.c_str(), shard.endpoint.c_str());
   }
   std::fflush(stdout);
-  if (!args.port_file.empty()) {
-    const Status wrote = WriteFileAtomic(
-        args.port_file, std::to_string(listener->port()) + "\n");
-    if (!wrote.ok()) {
-      std::fprintf(stderr, "port-file: %s\n", wrote.message().c_str());
-      return 1;
-    }
-  }
 
-  ConnectionRegistry connections;
-  std::vector<std::thread> threads;
-  for (;;) {
-    Result<MessageSocket> accepted = listener->Accept();
-    if (!accepted.ok()) break;  // listener closed: shutdown
-    MessageSocket socket = std::move(accepted).value();
-    connections.Register(socket.fd());
-    threads.emplace_back(
-        [&router](MessageSocket s) {
-          router.ServeConnection(ChaosSocket(std::move(s)));
-        },
-        std::move(socket));
-  }
+  server.Wait();  // until SIGINT/SIGTERM
   std::printf("%s: shutting down\n", args.name.c_str());
   router.Shutdown();
-  connections.ShutdownAll();
-  for (std::thread& t : threads) t.join();
+  server.Stop();
   return 0;
 }
 

@@ -17,24 +17,16 @@
 // can spawn replicas without port bookkeeping. The --chaos-* flags inject
 // seeded faults at this replica's edge (see protocol/chaos.h) — the way
 // the chaos tests and drills abuse a "real" networked source.
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "cli/catalog_config.h"
-#include "cli/client_flags.h"  // ParseFlagValue
+#include "cli/flags.h"
 #include "common/file_util.h"
-#include "common/rng.h"
-#include "common/str_util.h"
-#include "protocol/chaos.h"
 #include "protocol/source_server.h"
+#include "protocol/tcp_server.h"
 
 namespace fusion {
 namespace {
@@ -42,11 +34,8 @@ namespace {
 struct Args {
   std::string catalog_path;
   std::string source;  // which [source NAME] section to serve
-  std::string host = "127.0.0.1";
-  int port = 0;
-  std::string port_file;
-  ChaosPolicy chaos;
-  bool chaos_seed_set = false;
+  ListenFlags listen;
+  ChaosFlags chaos;
   bool help = false;
 };
 
@@ -62,69 +51,22 @@ void PrintUsage() {
       "                   startup\n"
       "  --port-file=PATH write the bound port here once serving (the\n"
       "                   readiness hook for replica-spawning scripts)\n"
-      "  --chaos-drop-rate=P / --chaos-torn-rate=P / --chaos-delay-rate=P\n"
-      "  --chaos-delay-ms=MS / --chaos-refuse-rate=P / --chaos-hang-rate=P\n"
-      "  --chaos-hang-ms=MS / --chaos-seed=N\n"
-      "                   seeded fault injection at this replica's edge\n"
-      "                   (same meanings as fusionqd's --chaos-* flags)\n");
+      "seeded fault injection at this replica's edge:\n%s",
+      ChaosFlags::Help());
 }
 
 Result<Args> ParseArgs(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
+    Status flag_error = Status::Ok();
+    if (args.listen.Consume(a, &flag_error) ||
+        args.chaos.Consume(a, &flag_error)) {
+      FUSION_RETURN_IF_ERROR(flag_error);
+      continue;
+    }
     if (ParseFlagValue(a, "--catalog", &args.catalog_path)) continue;
     if (ParseFlagValue(a, "--source", &args.source)) continue;
-    if (ParseFlagValue(a, "--host", &args.host)) continue;
-    if (ParseFlagValue(a, "--port-file", &args.port_file)) continue;
-    std::string number;
-    if (ParseFlagValue(a, "--port", &number)) {
-      args.port = std::atoi(number.c_str());
-      if (args.port < 0 || args.port > 65535) {
-        return Status::InvalidArgument("--port must be in [0, 65535]");
-      }
-      continue;
-    }
-    bool chaos_rate = false;
-    double* rate = nullptr;
-    if (ParseFlagValue(a, "--chaos-drop-rate", &number)) {
-      rate = &args.chaos.drop_rate;
-      chaos_rate = true;
-    } else if (ParseFlagValue(a, "--chaos-torn-rate", &number)) {
-      rate = &args.chaos.torn_write_rate;
-      chaos_rate = true;
-    } else if (ParseFlagValue(a, "--chaos-delay-rate", &number)) {
-      rate = &args.chaos.delay_rate;
-      chaos_rate = true;
-    } else if (ParseFlagValue(a, "--chaos-refuse-rate", &number)) {
-      rate = &args.chaos.accept_refuse_rate;
-      chaos_rate = true;
-    } else if (ParseFlagValue(a, "--chaos-hang-rate", &number)) {
-      rate = &args.chaos.hang_rate;
-      chaos_rate = true;
-    }
-    if (chaos_rate) {
-      *rate = std::atof(number.c_str());
-      if (*rate < 0.0 || *rate > 1.0) {
-        return Status::InvalidArgument(
-            std::string("chaos rates must be in [0, 1]: ") + a);
-      }
-      continue;
-    }
-    if (ParseFlagValue(a, "--chaos-delay-ms", &number)) {
-      args.chaos.delay_ms = std::atof(number.c_str());
-      continue;
-    }
-    if (ParseFlagValue(a, "--chaos-hang-ms", &number)) {
-      args.chaos.hang_ms = std::atof(number.c_str());
-      continue;
-    }
-    if (ParseFlagValue(a, "--chaos-seed", &number)) {
-      args.chaos.seed = static_cast<uint64_t>(
-          std::strtoull(number.c_str(), nullptr, 10));
-      args.chaos_seed_set = true;
-      continue;
-    }
     if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
       args.help = true;
       continue;
@@ -133,10 +75,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
   }
   return args;
 }
-
-std::atomic<bool> g_stop{false};
-
-void HandleSignal(int) { g_stop.store(true); }
 
 int Serve(const Args& args) {
   auto text = ReadFileToString(args.catalog_path);
@@ -177,42 +115,21 @@ int Serve(const Args& args) {
     return 1;
   }
 
-  TcpSourceServer::Options options;
-  options.host = args.host;
-  options.port = args.port;
-  options.chaos = args.chaos;
-  if (options.chaos.enabled() && !args.chaos_seed_set) {
-    options.chaos.seed = GlobalSeed(options.chaos.seed);
-  }
-  TcpSourceServer server(std::move(wrapper).value(), options);
-  const Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "bind: %s\n", started.ToString().c_str());
+  SourceServer source(std::move(wrapper).value());
+  const std::shared_ptr<ChaosDecider> chaos = args.chaos.Decider();
+  TcpServer server(FrameHandler(&source, kMaxSourceFrameBytes), chaos);
+  const Status listening = args.listen.Start(server);
+  if (!listening.ok()) {
+    std::fprintf(stderr, "%s\n", listening.message().c_str());
     return 1;
   }
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGTERM, HandleSignal);
 
   std::printf("fusionsd: serving source '%s' on %s:%d%s\n",
-              spec->name.c_str(), args.host.c_str(), server.port(),
-              options.chaos.enabled() ? " (chaos enabled)" : "");
+              spec->name.c_str(), args.listen.host.c_str(), server.port(),
+              chaos != nullptr ? " (chaos enabled)" : "");
   std::fflush(stdout);
-  if (!args.port_file.empty()) {
-    // Atomic write: the readiness file is a polled signal, and a fast
-    // reader must see the whole port or no file at all — never a torn
-    // prefix (the fopen-then-fprintf it replaced created an *empty* file
-    // before the port landed).
-    const Status wrote = WriteFileAtomic(
-        args.port_file, std::to_string(server.port()) + "\n");
-    if (!wrote.ok()) {
-      std::fprintf(stderr, "port-file: %s\n", wrote.message().c_str());
-      return 1;
-    }
-  }
 
-  while (!g_stop.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  server.Wait();  // until SIGINT/SIGTERM
   std::printf("fusionsd: shutting down\n");
   server.Stop();
   return 0;

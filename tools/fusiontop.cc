@@ -23,7 +23,7 @@
 #include "mediator/client.h"
 #include "mediator/service.h"
 #include "obs/exposition.h"
-#include "protocol/socket.h"
+#include "protocol/tcp_server.h"
 
 namespace fusion {
 namespace {
@@ -221,55 +221,38 @@ int Smoke(const Args& args) {
     std::fprintf(stderr, "catalog: %s\n", catalog.status().ToString().c_str());
     return 1;
   }
-  auto listener = TcpListener::Bind("127.0.0.1", 0);
-  if (!listener.ok()) {
-    std::fprintf(stderr, "bind: %s\n", listener.status().ToString().c_str());
-    return 1;
-  }
-  const std::string endpoint =
-      "127.0.0.1:" + std::to_string(listener->port());
   QueryService::Options options;
   options.client.use_cache = true;
   QueryService service(Mediator(std::move(catalog).value()), options);
-  std::vector<std::thread> server_threads;
-  std::thread acceptor([&] {
-    for (int i = 0; i < 2; ++i) {
-      Result<MessageSocket> accepted = listener->Accept();
-      if (!accepted.ok()) return;
-      server_threads.emplace_back(
-          [&service, socket = std::move(accepted).value()]() mutable {
-            service.ServeConnection(std::move(socket));
-          });
-    }
-  });
-
-  int exit_code = 1;
-  {
-    auto querier = Client::Builder()
-                       .To(Client::Target::Remote(endpoint))
-                       .ClientId("smoke-tenant")
-                       .Build();
-    auto watcher = Client::Builder()
-                       .To(Client::Target::Remote(endpoint))
-                       .ClientId(args.client_id)
-                       .Build();
-    if (!querier.ok() || !watcher.ok()) {
-      std::fprintf(stderr, "smoke: connect failed\n");
-      return 1;
-    }
-    const auto answer = querier->QuerySql(args.sql);
-    if (!answer.ok()) {
-      std::fprintf(stderr, "smoke: query: %s\n",
-                   answer.status().ToString().c_str());
-      return 1;
-    }
-    Args once = args;
-    once.interval = 0;
-    exit_code = Watch(once, *watcher);
-    // Clients hang up here, releasing the serve loops.
+  TcpServer server(FrameHandler(&service, kMaxClientFrameBytes));
+  const Status started = server.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "bind: %s\n", started.ToString().c_str());
+    return 1;
   }
-  acceptor.join();
-  for (std::thread& t : server_threads) t.join();
+  const std::string endpoint = "127.0.0.1:" + std::to_string(server.port());
+
+  auto querier = Client::Builder()
+                     .To(Client::Target::Remote(endpoint))
+                     .ClientId("smoke-tenant")
+                     .Build();
+  auto watcher = Client::Builder()
+                     .To(Client::Target::Remote(endpoint))
+                     .ClientId(args.client_id)
+                     .Build();
+  if (!querier.ok() || !watcher.ok()) {
+    std::fprintf(stderr, "smoke: connect failed\n");
+    return 1;
+  }
+  const auto answer = querier->QuerySql(args.sql);
+  if (!answer.ok()) {
+    std::fprintf(stderr, "smoke: query: %s\n",
+                 answer.status().ToString().c_str());
+    return 1;
+  }
+  Args once = args;
+  once.interval = 0;
+  const int exit_code = Watch(once, *watcher);
   if (exit_code == 0) std::printf("fusiontop smoke: ok\n");
   return exit_code;
 }
