@@ -1,6 +1,6 @@
 // A federation behind the wire: every source sits behind the FUSIONP/1
-// wrapper protocol (serialized requests/responses, as a real deployment
-// would run over sockets), so the client has no oracle access at all. Its
+// wrapper protocol on its own loopback TCP server (as fusionsd serves it),
+// so the client has no oracle access at all. Its
 // session plans from priors, learns statistics from execution feedback, and
 // reuses cached answers — the full production configuration behind the one
 // fusion::Client surface.
@@ -10,6 +10,7 @@
 #include "mediator/client.h"
 #include "protocol/remote_source.h"
 #include "protocol/source_server.h"
+#include "protocol/tcp_server.h"
 #include "workload/dmv.h"
 
 using namespace fusion;
@@ -33,16 +34,19 @@ int main() {
   auto instance = GenerateDmv(spec);
   if (!instance.ok()) return Fail(instance.status());
 
-  std::vector<std::shared_ptr<SourceServer>> servers;
+  // Servers before listeners: the listeners stop (and join their
+  // connections) before the servers they call go away.
+  std::vector<std::unique_ptr<SourceServer>> servers;
+  std::vector<std::unique_ptr<TcpServer>> listeners;
   SourceCatalog remote_catalog;
   for (const SimulatedSource* sim : instance->simulated) {
-    servers.push_back(std::make_shared<SourceServer>(
+    servers.push_back(std::make_unique<SourceServer>(
         std::make_unique<SimulatedSource>(*sim)));
-    auto server = servers.back();
-    auto remote = RemoteSource::Connect(
-        [server](const std::string& request) {
-          return server->Handle(request);
-        });
+    listeners.push_back(std::make_unique<TcpServer>(
+        FrameHandler(servers.back().get(), kMaxSourceFrameBytes)));
+    if (Status s = listeners.back()->Start(); !s.ok()) return Fail(s);
+    auto remote = RemoteSource::ConnectTcp(
+        {"127.0.0.1:" + std::to_string(listeners.back()->port())});
     if (!remote.ok()) return Fail(remote.status());
     if (Status s = remote_catalog.Add(std::move(remote).value()); !s.ok()) {
       return Fail(s);

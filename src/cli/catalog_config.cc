@@ -7,6 +7,7 @@
 #include "common/file_util.h"
 #include "common/str_util.h"
 #include "protocol/remote_source.h"
+#include "protocol/socket.h"
 #include "relational/relation.h"
 #include "source/flaky_source.h"
 #include "source/simulated_source.h"
@@ -113,31 +114,12 @@ Status ApplyKeyValue(SourceSpecConfig& spec, const std::string& key,
   if (key == "endpoint") {
     // The fleet's bootstrap path: every replica line must be a usable
     // host:port *now*, not at first dial. Stray whitespace (a config edited
-    // by hand) is trimmed; an empty host, a non-numeric or out-of-range
-    // port, or embedded whitespace is a parse error naming the value; and a
-    // duplicate of an earlier replica line is dropped silently — dialing
+    // by hand) is trimmed; whatever ParseEndpoint (the dialer's own parser)
+    // refuses is a parse error naming the value; and a duplicate of an earlier replica line is dropped silently — dialing
     // the same address twice only doubles the failover latency.
     const std::string endpoint(StrTrim(value));
-    const size_t colon = endpoint.rfind(':');
-    if (colon == std::string::npos) {
-      return Status::ParseError("endpoint must be host:port, got " + value);
-    }
-    const std::string host = endpoint.substr(0, colon);
-    const std::string port = endpoint.substr(colon + 1);
-    if (host.empty()) {
-      return Status::ParseError("endpoint has an empty host: " + value);
-    }
-    if (endpoint.find_first_of(" \t") != std::string::npos) {
-      return Status::ParseError("endpoint contains whitespace: " + value);
-    }
-    if (port.empty() ||
-        port.find_first_not_of("0123456789") != std::string::npos) {
-      return Status::ParseError("endpoint port is not numeric: " + value);
-    }
-    const long port_number = std::strtol(port.c_str(), nullptr, 10);
-    if (port_number < 1 || port_number > 65535) {
-      return Status::ParseError("endpoint port out of range: " + value);
-    }
+    const Result<HostPort> parsed = ParseEndpoint(endpoint);
+    if (!parsed.ok()) return Status::ParseError(parsed.status().message());
     for (const std::string& existing : spec.endpoints) {
       if (existing == endpoint) return Status::Ok();  // duplicate replica
     }

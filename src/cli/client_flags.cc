@@ -1,7 +1,5 @@
 #include "cli/client_flags.h"
 
-#include <cstdlib>
-
 #include "common/str_util.h"
 
 namespace fusion {
@@ -36,55 +34,25 @@ bool ClientFlags::Consume(const char* arg, Status* error) {
   *error = Status::Ok();
   if (ParseFlagValue(arg, "--strategy", &strategy)) return true;
   if (ParseFlagValue(arg, "--stats", &stats)) return true;
-  std::string number;
-  if (ParseFlagValue(arg, "--parallelism", &number)) {
-    parallelism = std::atoi(number.c_str());
-    if (parallelism < 1) {
-      *error = Status::InvalidArgument("--parallelism must be >= 1");
-    }
+  if (ConsumeNumberFlag(arg, "--parallelism", 1, &parallelism, error) ||
+      ConsumeNumberFlag(arg, "--max-attempts", 1, &max_attempts, error) ||
+      ConsumeNumberFlag(arg, "--deadline-ms", 0.0, &deadline_ms, error) ||
+      ConsumeNumberFlag(arg, "--retry-backoff", 0.0, &retry_backoff_ms,
+                        error) ||
+      ConsumeNumberFlag(arg, "--call-timeout-ms", 0.0, &call_timeout_ms,
+                        error)) {
     return true;
   }
-  if (ParseFlagValue(arg, "--on-failure", &number)) {
-    on_failure = number;
+  if (ConsumeNumberFlag(arg, "--cache-mb", 0.0, &cache_mb, error) ||
+      ConsumeNumberFlag(arg, "--cache-ttl-ms", 0.0, &cache_ttl_ms, error)) {
+    cache = true;
+    return true;
+  }
+  if (ParseFlagValue(arg, "--on-failure", &on_failure)) {
     if (on_failure != "fail" && on_failure != "degrade") {
       *error = Status::InvalidArgument(
           "--on-failure must be 'fail' or 'degrade'");
     }
-    return true;
-  }
-  if (ParseFlagValue(arg, "--max-attempts", &number)) {
-    max_attempts = std::atoi(number.c_str());
-    if (max_attempts < 1) {
-      *error = Status::InvalidArgument("--max-attempts must be >= 1");
-    }
-    return true;
-  }
-  if (ParseFlagValue(arg, "--deadline-ms", &number)) {
-    deadline_ms = std::atof(number.c_str());
-    return true;
-  }
-  if (ParseFlagValue(arg, "--retry-backoff", &number)) {
-    retry_backoff_ms = std::atof(number.c_str());
-    return true;
-  }
-  if (ParseFlagValue(arg, "--call-timeout-ms", &number)) {
-    call_timeout_ms = std::atof(number.c_str());
-    return true;
-  }
-  if (ParseFlagValue(arg, "--cache-mb", &number)) {
-    cache_mb = std::atof(number.c_str());
-    if (cache_mb < 0.0) {
-      *error = Status::InvalidArgument("--cache-mb must be >= 0");
-    }
-    cache = true;
-    return true;
-  }
-  if (ParseFlagValue(arg, "--cache-ttl-ms", &number)) {
-    cache_ttl_ms = std::atof(number.c_str());
-    if (cache_ttl_ms < 0.0) {
-      *error = Status::InvalidArgument("--cache-ttl-ms must be >= 0");
-    }
-    cache = true;
     return true;
   }
   if (std::strcmp(arg, "--cache") == 0) {

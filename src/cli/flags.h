@@ -2,12 +2,15 @@
 #define FUSION_CLI_FLAGS_H_
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "common/status.h"
+#include "common/str_util.h"
 #include "protocol/chaos.h"
 #include "protocol/tcp_server.h"
+#include "protocol/wire.h"
 
 namespace fusion {
 
@@ -20,6 +23,29 @@ inline bool ParseFlagValue(const char* arg, const char* name,
     return true;
   }
   return false;
+}
+
+/// `--name=N` with N a strict number (ParseWireNumber: no sign-less
+/// garbage, no trailing characters, doubles finite) of at least `min`.
+/// True when `arg` is that flag; *error is then kInvalidArgument unless N
+/// parsed, in which case *out holds it.
+template <typename T>
+bool ConsumeNumberFlag(const char* arg, const char* name, T min, T* out,
+                       Status* error) {
+  std::string value;
+  if (!ParseFlagValue(arg, name, &value)) return false;
+  T parsed{};
+  // NaN fails the first comparison, infinity the second.
+  if (!ParseWireNumber(value, &parsed) || !(parsed >= min) ||
+      !(parsed <= std::numeric_limits<T>::max())) {
+    *error = Status::InvalidArgument(
+        StrFormat("%s must be a number >= %g, got '%s'", name,
+                  static_cast<double>(min), value.c_str()));
+  } else {
+    *out = parsed;
+    *error = Status::Ok();
+  }
+  return true;
 }
 
 /// The listening flags every daemon takes: --host, --port (0 = ephemeral)

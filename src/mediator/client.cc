@@ -1,12 +1,6 @@
 #include "mediator/client.h"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
-
 #include "cli/catalog_config.h"
-#include "common/rng.h"
 #include "common/str_util.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -16,6 +10,9 @@
 
 namespace fusion {
 namespace {
+
+/// Salt of the client's request-id mint (the router mints with another).
+constexpr uint64_t kClientRequestIdSalt = 0x1de9;
 
 const char* CacheProvenanceName(char provenance) {
   switch (provenance) {
@@ -30,73 +27,7 @@ const char* CacheProvenanceName(char provenance) {
   }
 }
 
-/// Transport-level failures a redial can cure. Protocol-level failures
-/// (kParseError from a malformed frame, an ERROR response) are final — a
-/// fresh connection would get the same answer.
-bool IsTransportError(const Status& status) {
-  return status.code() == StatusCode::kUnavailable ||
-         status.code() == StatusCode::kDeadlineExceeded ||
-         status.code() == StatusCode::kInternal;
-}
-
-/// HELLO-phase failures worth a redial: every transport error plus the
-/// kParseError a torn HELLO reply produces (a fresh connection gets a whole
-/// frame; a genuinely incompatible peer merely costs the bounded backoff
-/// schedule before the same error surfaces).
-bool IsHelloRetryable(const Status& status) {
-  return IsTransportError(status) ||
-         status.code() == StatusCode::kParseError;
-}
-
-/// Client-minted SUBMIT idempotency keys: unique per (process, mint) with
-/// overwhelming probability, deterministic under FUSION_SEED (the soak test
-/// replays a run byte-for-byte), and never 0 (0 = "no request-id" on the
-/// wire).
-uint64_t MintRequestId() {
-  static std::atomic<uint64_t> counter{0};
-  const uint64_t n = counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  const uint64_t seed =
-      GlobalSeed(0x9e3779b97f4a7c15ull ^ static_cast<uint64_t>(getpid()));
-  const uint64_t id = MixSeed(MixSeed(seed, 0x1de9u), n);
-  return id == 0 ? 1 : id;
-}
-
-struct HelloResult {
-  MessageSocket socket;
-  ClientResponse response;
-};
-
-/// Dials `endpoint` and runs the FUSIONQ/1 HELLO handshake — the one
-/// connection-establishment path, shared by Builder::Build and the
-/// transparent-reconnect redial so a reconnected client renegotiates
-/// features exactly like a fresh one.
-Result<HelloResult> DialAndHello(const std::string& endpoint,
-                                 const std::string& client_id) {
-  HelloResult out;
-  FUSION_ASSIGN_OR_RETURN(out.socket, DialTcp(endpoint));
-  ClientRequest hello;
-  hello.kind = ClientRequest::Kind::kHello;
-  hello.client_id = client_id;
-  hello.features = ClientProtocolFeatures();
-  FUSION_RETURN_IF_ERROR(out.socket.Send(SerializeClientRequest(hello)));
-  FUSION_ASSIGN_OR_RETURN(const std::string reply, out.socket.Receive());
-  FUSION_ASSIGN_OR_RETURN(out.response, ParseClientResponse(reply));
-  if (!out.response.ok) {
-    return Status(out.response.error_code,
-                  "hello: " + out.response.error_message);
-  }
-  return out;
-}
-
 }  // namespace
-
-void Client::AdoptServerFeatures(Remote& remote,
-                                 const ClientResponse& response) {
-  // Rebuilt wholesale (not merged): a restarted daemon may speak fewer
-  // features than its predecessor, and stale capabilities must not survive
-  // a reconnect.
-  remote.server_features = FeatureSet::FromNames(response.features);
-}
 
 std::vector<std::string> RenderExplainLines(const QueryAnswer& answer,
                                             const PlanPrintNames& names) {
@@ -152,31 +83,13 @@ Result<Client> Client::Builder::Build() {
             "Client::Builder: Target::Remote endpoint is empty");
       }
     }
-    auto remote = std::make_unique<Remote>();
-    remote->endpoints = target_.endpoints_;
-    remote->client_id = client_id_;
-    remote->reconnect = reconnect_;
-    // HELLO handshake: validates that the peer speaks FUSIONQ/1 before the
-    // caller trusts the connection, and names the server for diagnostics.
-    // Dialing retries transient failures under the reconnect policy,
-    // rotating across the target's endpoints — a daemon mid-restart (or a
-    // chaos accept-refusal) costs backoff, not a build failure, and a dead
-    // first endpoint costs one probe before the next is tried.
-    const int attempts = std::max(1, reconnect_.max_attempts);
-    Result<HelloResult> hello = Status::Unavailable("never dialed");
-    for (int attempt = 1; attempt <= attempts; ++attempt) {
-      if (attempt > 1) reconnect_.Backoff(attempt - 1);
-      remote->active =
-          static_cast<size_t>(attempt - 1) % remote->endpoints.size();
-      hello = DialAndHello(remote->endpoints[remote->active], client_id_);
-      if (hello.ok() || !IsHelloRetryable(hello.status())) break;
-    }
-    FUSION_RETURN_IF_ERROR(hello.status());
-    remote->socket = std::move(hello.value().socket);
-    const ClientResponse& response = hello.value().response;
-    client.server_ = response.server;
-    client.server_features_ = response.features;
-    AdoptServerFeatures(*remote, response);
+    // Dialing validates that the peer speaks FUSIONQ/1 (HELLO) before the
+    // caller trusts the connection, and retries transient failures across
+    // the target's endpoints: a daemon mid-restart (or a chaos accept
+    // refusal) costs backoff, not a build failure.
+    auto remote = std::make_unique<Remote>(target_.endpoints_, client_id_,
+                                           reconnect_);
+    FUSION_RETURN_IF_ERROR(remote->link.Connect());
     client.remote_ = std::move(remote);
     return client;
   }
@@ -203,95 +116,43 @@ RetryPolicy Client::DefaultReconnectPolicy() {
   return policy;
 }
 
+Client::Remote::Remote(const std::vector<std::string>& endpoints,
+                       const std::string& client_id,
+                       const RetryPolicy& reconnect)
+    : client_id(client_id),
+      link(ClientProtocolLink(
+          endpoints, reconnect, client_id, &server,
+          &MetricsRegistry::Global().counter(
+              metrics::kClientReconnectsTotal))) {}
+
 size_t Client::reconnects() const {
   if (remote_ == nullptr) return 0;
   std::lock_guard<std::mutex> lock(remote_->mutex);
-  return remote_->reconnects;
+  return remote_->link.reconnects();
 }
 
-Status Client::RemoteReconnectLocked() {
-  Remote& remote = *remote_;
-  remote.socket.Close();
-  // Sticky-rotate failover: start at the endpoint that last worked, and on
-  // a retryable failure probe the rest in order — one sweep per reconnect
-  // attempt (the caller's backoff schedule paces the sweeps).
-  Status last_error = Status::Unavailable("no endpoints configured");
-  for (size_t i = 0; i < remote.endpoints.size(); ++i) {
-    const size_t index = (remote.active + i) % remote.endpoints.size();
-    Result<HelloResult> hello =
-        DialAndHello(remote.endpoints[index], remote.client_id);
-    if (!hello.ok()) {
-      last_error = hello.status();
-      if (!IsHelloRetryable(last_error)) return last_error;
-      continue;
-    }
-    remote.active = index;
-    remote.socket = std::move(hello.value().socket);
-    server_ = hello.value().response.server;
-    server_features_ = hello.value().response.features;
-    AdoptServerFeatures(remote, hello.value().response);
-    ++remote.reconnects;
-    static Counter& reconnects =
-        MetricsRegistry::Global().counter(metrics::kClientReconnectsTotal);
-    reconnects.Increment();
-    return Status::Ok();
-  }
-  return last_error;
+const std::string& Client::server() const {
+  static const std::string kEmbedded;
+  return remote_ == nullptr ? kEmbedded : remote_->server;
+}
+
+std::vector<std::string> Client::server_features() const {
+  if (remote_ == nullptr) return {};
+  std::lock_guard<std::mutex> lock(remote_->mutex);
+  return remote_->link.features().Names();
 }
 
 Result<ClientResponse> Client::RemoteExchangeLocked(
     const ClientRequest& request) {
-  Remote& remote = *remote_;
-  // When is a *resend* safe? HELLO/STATUS/STATS/CANCEL are read-only or
-  // idempotent by construction. SUBMIT executes a query: resending one the
-  // server may already have received risks a second execution (and second
-  // metering) — only the request-id dedup makes that replay safe, so
-  // without negotiated idempotency a SUBMIT gets redial-before-send at
-  // most, never send-again-after-send.
-  const bool resend_safe =
-      request.kind != ClientRequest::Kind::kSubmit ||
-      (remote.server_features.Has(Feature::kIdempotency) &&
-       request.request_id != 0);
-  const std::string wire = SerializeClientRequest(request);
-  const int attempts = std::max(1, remote.reconnect.max_attempts);
-  Status last_error = Status::Unavailable("connection lost");
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) {
-      remote.reconnect.Backoff(attempt - 1);
-      const Status redial = RemoteReconnectLocked();
-      if (!redial.ok()) {
-        if (!IsHelloRetryable(redial)) return redial;
-        last_error = redial;
-        continue;
-      }
-    }
-    bool frame_sent = false;
-    bool transport_failure = false;
-    const Status sent = remote.socket.Send(wire);
-    if (sent.ok()) {
-      frame_sent = true;
-      Result<std::string> reply = remote.socket.Receive();
-      if (reply.ok()) return ParseClientResponse(reply.value());
-      // A failed Receive is always a transport event — including the
-      // kParseError a torn response frame produces ("connection closed
-      // mid-message"): a redial gets a fresh, whole frame. Only
-      // ParseClientResponse on a *complete* frame is a protocol error.
-      last_error = reply.status();
-      transport_failure = true;
-    } else {
-      last_error = sent;
-      transport_failure = IsTransportError(sent);
-    }
-    if (!transport_failure) return last_error;
-    // Transport failure: this connection is dead. Close it so the next
-    // attempt redials; stop retrying when the frame may have been
-    // delivered and a resend is not replay-safe.
-    remote.socket.Close();
-    if (frame_sent && !resend_safe) break;
+  TcpLink& link = remote_->link;
+  Result<std::string> reply =
+      link.Exchange(SerializeClientRequest(request), ResendRule(request));
+  if (!reply.ok()) {
+    return Status(reply.status().code(),
+                  reply.status().message() + " (endpoint " +
+                      link.active_endpoint() + ")");
   }
-  return Status(last_error.code(),
-                last_error.message() + " (endpoint " +
-                    remote.endpoints[remote.active] + ")");
+  return ParseClientResponse(*reply);
 }
 
 ClientAnswer SummarizeAnswer(QueryAnswer answer, bool keep_detail) {
@@ -363,17 +224,17 @@ Result<ClientAnswer> Client::RemoteQuery(const std::string& sql,
   request.sql = sql;
   request.wait = true;
   request.explain = explain;
-  if (remote_->server_features.Has(Feature::kTrace)) {
+  if (remote_->link.features().Has(Feature::kTrace)) {
     const TraceContext context = Tracer::CurrentContext();
     request.trace_id = context.valid() ? context.trace_id : Tracer::MintId();
     request.parent_span = context.span_id;
   }
-  if (remote_->server_features.Has(Feature::kIdempotency)) {
+  if (remote_->link.features().Has(Feature::kIdempotency)) {
     // The idempotency key that makes this SUBMIT replay-safe: if the
     // connection dies mid-exchange, RemoteExchangeLocked reconnects and
     // re-sends the same request-id, and the service's dedup table hands
     // back the original execution's outcome.
-    request.request_id = MintRequestId();
+    request.request_id = MintRequestId(kClientRequestIdSalt);
   }
   FUSION_ASSIGN_OR_RETURN(ClientResponse response,
                           RemoteExchangeLocked(request));
@@ -399,9 +260,9 @@ Result<ClientAnswer> Client::QuerySqlExplained(const std::string& sql) {
   if (remote_ != nullptr) {
     {
       std::lock_guard<std::mutex> lock(remote_->mutex);
-      if (!remote_->server_features.Has(Feature::kExplain)) {
+      if (!remote_->link.features().Has(Feature::kExplain)) {
         return Status::Unsupported(
-            "server '" + server_ + "' does not speak the explain feature");
+            "server '" + remote_->server + "' does not speak the explain feature");
       }
     }
     return RemoteQuery(sql, CallControls{}, /*explain=*/true);
@@ -420,9 +281,9 @@ Result<std::string> Client::Stats() {
     return RenderStatsText(MetricsRegistry::Global().Snapshot(), {});
   }
   std::lock_guard<std::mutex> lock(remote_->mutex);
-  if (!remote_->server_features.Has(Feature::kStats)) {
+  if (!remote_->link.features().Has(Feature::kStats)) {
     return Status::Unsupported(
-        "server '" + server_ + "' does not speak the stats feature");
+        "server '" + remote_->server + "' does not speak the stats feature");
   }
   ClientRequest request;
   request.kind = ClientRequest::Kind::kStats;
@@ -452,9 +313,9 @@ Result<std::string> Client::InvalidateSource(const std::string& source,
     return std::string("applied");
   }
   std::lock_guard<std::mutex> lock(remote_->mutex);
-  if (!remote_->server_features.Has(Feature::kSharding)) {
+  if (!remote_->link.features().Has(Feature::kSharding)) {
     return Status::Unsupported(
-        "server '" + server_ + "' does not speak the sharding feature");
+        "server '" + remote_->server + "' does not speak the sharding feature");
   }
   ClientRequest request;
   request.kind = ClientRequest::Kind::kInvalidate;

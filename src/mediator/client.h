@@ -10,7 +10,7 @@
 #include "mediator/session.h"
 #include "plan/plan.h"
 #include "protocol/client_protocol.h"
-#include "protocol/socket.h"
+#include "protocol/tcp_link.h"
 
 namespace fusion {
 
@@ -105,9 +105,8 @@ class Client {
   /// Builder's three mutually-exclusive Catalog/CatalogFile/Connect
   /// setters. Embedded targets run the full mediator stack in-process;
   /// Remote targets speak FUSIONQ/1 to one endpoint or to several (a
-  /// fusionrd router, or the shard list directly): the first reachable
-  /// endpoint is dialed, and a lost connection fails over sticky-rotate —
-  /// stay with the endpoint that last worked, rotate to the next on
+  /// fusionrd router, or the shard list directly), dialed through one
+  /// TcpLink: stay with the endpoint that last worked, move to the next on
   /// transport failure.
   class Target {
    public:
@@ -160,10 +159,11 @@ class Client {
       return *this;
     }
     /// Connected mode's transparent-reconnect policy: how many dial/exchange
-    /// attempts a lost connection gets, and the capped exponential backoff
-    /// between them (RetryPolicy::BackoffSeconds — the same schedule shape
-    /// PR 3's source-call retries use). max_attempts <= 1 disables
-    /// reconnection: the first transport error surfaces to the caller.
+    /// attempts a lost connection gets (at least one per endpoint), and the
+    /// capped exponential backoff between them (RetryPolicy::BackoffSeconds,
+    /// the schedule shape source-call retries use). With one endpoint,
+    /// max_attempts <= 1 disables reconnection: the first transport error
+    /// surfaces to the caller.
     Builder& Reconnect(const RetryPolicy& policy) {
       reconnect_ = policy;
       return *this;
@@ -194,8 +194,8 @@ class Client {
 
     /// Validates the configuration and builds the client. Embedded mode
     /// requires a catalog; connected mode dials the target's endpoints in
-    /// order (rotating on retryable failure) and performs the HELLO
-    /// handshake on the first that answers.
+    /// order (TcpLink's endpoint rule) until one passes the HELLO
+    /// handshake.
     Result<Client> Build();
 
    private:
@@ -254,12 +254,10 @@ class Client {
   /// connection (0 in embedded mode and on a healthy network).
   size_t reconnects() const;
   /// The server name from the HELLO handshake (empty in embedded mode).
-  const std::string& server() const { return server_; }
-  /// Feature tokens the server advertised on HELLO (empty in embedded mode
-  /// and against pre-feature servers).
-  const std::vector<std::string>& server_features() const {
-    return server_features_;
-  }
+  const std::string& server() const;
+  /// Feature tokens the server advertised on the latest HELLO (empty in
+  /// embedded mode and against pre-feature servers).
+  std::vector<std::string> server_features() const;
 
   /// The embedded session, for callers that need the full surface
   /// (ResetCache, InvalidateSource, health introspection). Null in
@@ -269,21 +267,16 @@ class Client {
 
  private:
   struct Remote {
+    Remote(const std::vector<std::string>& endpoints,
+           const std::string& client_id, const RetryPolicy& reconnect);
+
     std::mutex mutex;  // one request/response exchange at a time
-    MessageSocket socket;
-    /// The target's endpoints, in preference order, with the sticky-rotate
-    /// cursor: `active` stays wherever the last successful dial landed, and
-    /// a redial tries from there, rotating on failure — so a healthy
-    /// endpoint keeps its traffic and a dead one is skipped after one probe.
-    std::vector<std::string> endpoints;
-    size_t active = 0;
     std::string client_id;
-    RetryPolicy reconnect;
-    /// Negotiated from the HELLO response: optional fields (trace-id,
-    /// request-id) and verbs (STATS, INVALIDATE, explain) are only sent to
-    /// servers whose advertised set has the matching Feature.
-    FeatureSet server_features;
-    size_t reconnects = 0;  // guarded by mutex
+    std::string server;  // written under mutex by each HELLO
+    /// The connection to the target's endpoints (guarded by mutex). Its
+    /// negotiated features decide which optional fields (trace-id,
+    /// request-id) and verbs (STATS, INVALIDATE, explain) are sent.
+    TcpLink link;
   };
 
   Client() = default;
@@ -292,31 +285,15 @@ class Client {
                                    const CallControls& controls,
                                    bool explain = false);
 
-  /// One request/response over the remote connection, with transparent
-  /// redial + re-HELLO + resend on transport failure (capped exponential
-  /// backoff per Remote::reconnect). A SUBMIT is only ever *resent* when
-  /// the server negotiated idempotency and the request carries a
-  /// request-id — otherwise a lost connection after the frame may have
-  /// shipped surfaces as the transport error (at-most-once beats a
-  /// possible double execution). Requires Remote::mutex held (callers hold
-  /// it across building the request too, because reconnection renegotiates
-  /// the feature flags the request depends on).
+  /// One request/response over the remote link (TcpLink::Exchange:
+  /// transparent redial + re-HELLO, and a SUBMIT re-sent only under its
+  /// ResendRule). Requires Remote::mutex held (callers hold it across
+  /// building the request too, because a redial renegotiates the features
+  /// the request depends on).
   Result<ClientResponse> RemoteExchangeLocked(const ClientRequest& request);
-
-  /// Redials Remote::endpoint and re-runs the HELLO handshake, refreshing
-  /// the negotiated feature set. Requires Remote::mutex held.
-  Status RemoteReconnectLocked();
-
-  /// Applies a HELLO response's advertised feature tokens to the
-  /// connection's negotiated-capability flags (clearing stale ones first —
-  /// a restarted daemon may speak fewer features than its predecessor).
-  static void AdoptServerFeatures(Remote& remote,
-                                  const ClientResponse& response);
 
   std::unique_ptr<QuerySession> session_;  // embedded mode
   std::unique_ptr<Remote> remote_;         // connected mode
-  std::string server_;
-  std::vector<std::string> server_features_;
 };
 
 }  // namespace fusion

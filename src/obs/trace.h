@@ -164,7 +164,7 @@ class ScopedSpan {
 /// (QueryService request execution, SourceServer::Handle) so every span
 /// opened underneath joins the remote caller's trace. An invalid ({0,0})
 /// context is a no-op — the ambient context (e.g. the mediator's own, when
-/// the "remote" source is an in-process transport) stays in place. Unlike
+/// the source server runs in the mediator's process) stays in place. Unlike
 /// ScopedSpan this is always live — context must flow even when local
 /// tracing is disabled, because a downstream process may have tracing on.
 class TraceContextScope {

@@ -1,7 +1,5 @@
 #include "protocol/remote_source.h"
 
-#include <algorithm>
-
 #include "common/str_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -9,11 +7,6 @@
 
 namespace fusion {
 namespace {
-
-/// Stalled-replica guard: a replica that goes silent mid-frame for this
-/// long is treated as dead and failed over, so a hung source cannot pin an
-/// executor worker.
-constexpr double kTcpStallDeadlineSeconds = 10.0;
 
 /// Span-name suffixes per request kind ("rpc.sjq").
 constexpr WireWords<SourceRequest::Kind> kSpanNames[] = {
@@ -23,6 +16,12 @@ constexpr WireWords<SourceRequest::Kind> kSpanNames[] = {
     {SourceRequest::Kind::kLoad, "lq"},
     {SourceRequest::Kind::kFetch, "fetch"},
 };
+
+SourceRequest HelloRequest() {
+  SourceRequest hello;
+  hello.kind = SourceRequest::Kind::kHello;
+  return hello;
+}
 
 Result<Relation> RelationFromLines(const std::vector<std::string>& lines) {
   std::string csv;
@@ -50,14 +49,18 @@ Result<SourceResponse> RemoteSource::RoundTrip(SourceRequest& request,
   const std::string request_text = SerializeRequest(request);
   std::string response_text;
   {
-    // The transport is a single channel: concurrent workers' requests queue
-    // here rather than interleaving bytes on the wire.
+    // The link is a single channel: concurrent workers' requests queue here
+    // rather than interleaving bytes on the wire. FUSIONP/1 requests are
+    // pure reads, so re-issuing one against another replica is always safe,
+    // and a failed attempt replayed no charges.
     std::lock_guard<std::mutex> lock(transport_mu_);
-    if (tcp_mode_) {
-      FUSION_ASSIGN_OR_RETURN(response_text, TcpExchangeLocked(request_text));
-    } else {
-      response_text = transport_(request_text);
+    Result<std::string> reply = link_.Exchange(request_text, Resend::kAlways);
+    if (!reply.ok()) {
+      return Status::Unavailable("source '" + name_ +
+                                 "': all replicas failed: " +
+                                 reply.status().message());
     }
+    response_text = std::move(reply).value();
   }
   {
     MetricsRegistry& registry = MetricsRegistry::Global();
@@ -70,7 +73,7 @@ Result<SourceResponse> RemoteSource::RoundTrip(SourceRequest& request,
     bytes_received.Increment(response_text.size());
   }
   if (span.active()) {
-    if (!name_.empty()) span.AddAttr("source", name_);
+    span.AddAttr("source", name_);
     span.AddAttr("bytes_sent", request_text.size());
     span.AddAttr("bytes_received", response_text.size());
   }
@@ -79,7 +82,7 @@ Result<SourceResponse> RemoteSource::RoundTrip(SourceRequest& request,
   if (ledger != nullptr) {
     for (const ChargeSummary& summary : response.charges) {
       Charge charge;
-      charge.source = name_.empty() ? response.name : name_;
+      charge.source = name_;
       // Charge kinds survive as their display names; the enum value is only
       // cosmetic on the mediator side, so map the common ones.
       charge.kind = summary.kind == "sjq" ? ChargeKind::kSemiJoin
@@ -96,20 +99,31 @@ Result<SourceResponse> RemoteSource::RoundTrip(SourceRequest& request,
   }
   if (!response.ok) {
     return Status(response.error_code,
-                  "remote source '" + (name_.empty() ? "?" : name_) +
+                  "remote source '" + name_ +
                       "': " + response.error_message);
   }
   return response;
 }
 
-Status RemoteSource::AdoptHello(const SourceResponse& response) {
+Result<FeatureSet> RemoteSource::CheckHello(const std::string& reply) {
+  FUSION_ASSIGN_OR_RETURN(const SourceResponse response, ParseResponse(reply));
+  if (!response.ok) {
+    return Status(response.error_code,
+                  "replica hello: " + response.error_message);
+  }
+  const FeatureSet features = FeatureSet::FromNames(response.features);
+  if (!name_.empty()) {
+    // A redial must reach a replica of the same source (same name), not a
+    // misconfigured endpoint.
+    if (response.name == name_) return features;
+    return Status::Internal("replica " + link_.active_endpoint() +
+                            " serves source '" + response.name +
+                            "', expected '" + name_ + "'");
+  }
+  // The first dial adopts the metadata; the name goes last, so a HELLO
+  // that fails to parse adopts nothing.
   if (response.name.empty()) {
     return Status::ParseError("HELLO response carries no source name");
-  }
-  name_ = response.name;
-  peer_traces_ = false;
-  for (const std::string& feature : response.features) {
-    if (feature == "trace") peer_traces_ = true;
   }
   FUSION_RETURN_IF_ERROR(ParseWireWord(response.semijoin_support,
                                        kSemijoinWireWords, "semijoin capability",
@@ -118,19 +132,9 @@ Status RemoteSource::AdoptHello(const SourceResponse& response) {
   FUSION_ASSIGN_OR_RETURN(const Relation schema_relation,
                           RelationFromLines(response.relation_lines));
   schema_ = schema_relation.schema();
-  return Status::Ok();
-}
-
-Result<std::unique_ptr<RemoteSource>> RemoteSource::Connect(
-    ProtocolTransport transport) {
-  auto source = std::unique_ptr<RemoteSource>(
-      new RemoteSource(std::move(transport)));
-  SourceRequest hello;
-  hello.kind = SourceRequest::Kind::kHello;
-  FUSION_ASSIGN_OR_RETURN(const SourceResponse response,
-                          source->RoundTrip(hello, nullptr));
-  FUSION_RETURN_IF_ERROR(source->AdoptHello(response));
-  return source;
+  peer_traces_ = features.Has(Feature::kTrace);
+  name_ = response.name;
+  return features;
 }
 
 RetryPolicy RemoteSource::DefaultFailoverPolicy() {
@@ -142,128 +146,41 @@ RetryPolicy RemoteSource::DefaultFailoverPolicy() {
   return policy;
 }
 
+RemoteSource::RemoteSource(std::vector<std::string> endpoints,
+                           const RetryPolicy& policy)
+    : link_(std::move(endpoints), policy, SerializeRequest(HelloRequest()),
+            [this](const std::string& reply) { return CheckHello(reply); },
+            /*reconnects=*/nullptr,
+            &MetricsRegistry::Global().counter(
+                metrics::kSourceFailoversTotal)) {}
+
 Result<std::unique_ptr<RemoteSource>> RemoteSource::ConnectTcp(
     std::vector<std::string> endpoints, const RetryPolicy& policy) {
   if (endpoints.empty()) {
     return Status::InvalidArgument("ConnectTcp: no endpoints");
   }
-  auto source = std::unique_ptr<RemoteSource>(new RemoteSource(nullptr));
-  source->tcp_mode_ = true;
-  source->endpoints_ = std::move(endpoints);
-  source->failover_ = policy;
-  {
-    std::lock_guard<std::mutex> lock(source->transport_mu_);
-    // Initial connect rotates across the replicas like any failover: the
-    // catalog stays loadable while any one replica is up.
-    const int attempts =
-        std::max(std::max(1, policy.max_attempts),
-                 static_cast<int>(source->endpoints_.size()));
-    Status dialed = Status::Unavailable("never dialed");
-    for (int attempt = 1; attempt <= attempts; ++attempt) {
-      if (attempt > 1) policy.Backoff(attempt - 1);
-      dialed = source->TcpDialActiveLocked();
-      if (dialed.ok()) break;
-      source->TcpAdvanceReplicaLocked();
-    }
-    FUSION_RETURN_IF_ERROR(dialed);
-    FUSION_RETURN_IF_ERROR(source->AdoptHello(source->last_hello_));
-  }
+  auto source = std::unique_ptr<RemoteSource>(
+      new RemoteSource(std::move(endpoints), policy));
+  std::lock_guard<std::mutex> lock(source->transport_mu_);
+  // The initial connect walks the replicas like any failover: the catalog
+  // stays loadable while any one replica is up.
+  FUSION_RETURN_IF_ERROR(source->link_.Connect());
   return source;
-}
-
-Status RemoteSource::TcpDialActiveLocked() {
-  socket_.Close();
-  Result<MessageSocket> dialed = DialTcp(endpoints_[active_]);
-  if (!dialed.ok()) return dialed.status();
-  socket_ = std::move(dialed).value();
-  (void)socket_.SetStallDeadline(kTcpStallDeadlineSeconds);
-  socket_.SetReceiveLimit(kMaxSourceFrameBytes);
-  // Validate the replica via HELLO before trusting it with a query — and,
-  // after the first connect, that it really is a replica of the same
-  // source (same name) rather than a misconfigured endpoint.
-  SourceRequest hello;
-  hello.kind = SourceRequest::Kind::kHello;
-  Result<SourceResponse> parsed = [&]() -> Result<SourceResponse> {
-    FUSION_RETURN_IF_ERROR(socket_.Send(SerializeRequest(hello)));
-    FUSION_ASSIGN_OR_RETURN(const std::string reply, socket_.Receive());
-    FUSION_ASSIGN_OR_RETURN(SourceResponse response, ParseResponse(reply));
-    if (!response.ok) {
-      return Status(response.error_code,
-                    "replica hello: " + response.error_message);
-    }
-    if (!name_.empty() && response.name != name_) {
-      return Status::Internal("replica " + endpoints_[active_] +
-                              " serves source '" + response.name +
-                              "', expected '" + name_ + "'");
-    }
-    return response;
-  }();
-  if (!parsed.ok()) {
-    socket_.Close();
-    return parsed.status();
-  }
-  last_hello_ = std::move(parsed).value();
-  if (dialed_once_) ++reconnects_;
-  dialed_once_ = true;
-  return Status::Ok();
-}
-
-void RemoteSource::TcpAdvanceReplicaLocked() {
-  if (endpoints_.size() <= 1) return;
-  active_ = (active_ + 1) % endpoints_.size();
-  ++failovers_;
-  static Counter& failovers =
-      MetricsRegistry::Global().counter(metrics::kSourceFailoversTotal);
-  failovers.Increment();
-}
-
-Result<std::string> RemoteSource::TcpExchangeLocked(
-    const std::string& request_text) {
-  const int attempts = std::max(std::max(1, failover_.max_attempts),
-                                static_cast<int>(endpoints_.size()));
-  Status last_error = Status::Unavailable("never sent");
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) failover_.Backoff(attempt - 1);
-    if (!socket_.valid()) {
-      const Status dialed = TcpDialActiveLocked();
-      if (!dialed.ok()) {
-        last_error = dialed;
-        TcpAdvanceReplicaLocked();
-        continue;
-      }
-    }
-    const Status sent = socket_.Send(request_text);
-    if (sent.ok()) {
-      Result<std::string> reply = socket_.Receive();
-      if (reply.ok()) return reply;
-      last_error = reply.status();
-    } else {
-      last_error = sent;
-    }
-    // Transport failure: this replica is suspect. FUSIONP/1 requests are
-    // pure reads, so re-issuing against the next replica is always safe —
-    // and the failed attempt replayed no charges, so nothing is metered
-    // twice.
-    socket_.Close();
-    TcpAdvanceReplicaLocked();
-  }
-  return Status::Unavailable("source '" + (name_.empty() ? "?" : name_) +
-                             "': all replicas failed: " + last_error.message());
 }
 
 size_t RemoteSource::failovers() const {
   std::lock_guard<std::mutex> lock(transport_mu_);
-  return failovers_;
+  return link_.failovers();
 }
 
 size_t RemoteSource::reconnects() const {
   std::lock_guard<std::mutex> lock(transport_mu_);
-  return reconnects_;
+  return link_.reconnects();
 }
 
 std::string RemoteSource::active_endpoint() const {
   std::lock_guard<std::mutex> lock(transport_mu_);
-  return tcp_mode_ ? endpoints_[active_] : std::string();
+  return link_.active_endpoint();
 }
 
 Result<ItemSet> RemoteSource::Select(const Condition& cond,

@@ -9,10 +9,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <utility>
+
+#include "protocol/wire.h"
 
 namespace fusion {
 namespace {
@@ -150,18 +151,35 @@ Result<std::string> MessageSocket::Receive() {
   }
 }
 
-Result<MessageSocket> DialTcp(const std::string& endpoint) {
+Result<HostPort> ParseEndpoint(const std::string& endpoint) {
   const size_t colon = endpoint.rfind(':');
   if (colon == std::string::npos) {
-    return Status::InvalidArgument("endpoint must be host:port, got " +
-                                   endpoint);
+    return Status::InvalidArgument("endpoint must be host:port, got '" +
+                                   endpoint + "'");
   }
-  const std::string host = endpoint.substr(0, colon);
-  const int port = std::atoi(endpoint.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
-    return Status::InvalidArgument("bad port in endpoint: " + endpoint);
+  HostPort out;
+  out.host = endpoint.substr(0, colon);
+  if (out.host.empty()) {
+    return Status::InvalidArgument("endpoint has an empty host: '" +
+                                   endpoint + "'");
   }
-  FUSION_ASSIGN_OR_RETURN(const sockaddr_in addr, ResolveV4(host, port));
+  if (endpoint.find_first_of(" \t\r\n") != std::string::npos) {
+    return Status::InvalidArgument("endpoint contains whitespace: '" +
+                                   endpoint + "'");
+  }
+  const std::string_view port(endpoint.data() + colon + 1,
+                              endpoint.size() - colon - 1);
+  if (!ParseWireNumber(port, &out.port) || out.port < 1 || out.port > 65535) {
+    return Status::InvalidArgument(
+        "endpoint port must be a number in [1, 65535]: '" + endpoint + "'");
+  }
+  return out;
+}
+
+Result<MessageSocket> DialTcp(const std::string& endpoint) {
+  FUSION_ASSIGN_OR_RETURN(const HostPort parsed, ParseEndpoint(endpoint));
+  FUSION_ASSIGN_OR_RETURN(const sockaddr_in addr,
+                          ResolveV4(parsed.host, parsed.port));
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Errno("socket");
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),

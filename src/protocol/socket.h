@@ -15,8 +15,9 @@ namespace fusion {
 /// any bytes that follow for the next call.
 ///
 /// POSIX sockets only. Every server side runs under TcpServer
-/// (protocol/tcp_server.h); the dialing side is `fusion::Client`,
-/// RemoteSource and the router's shard links.
+/// (protocol/tcp_server.h), every dialing side (`fusion::Client`, the
+/// router's shard links, RemoteSource) under TcpLink (protocol/tcp_link.h);
+/// each arms the receive limit and the stall deadline on its sockets.
 class MessageSocket {
  public:
   MessageSocket() = default;
@@ -73,6 +74,18 @@ class MessageSocket {
   double stall_deadline_seconds_ = 0.0;
   size_t receive_limit_ = 0;
 };
+
+/// A parsed "host:port" endpoint.
+struct HostPort {
+  std::string host;
+  int port = 0;
+};
+
+/// The one "host:port" parser (DialTcp, the catalog's `endpoint =` lines):
+/// a non-empty host, no whitespace, and a port that is a plain decimal
+/// number in [1, 65535] — "127.0.0.1:4631x" is refused, not read as 4631.
+/// kInvalidArgument naming the value otherwise.
+Result<HostPort> ParseEndpoint(const std::string& endpoint);
 
 /// Connects to "host:port" (e.g. "127.0.0.1:4631"). Numeric IPv4 hosts and
 /// "localhost" only — the serving layer is a daemon on one machine, not a

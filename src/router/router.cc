@@ -1,12 +1,7 @@
 #include "router/router.h"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
 #include <utility>
 
-#include "common/rng.h"
 #include "common/str_util.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
@@ -15,31 +10,11 @@
 namespace fusion {
 namespace {
 
-/// Transport-level failures a redial (or a failover to the next-ranked
-/// shard) can cure; protocol-level failures are final.
-bool IsTransportError(const Status& status) {
-  return status.code() == StatusCode::kUnavailable ||
-         status.code() == StatusCode::kDeadlineExceeded ||
-         status.code() == StatusCode::kInternal;
-}
+/// Salt of the router's request-id mint, distinct from the client's.
+constexpr uint64_t kRouterRequestIdSalt = 0x50d7;
 
 std::string ErrorFrame(const Status& status) {
   return SerializeClientResponse(ClientErrorResponse(status));
-}
-
-/// Router-minted SUBMIT idempotency keys, for forwards whose client sent
-/// none: what makes the router's own redial-and-resend path replay-safe.
-/// Same construction as the client's minting (unique per process with
-/// overwhelming probability, deterministic under FUSION_SEED, never 0) but
-/// a distinct salt, so router- and client-minted ids cannot collide under
-/// one seed.
-uint64_t MintRouterRequestId() {
-  static std::atomic<uint64_t> counter{0};
-  const uint64_t n = counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  const uint64_t seed =
-      GlobalSeed(0x9e3779b97f4a7c15ull ^ static_cast<uint64_t>(getpid()));
-  const uint64_t id = MixSeed(MixSeed(seed, 0x50d7u), n);
-  return id == 0 ? 1 : id;
 }
 
 }  // namespace
@@ -75,13 +50,12 @@ void QueryRouter::Shutdown() {
   }
 }
 
-Result<std::unique_ptr<QueryRouter::Link>> QueryRouter::AcquireLink(
-    size_t shard) {
+Result<std::unique_ptr<TcpLink>> QueryRouter::AcquireLink(size_t shard) {
   {
     ShardPool& pool = *pools_[shard];
     std::lock_guard<std::mutex> lock(pool.mutex);
     if (!pool.idle.empty()) {
-      std::unique_ptr<Link> link = std::move(pool.idle.back());
+      std::unique_ptr<TcpLink> link = std::move(pool.idle.back());
       pool.idle.pop_back();
       return link;
     }
@@ -92,25 +66,13 @@ Result<std::unique_ptr<QueryRouter::Link>> QueryRouter::AcquireLink(
       return Status::Unavailable("router is shutting down");
     }
   }
-  auto link = std::make_unique<Link>();
-  FUSION_ASSIGN_OR_RETURN(link->socket,
-                          DialTcp(shards_.shard(shard).endpoint));
-  ClientRequest hello;
-  hello.kind = ClientRequest::Kind::kHello;
-  hello.client_id = options_.server_name;
-  hello.features = ClientProtocolFeatures();
-  FUSION_RETURN_IF_ERROR(link->socket.Send(SerializeClientRequest(hello)));
-  FUSION_ASSIGN_OR_RETURN(const std::string reply, link->socket.Receive());
-  FUSION_ASSIGN_OR_RETURN(const ClientResponse response,
-                          ParseClientResponse(reply));
-  if (!response.ok) {
-    return Status(response.error_code, "hello: " + response.error_message);
-  }
-  link->features = FeatureSet::FromNames(response.features);
-  return link;
+  // Not dialed yet: its first Exchange dials and runs HELLO.
+  return std::make_unique<TcpLink>(
+      ClientProtocolLink({shards_.shard(shard).endpoint}, options_.reconnect,
+                         options_.server_name, /*server=*/nullptr));
 }
 
-void QueryRouter::ReleaseLink(size_t shard, std::unique_ptr<Link> link) {
+void QueryRouter::ReleaseLink(size_t shard, std::unique_ptr<TcpLink> link) {
   ShardPool& pool = *pools_[shard];
   std::lock_guard<std::mutex> lock(pool.mutex);
   if (pool.idle.size() < kMaxIdleLinksPerShard) {
@@ -146,54 +108,22 @@ Status QueryRouter::ShardError(size_t shard, const Status& status) const {
 
 Result<std::string> QueryRouter::Exchange(size_t shard,
                                           const ClientRequest& request) {
+  Result<std::unique_ptr<TcpLink>> link = AcquireLink(shard);
+  if (!link.ok()) return ShardError(shard, link.status());
   const std::string wire = SerializeClientRequest(request);
-  const int attempts = std::max(1, options_.reconnect.max_attempts);
-  Status last_error = Status::Unavailable("never dialed");
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) options_.reconnect.Backoff(attempt - 1);
-    Result<std::unique_ptr<Link>> link = AcquireLink(shard);
-    if (!link.ok()) {
-      last_error = link.status();
-      const bool garbled_hello = last_error.code() == StatusCode::kParseError;
-      if (!IsTransportError(last_error) && !garbled_hello) break;
-      continue;
-    }
-    // Resend safety mirrors the client's rule: a SUBMIT is only re-sent
-    // after its frame may have shipped when the shard's request-id dedup
-    // makes the replay free — which it always is for forwards, because
-    // the router mints a request-id when the client sent none.
-    const bool resend_safe =
-        request.kind != ClientRequest::Kind::kSubmit ||
-        (link.value()->features.Has(Feature::kIdempotency) &&
-         request.request_id != 0);
-    bool frame_sent = false;
-    const Status sent = link.value()->socket.Send(wire);
-    if (sent.ok()) {
-      frame_sent = true;
-      Result<std::string> reply = link.value()->socket.Receive();
-      if (reply.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          counters_.forward_bytes += wire.size();
-        }
-        static Counter& bytes = MetricsRegistry::Global().counter(
-            metrics::kRouterForwardBytes);
-        bytes.Increment(wire.size());
-        ReleaseLink(shard, std::move(link.value()));
-        return reply;
-      }
-      // A failed Receive is a transport event (including the kParseError a
-      // torn frame produces) — the pooled connection may simply have gone
-      // stale since its last use; a fresh dial gets a whole frame.
-      last_error = reply.status();
-    } else {
-      last_error = sent;
-      if (!IsTransportError(sent)) break;
-    }
-    // Transport failure: this upstream connection is dead; do not pool it.
-    if (frame_sent && !resend_safe) break;
+  Result<std::string> reply =
+      link.value()->Exchange(wire, ResendRule(request));
+  // A failed link is dropped (its destructor closes the connection).
+  if (!reply.ok()) return ShardError(shard, reply.status());
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    counters_.forward_bytes += wire.size();
   }
-  return ShardError(shard, last_error);
+  static Counter& bytes =
+      MetricsRegistry::Global().counter(metrics::kRouterForwardBytes);
+  bytes.Increment(wire.size());
+  ReleaseLink(shard, std::move(link.value()));
+  return reply;
 }
 
 std::string QueryRouter::Relay(size_t shard, const std::string& reply) const {
@@ -212,7 +142,7 @@ std::string QueryRouter::ForwardSubmit(const ClientRequest& request) {
   const std::string key = CanonicalQueryKey(request.sql);
   const std::vector<size_t> ranked = shards_.Ranked(key);
   ClientRequest forward = request;
-  if (forward.request_id == 0) forward.request_id = MintRouterRequestId();
+  if (forward.request_id == 0) forward.request_id = MintRequestId(kRouterRequestIdSalt);
   static Counter& forwards =
       MetricsRegistry::Global().counter(metrics::kRouterForwardsTotal);
   Count(&Counters::forwards, forwards);

@@ -11,8 +11,7 @@
 #include "exec/executor.h"  // RetryPolicy
 #include "protocol/chaos.h"
 #include "protocol/client_protocol.h"
-#include "protocol/features.h"
-#include "protocol/socket.h"
+#include "protocol/tcp_link.h"
 #include "router/shard_map.h"
 
 namespace fusion {
@@ -117,28 +116,24 @@ class QueryRouter {
   size_t warm_entries() const;
 
  private:
-  /// One pooled upstream connection with its negotiated feature set.
-  struct Link {
-    MessageSocket socket;
-    FeatureSet features;
-  };
   /// Idle-connection pool per shard: concurrent connection threads each
-  /// check out a Link (dialing a fresh one when the pool is dry) and
-  /// return it after the exchange, so forwards never serialize on one
-  /// upstream socket.
+  /// check out a link (a fresh one when the pool is dry) and return it
+  /// after the exchange, so forwards never serialize on one upstream
+  /// socket.
   struct ShardPool {
     std::mutex mutex;
-    std::vector<std::unique_ptr<Link>> idle;
+    std::vector<std::unique_ptr<TcpLink>> idle;
   };
 
   std::string ForwardSubmit(const ClientRequest& request);
   std::string ForwardTicketVerb(const ClientRequest& request);
   ClientResponse FanOutInvalidate(const ClientRequest& request);
 
-  /// One request/response against `shard`, with dial-retry under
-  /// Options::reconnect; returns the shard's whole reply frame. Pools the
-  /// connection on success; closes it on failure. Transport-class failures
-  /// surface to the caller (who may fail over); protocol errors are final.
+  /// One request/response against `shard` over a pooled TcpLink (redial
+  /// under Options::reconnect, resend per ResendRule); returns the shard's
+  /// whole reply frame. Pools the link on success; closes it on failure.
+  /// Transport-class failures surface to the caller (who may fail over);
+  /// protocol errors are final.
   Result<std::string> Exchange(size_t shard, const ClientRequest& request);
 
   /// The client's frame for a shard reply: relayed as bytes with the ticket
@@ -148,8 +143,8 @@ class QueryRouter {
   /// Bumps one routing counter and its process-wide metric.
   void Count(size_t Counters::*field, Counter& metric);
 
-  Result<std::unique_ptr<Link>> AcquireLink(size_t shard);
-  void ReleaseLink(size_t shard, std::unique_ptr<Link> link);
+  Result<std::unique_ptr<TcpLink>> AcquireLink(size_t shard);
+  void ReleaseLink(size_t shard, std::unique_ptr<TcpLink> link);
 
   ShardMap shards_;
   Options options_;

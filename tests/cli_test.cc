@@ -4,9 +4,11 @@
 #include <string>
 
 #include "cli/catalog_config.h"
+#include "cli/client_flags.h"
 #include "cli/flags.h"
 #include "common/file_util.h"
 #include "mediator/mediator.h"
+#include "protocol/socket.h"
 
 namespace fusion {
 namespace {
@@ -187,6 +189,54 @@ TEST(CatalogConfigTest, RejectsMalformedEndpoints) {
   EXPECT_FALSE(with_endpoint("host:0").ok());        // port out of range
   EXPECT_FALSE(with_endpoint("host:65536").ok());    // port out of range
   EXPECT_FALSE(with_endpoint("two hosts:9001").ok());  // inner whitespace
+  EXPECT_FALSE(with_endpoint("host:4631x").ok());    // trailing garbage
+  EXPECT_FALSE(with_endpoint("host:-1").ok());       // signed port
+}
+
+TEST(EndpointTest, OneParserForTheDialerAndTheCatalog) {
+  const auto parsed = ParseEndpoint("127.0.0.1:4631");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->host, "127.0.0.1");
+  EXPECT_EQ(parsed->port, 4631);
+  for (const char* bad : {"127.0.0.1:4631x", "127.0.0.1:", "127.0.0.1",
+                          ":4631", "127.0.0.1:0", "127.0.0.1:65536",
+                          "127.0.0.1: 4631"}) {
+    EXPECT_EQ(ParseEndpoint(bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    // DialTcp refuses it before touching the network: "127.0.0.1:4631x"
+    // must not be read as port 4631.
+    EXPECT_EQ(DialTcp(bad).status().code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Numeric client flags
+// ---------------------------------------------------------------------------
+
+TEST(ClientFlagsTest, NumbersAreStrict) {
+  for (const char* arg :
+       {"--deadline-ms=abc", "--parallelism=2x", "--cache-mb=1x",
+        "--max-attempts=", "--retry-backoff=-1", "--call-timeout-ms=nan",
+        "--cache-ttl-ms=inf", "--parallelism=0"}) {
+    ClientFlags flags;
+    Status error;
+    EXPECT_TRUE(flags.Consume(arg, &error)) << arg;
+    EXPECT_EQ(error.code(), StatusCode::kInvalidArgument) << arg;
+  }
+  ClientFlags flags;
+  Status error;
+  for (const char* arg : {"--deadline-ms=250.5", "--parallelism=3",
+                          "--cache-mb=1.5", "--max-attempts=4"}) {
+    ASSERT_TRUE(flags.Consume(arg, &error)) << arg;
+    EXPECT_TRUE(error.ok()) << arg << ": " << error.ToString();
+  }
+  EXPECT_DOUBLE_EQ(flags.deadline_ms, 250.5);
+  EXPECT_EQ(flags.parallelism, 3);
+  EXPECT_DOUBLE_EQ(flags.cache_mb, 1.5);
+  EXPECT_TRUE(flags.cache);
+  EXPECT_EQ(flags.max_attempts, 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,26 +1,41 @@
 // Tests for the FUSIONP/1 wrapper protocol: message round trips, server
-// behaviour, and RemoteSource equivalence with in-process wrappers —
+// behaviour, and RemoteSource over TCP against in-process wrappers —
 // including the key invariant that metered costs are identical whether a
-// source is called directly or across the serialized boundary.
+// source is called directly or across the wire — plus the dialing side's
+// bounds (TcpLink): garbage, flooding and stalled peers against the
+// Client, a router shard link and RemoteSource.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+
+#include <chrono>
+#include <functional>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "cost/oracle_cost_model.h"
 #include "exec/executor.h"
+#include "mediator/client.h"
 #include "optimizer/sja.h"
+#include "protocol/client_protocol.h"
 #include "protocol/message.h"
 #include "protocol/remote_source.h"
 #include "protocol/source_server.h"
+#include "protocol/tcp_server.h"
 #include "relational/reference_evaluator.h"
+#include "router/router.h"
 #include "source/simulated_source.h"
+#include "test_daemon.h"
 #include "workload/dmv.h"
 #include "workload/synthetic.h"
 
 namespace fusion {
 namespace {
+
+constexpr char kFloodSql[] = "SELECT u1.L FROM U u1 WHERE u1.V = 'dui'";
 
 // ---------------------------------------------------------------------------
 // Value / message serialization round trips
@@ -243,31 +258,49 @@ TEST(ProtocolMessageTest, TraceContextRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Server + RemoteSource end to end (in-process transport)
+// Server + RemoteSource end to end over TCP
 // ---------------------------------------------------------------------------
 
-/// Builds a connected (server, remote-wrapper) pair over one Figure 1 DMV
-/// source.
-struct Endpoint {
-  std::shared_ptr<SourceServer> server;
+/// One-attempt-per-millisecond retry schedule for peers that never answer
+/// properly.
+RetryPolicy FastRetry(int attempts) {
+  RetryPolicy policy;
+  policy.max_attempts = attempts;
+  policy.initial_backoff_seconds = 0.001;
+  policy.max_backoff_seconds = 0.01;
+  return policy;
+}
+
+/// A connected (server, remote-wrapper) pair over one Figure 1 DMV source,
+/// plus an in-process copy of that source for direct calls.
+struct RemotePair {
+  std::unique_ptr<TcpSourceServer> server;
   std::unique_ptr<RemoteSource> remote;
+  std::unique_ptr<SimulatedSource> direct;
 };
 
-Endpoint MakeEndpoint() {
+RemotePair MakeRemotePair(std::unique_ptr<SimulatedSource> source) {
+  RemotePair pair;
+  pair.direct = std::make_unique<SimulatedSource>(*source);
+  pair.server = std::make_unique<TcpSourceServer>(std::move(source),
+                                                  TcpSourceServer::Options{});
+  EXPECT_TRUE(pair.server->Start().ok());
+  auto remote = RemoteSource::ConnectTcp({Endpoint(pair.server->port())});
+  EXPECT_TRUE(remote.ok()) << remote.status().ToString();
+  if (remote.ok()) pair.remote = std::move(remote).value();
+  return pair;
+}
+
+RemotePair MakeRemotePair() {
   auto instance = BuildDmvFigure1();
   EXPECT_TRUE(instance.ok());
-  // Copy the first simulated source into a server.
-  const SimulatedSource* sim = instance->simulated[0];
-  auto server = std::make_shared<SourceServer>(
-      std::make_unique<SimulatedSource>(*sim));
-  auto remote = RemoteSource::Connect(
-      [server](const std::string& request) { return server->Handle(request); });
-  EXPECT_TRUE(remote.ok()) << remote.status().ToString();
-  return {server, std::move(remote).value()};
+  return MakeRemotePair(
+      std::make_unique<SimulatedSource>(*instance->simulated[0]));
 }
 
 TEST(RemoteSourceTest, HandshakeCarriesMetadata) {
-  Endpoint ep = MakeEndpoint();
+  RemotePair ep = MakeRemotePair();
+  ASSERT_NE(ep.remote, nullptr);
   EXPECT_EQ(ep.remote->name(), "R1");
   EXPECT_TRUE(ep.remote->schema().HasColumn("L"));
   EXPECT_TRUE(ep.remote->schema().HasColumn("V"));
@@ -275,9 +308,9 @@ TEST(RemoteSourceTest, HandshakeCarriesMetadata) {
 }
 
 TEST(RemoteSourceTest, SelectMatchesDirectCallIncludingCosts) {
-  Endpoint ep = MakeEndpoint();
-  const SimulatedSource& direct = *ep.server->impl().AsSimulated();
-  SimulatedSource local(direct);
+  RemotePair ep = MakeRemotePair();
+  ASSERT_NE(ep.remote, nullptr);
+  SimulatedSource& local = *ep.direct;
 
   const Condition cond = Condition::Eq("V", Value("dui"));
   CostLedger remote_ledger, local_ledger;
@@ -291,7 +324,8 @@ TEST(RemoteSourceTest, SelectMatchesDirectCallIncludingCosts) {
 }
 
 TEST(RemoteSourceTest, SemiJoinAndLoadAndFetch) {
-  Endpoint ep = MakeEndpoint();
+  RemotePair ep = MakeRemotePair();
+  ASSERT_NE(ep.remote, nullptr);
   ItemSet candidates({Value("J55"), Value("T21"), Value("ZZ")});
   CostLedger ledger;
   const auto semi = ep.remote->SemiJoin(Condition::Eq("V", Value("sp")), "L",
@@ -317,24 +351,210 @@ TEST(RemoteSourceTest, ServerErrorsMapBackToStatus) {
   ASSERT_TRUE(instance.ok());
   Capabilities caps;
   caps.semijoin = SemijoinSupport::kPassedBindingsOnly;
-  auto server = std::make_shared<SourceServer>(
-      std::make_unique<SimulatedSource>(
-          "R1", instance->simulated[0]->relation(), caps,
-          instance->simulated[0]->network()));
-  auto remote = RemoteSource::Connect(
-      [server](const std::string& r) { return server->Handle(r); });
-  ASSERT_TRUE(remote.ok());
+  RemotePair ep = MakeRemotePair(std::make_unique<SimulatedSource>(
+      "R1", instance->simulated[0]->relation(), caps,
+      instance->simulated[0]->network()));
+  ASSERT_NE(ep.remote, nullptr);
   ItemSet candidates({Value("J55")});
-  const auto semi = (*remote)->SemiJoin(Condition::True(), "L", candidates,
+  const auto semi = ep.remote->SemiJoin(Condition::True(), "L", candidates,
                                         nullptr);
   ASSERT_FALSE(semi.ok());
   EXPECT_EQ(semi.status().code(), StatusCode::kUnsupported);
 }
 
+// ---------------------------------------------------------------------------
+// Misbehaving peers on every dialer (Client, router shard link,
+// RemoteSource): each fails within its bounded attempts and keeps nothing
+// open, and neither a flood nor a stall pins the caller.
+// ---------------------------------------------------------------------------
+
+size_t OpenFds() {
+  size_t n = 0;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return 0;
+  while (::readdir(dir) != nullptr) ++n;
+  ::closedir(dir);
+  return n;
+}
+
+/// Polls `done` every millisecond for up to 10 s.
+template <typename Pred>
+bool Eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Answers every frame of either dialect, HELLO included, with a whole
+/// frame of noise.
+struct NoisePeer {
+  std::string Handle(const std::string&) { return "NOISE\nend\n"; }
+};
+
+/// A FUSIONQ/1 peer that answers HELLO as a pre-feature server (so a SUBMIT
+/// to it is never re-sent) and answers any other frame with `chunk`,
+/// `repeat` times and no `end` line, then holds the connection open until
+/// the dialer closes it.
+TcpServer::Handler UnterminatedPeer(std::string chunk, int repeat) {
+  return [chunk, repeat](ChaosSocket& socket) {
+    for (;;) {
+      const Result<std::string> frame = socket.Receive();
+      if (!frame.ok()) return;
+      if (frame->rfind("FUSIONQ/1 HELLO", 0) == 0) {
+        ClientResponse hello;
+        hello.server = "unterminated";
+        if (!socket.Send(SerializeClientResponse(hello)).ok()) return;
+        continue;
+      }
+      for (int i = 0; i < repeat; ++i) {
+        if (!socket.Send(chunk).ok()) return;
+      }
+    }
+  };
+}
+
+/// 1 MiB of item lines; 65 of them exceed TcpLink::kMaxReplyBytes.
+std::string FloodChunk() {
+  std::string chunk;
+  while (chunk.size() < (1u << 20)) chunk += "item i:12345678\n";
+  return chunk;
+}
+
+/// Runs `call` on its own thread. A call still blocked after `limit` fails
+/// the test, and `unblock` (stopping the peer) then ends it.
+template <typename Call>
+auto BoundedCall(Call call, std::chrono::seconds limit,
+                 const std::function<void()>& unblock) {
+  auto future = std::async(std::launch::async, call);
+  if (future.wait_for(limit) != std::future_status::ready) {
+    ADD_FAILURE() << "call still blocked after " << limit.count() << " s";
+    unblock();
+  }
+  return future.get();
+}
+
+Client::Builder RemoteBuilder(int port, int attempts) {
+  Client::Builder builder;
+  builder.To(Client::Target::Remote(Endpoint(port)))
+      .ClientId("dialer")
+      .Reconnect(FastRetry(attempts));
+  return builder;
+}
+
+/// A one-shard router over the peer at `port`.
+std::unique_ptr<QueryRouter> RouterOver(int port) {
+  auto map = ShardMap::Make({{"s0", Endpoint(port)}});
+  EXPECT_TRUE(map.ok());
+  QueryRouter::Options options;
+  options.reconnect = FastRetry(3);
+  return std::make_unique<QueryRouter>(std::move(map).value(), options);
+}
+
+std::string SubmitFrame() {
+  ClientRequest submit;
+  submit.kind = ClientRequest::Kind::kSubmit;
+  submit.sql = "SELECT u1.L FROM U u1 WHERE u1.V = 'dui'";
+  return SerializeClientRequest(submit);
+}
+
 TEST(RemoteSourceTest, GarbageTransportFailsCleanly) {
-  auto remote = RemoteSource::Connect(
-      [](const std::string&) { return std::string("NOISE"); });
+  NoisePeer noise;
+  TcpServer peer(FrameHandler(&noise, kMaxSourceFrameBytes));
+  ASSERT_TRUE(peer.Start().ok());
+  const size_t fds_before = OpenFds();
+  auto remote = RemoteSource::ConnectTcp({Endpoint(peer.port())},
+                                         FastRetry(3));
   EXPECT_FALSE(remote.ok());
+  EXPECT_EQ(remote.status().code(), StatusCode::kParseError)
+      << remote.status().ToString();
+  EXPECT_TRUE(Eventually([&] {
+    return peer.live_connections() == 0 && OpenFds() == fds_before;
+  })) << "live " << peer.live_connections();
+}
+
+TEST(DialerBoundsTest, GarbagePeerFailsClientBuildCleanly) {
+  NoisePeer noise;
+  TcpServer peer(FrameHandler(&noise, kMaxClientFrameBytes));
+  ASSERT_TRUE(peer.Start().ok());
+  const size_t fds_before = OpenFds();
+  auto client = RemoteBuilder(peer.port(), 3).Build();
+  EXPECT_FALSE(client.ok());
+  EXPECT_EQ(client.status().code(), StatusCode::kParseError)
+      << client.status().ToString();
+  EXPECT_TRUE(Eventually([&] {
+    return peer.live_connections() == 0 && OpenFds() == fds_before;
+  })) << "live " << peer.live_connections();
+}
+
+TEST(DialerBoundsTest, GarbageShardFailsTheForwardCleanly) {
+  NoisePeer noise;
+  TcpServer peer(FrameHandler(&noise, kMaxClientFrameBytes));
+  ASSERT_TRUE(peer.Start().ok());
+  const size_t fds_before = OpenFds();
+  auto router = RouterOver(peer.port());
+  const auto response = ParseClientResponse(router->Handle(SubmitFrame()));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_FALSE(response->ok);
+  EXPECT_EQ(response->error_code, StatusCode::kParseError);
+  EXPECT_NE(response->error_message.find("shard s0"), std::string::npos)
+      << response->error_message;
+  EXPECT_EQ(router->idle_links(0), 0u);
+  EXPECT_TRUE(Eventually([&] {
+    return peer.live_connections() == 0 && OpenFds() == fds_before;
+  })) << "live " << peer.live_connections();
+}
+
+TEST(DialerBoundsTest, ClientCutsOffAnUnterminatedFlood) {
+  TcpServer peer(UnterminatedPeer(FloodChunk(), 65));
+  ASSERT_TRUE(peer.Start().ok());
+  auto client = RemoteBuilder(peer.port(), 1).Build();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const Status status = BoundedCall(
+      [&] { return client->QuerySql(kFloodSql).status(); },
+      std::chrono::seconds(30), [&] { peer.Stop(); });
+  EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  EXPECT_NE(status.message().find("oversized message"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(DialerBoundsTest, RouterCutsOffAnUnterminatedShardFlood) {
+  TcpServer peer(UnterminatedPeer(FloodChunk(), 65));
+  ASSERT_TRUE(peer.Start().ok());
+  auto router = RouterOver(peer.port());
+  const std::string reply = BoundedCall(
+      [&] { return router->Handle(SubmitFrame()); }, std::chrono::seconds(30),
+      [&] { peer.Stop(); });
+  const auto response = ParseClientResponse(reply);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_FALSE(response->ok);
+  EXPECT_EQ(response->error_code, StatusCode::kParseError);
+  EXPECT_NE(response->error_message.find("oversized message"),
+            std::string::npos)
+      << response->error_message;
+  EXPECT_NE(response->error_message.find("shard s0"), std::string::npos)
+      << response->error_message;
+}
+
+TEST(DialerBoundsTest, ClientGivesUpOnAPeerStalledMidReply) {
+  // Half a reply, then silence: the stall deadline ends the call.
+  TcpServer peer(UnterminatedPeer("FUSIONQ/1 OK\nticket 5\n", 1));
+  ASSERT_TRUE(peer.Start().ok());
+  auto client = RemoteBuilder(peer.port(), 1).Build();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const auto start = std::chrono::steady_clock::now();
+  const Status status = BoundedCall(
+      [&] { return client->QuerySql(kFloodSql).status(); },
+      std::chrono::seconds(40), [&] { peer.Stop(); });
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+      << status.ToString();
+  EXPECT_GE(waited, TcpServer::kStallDeadlineSeconds - 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,13 +586,13 @@ TEST(RemoteFederationTest, PlansExecuteIdenticallyOverTheWire) {
 
   // Rebuild the catalog with every source behind a protocol boundary.
   SourceCatalog remote_catalog;
-  std::vector<std::shared_ptr<SourceServer>> servers;
+  std::vector<std::unique_ptr<TcpSourceServer>> servers;
   for (const SimulatedSource* sim : instance->simulated) {
-    servers.push_back(std::make_shared<SourceServer>(
-        std::make_unique<SimulatedSource>(*sim)));
-    auto server = servers.back();
-    auto remote = RemoteSource::Connect(
-        [server](const std::string& r) { return server->Handle(r); });
+    servers.push_back(std::make_unique<TcpSourceServer>(
+        std::make_unique<SimulatedSource>(*sim), TcpSourceServer::Options{}));
+    ASSERT_TRUE(servers.back()->Start().ok());
+    auto remote =
+        RemoteSource::ConnectTcp({Endpoint(servers.back()->port())});
     ASSERT_TRUE(remote.ok()) << remote.status().ToString();
     ASSERT_TRUE(remote_catalog.Add(std::move(remote).value()).ok());
   }

@@ -111,12 +111,8 @@ Result<Args> ParseArgs(int argc, char** argv) {
     if (ParseFlagValue(a, "--sql", &args.sql)) continue;
     if (ParseFlagValue(a, "--plan-out", &args.plan_out)) continue;
     if (ParseFlagValue(a, "--trace", &args.trace_out)) continue;
-    std::string number;
-    if (ParseFlagValue(a, "--repeat", &number)) {
-      args.repeat = std::atoi(number.c_str());
-      if (args.repeat < 1) {
-        return Status::InvalidArgument("--repeat must be >= 1");
-      }
+    if (ConsumeNumberFlag(a, "--repeat", 1, &args.repeat, &client_error)) {
+      FUSION_RETURN_IF_ERROR(client_error);
       continue;
     }
     if (std::strcmp(a, "--trace-summary") == 0) {

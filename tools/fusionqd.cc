@@ -112,19 +112,10 @@ Result<Args> ParseArgs(int argc, char** argv) {
     if (ParseFlagValue(a, "--name", &args.name)) continue;
     if (ParseFlagValue(a, "--sql", &args.sql)) continue;
     if (ParseFlagValue(a, "--trace", &args.trace_out)) continue;
-    std::string number;
-    if (ParseFlagValue(a, "--workers", &number)) {
-      args.workers = std::atoi(number.c_str());
-      if (args.workers < 1) {
-        return Status::InvalidArgument("--workers must be >= 1");
-      }
-      continue;
-    }
-    if (ParseFlagValue(a, "--max-queue", &number)) {
-      args.max_queue = std::atoi(number.c_str());
-      if (args.max_queue < 1) {
-        return Status::InvalidArgument("--max-queue must be >= 1");
-      }
+    if (ConsumeNumberFlag(a, "--workers", 1, &args.workers, &flag_error) ||
+        ConsumeNumberFlag(a, "--max-queue", 1, &args.max_queue,
+                          &flag_error)) {
+      FUSION_RETURN_IF_ERROR(flag_error);
       continue;
     }
     if (std::strcmp(a, "--smoke") == 0) {

@@ -66,19 +66,11 @@ Result<Args> ParseArgs(int argc, char** argv) {
     if (ParseFlagValue(a, "--client-id", &args.client_id)) continue;
     if (ParseFlagValue(a, "--catalog", &args.catalog_path)) continue;
     if (ParseFlagValue(a, "--sql", &args.sql)) continue;
-    std::string number;
-    if (ParseFlagValue(a, "--interval", &number)) {
-      args.interval = std::atoi(number.c_str());
-      if (args.interval < 0) {
-        return Status::InvalidArgument("--interval must be >= 0");
-      }
-      continue;
-    }
-    if (ParseFlagValue(a, "--count", &number)) {
-      args.count = std::atoi(number.c_str());
-      if (args.count < 0) {
-        return Status::InvalidArgument("--count must be >= 0");
-      }
+    Status number_error;
+    if (ConsumeNumberFlag(a, "--interval", 0, &args.interval,
+                          &number_error) ||
+        ConsumeNumberFlag(a, "--count", 0, &args.count, &number_error)) {
+      FUSION_RETURN_IF_ERROR(number_error);
       continue;
     }
     if (std::strcmp(a, "--raw") == 0) {
