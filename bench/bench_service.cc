@@ -23,18 +23,26 @@
 // within a small multiple of the answer, which a return to retaining whole
 // executions (plan, ledger, per-source witness sets) would break.
 //
+// E25 — the CPU of a warm SUBMIT through QueryService::Handle, in-process
+// on the zipf_warm dataset (1 worker, as perfbench runs it): process CPU
+// µs per wait=yes SUBMIT (serialize, Handle, parse the RESULT) once the
+// pool is warm, next to the router's routing key — CanonicalQueryKey, a
+// full parse, and its QueryKeyMemo hit. Every timed SUBMIT must be answered
+// at cost 0 on the calling thread (service_inline_runs_total counts each).
+//
 // E19 — the FUSIONQ/1 answer codec, the layer under every served answer:
 // microseconds per answer of ~650, ~950 and ~5000 int items to serialize
 // (from the session's ItemSet), parse (into the client's ItemSet), and
 // relay (the router's ticket rewrite of a shard frame), with round-trip
 // and byte equality asserted on every size.
 //
-//   bench_service           E14, E22, then E19
-//   bench_service --smoke   E22, then E19 at few repetitions (the ctest
-//                           entry)
+//   bench_service           E14, E22, E25, then E19
+//   bench_service --smoke   E22, E25, then E19 at few repetitions (the
+//                           ctest entry)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -49,7 +57,9 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "mediator/service.h"
+#include "obs/metrics.h"
 #include "protocol/client_protocol.h"
+#include "router/shard_map.h"
 #include "workload/dmv.h"
 
 namespace fusion {
@@ -207,19 +217,100 @@ void RunRetention(bool smoke) {
   }
 }
 
-/// Median over `rounds` of the mean microseconds per `op()` over `iters`.
+double WallSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Process CPU time: work handed to another thread counts too.
+double CpuSeconds() {
+  timespec now{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
+/// Median over `rounds` of the mean microseconds per `op()` over `iters`,
+/// read on `clock` (seconds).
 template <typename Op>
-double MedianMicros(int rounds, int iters, Op&& op) {
+double MedianMicros(double (*clock)(), int rounds, int iters, Op&& op) {
   std::vector<double> means;
   for (int r = 0; r < rounds; ++r) {
-    const auto start = std::chrono::steady_clock::now();
+    const double start = clock();
     for (int i = 0; i < iters; ++i) op();
-    const std::chrono::duration<double, std::micro> elapsed =
-        std::chrono::steady_clock::now() - start;
-    means.push_back(elapsed.count() / iters);
+    means.push_back((clock() - start) * 1e6 / iters);
   }
   std::sort(means.begin(), means.end());
   return means[means.size() / 2];
+}
+
+void RunWarmSubmit(bool smoke) {
+  bench::Banner("E25: CPU of a warm SUBMIT through QueryService::Handle");
+  bench::MacroWorkloadSpec spec;  // the zipf_warm dataset, as in E22
+  spec.universe_size = 20000;
+  spec.num_sources = 8;
+  spec.condition_overlap = 0.7;
+  spec.pool_size = 64;
+  spec.seed = 4631;
+  auto workload = bench::MacroWorkload::Generate(spec);
+  FUSION_CHECK(workload.ok()) << workload.status().ToString();
+  const std::vector<std::string> pool = workload->pool();
+  QueryService::Options options;
+  options.workers = 1;
+  QueryService service(Mediator(std::move(workload->catalog())), options);
+  // Two warm passes: the first fills the cache, the second replays each
+  // remembered plan once the cache answers all of it.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& sql : pool) {
+      FUSION_CHECK(SubmitOverWire(service, "warm", sql).ok);
+    }
+  }
+  std::vector<std::string> requests;
+  for (const std::string& sql : pool) {
+    ClientRequest request;
+    request.kind = ClientRequest::Kind::kSubmit;
+    request.client_id = "timed";
+    request.sql = sql;
+    request.wait = true;
+    requests.push_back(SerializeClientRequest(request));
+  }
+  const Counter& inline_runs =
+      MetricsRegistry::Global().counter(metrics::kServiceInlineRunsTotal);
+  const uint64_t inline_before = inline_runs.value();
+  const int rounds = smoke ? 3 : 15;
+  const int iters = smoke ? 64 : 640;
+  size_t next = 0;
+  size_t submits = 0;
+  double cost = 0.0;
+  const double submit_us = MedianMicros(CpuSeconds, rounds, iters, [&] {
+    const auto response = ParseClientResponse(
+        service.Handle(requests[next++ % requests.size()]));
+    FUSION_CHECK(response.ok() && response->ok);
+    cost += response->cost;
+    ++submits;
+  });
+  FUSION_CHECK(cost == 0.0) << cost;
+  FUSION_CHECK(inline_runs.value() - inline_before == submits)
+      << inline_runs.value() - inline_before << " of " << submits;
+
+  QueryKeyMemo keys;
+  size_t sink = 0;
+  next = 0;
+  const double key_us = MedianMicros(CpuSeconds, rounds, iters, [&] {
+    sink += CanonicalQueryKey(pool[next++ % pool.size()]).size();
+  });
+  for (const std::string& sql : pool) {
+    FUSION_CHECK(keys.Key(sql) == CanonicalQueryKey(sql));
+  }
+  const double memo_us = MedianMicros(CpuSeconds, rounds, iters, [&] {
+    sink += keys.Key(pool[next++ % pool.size()]).size();
+  });
+  FUSION_CHECK(sink > 0);
+  std::printf("%10s | %16s %18s %16s\n", "submits", "warm SUBMIT us",
+              "CanonicalQueryKey", "key memo hit us");
+  std::printf("%10zu | %16.2f %18.2f %16.2f\n", submits, submit_us, key_us,
+              memo_us);
 }
 
 void RunCodec(bool smoke) {
@@ -256,15 +347,15 @@ void RunCodec(bool smoke) {
 
     const int rounds = smoke ? 3 : 15;
     const int iters = smoke ? 3 : (n > 1000 ? 100 : 500);
-    const double serialize_us = MedianMicros(rounds, iters, [&] {
+    const double serialize_us = MedianMicros(WallSeconds, rounds, iters, [&] {
       response.items = answer.ToValues();
       sink += SerializeClientResponse(response).size();
     });
-    const double parse_us = MedianMicros(rounds, iters, [&] {
+    const double parse_us = MedianMicros(WallSeconds, rounds, iters, [&] {
       auto p = ParseClientResponse(wire);
       sink += ItemSet(std::move(p->items)).size();
     });
-    const double relay_us = MedianMicros(rounds, iters, [&] {
+    const double relay_us = MedianMicros(WallSeconds, rounds, iters, [&] {
       sink += RelayClientResponse(wire, 3)->size();
     });
     std::printf("%8zu %8zu | %14.2f %14.2f %14.2f\n", n, wire.size(),
@@ -281,5 +372,6 @@ int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   if (!smoke) fusion::RunSharedService();
   fusion::RunRetention(smoke);
+  fusion::RunWarmSubmit(smoke);
   fusion::RunCodec(smoke);
 }

@@ -161,9 +161,11 @@ Result<ItemSet> EmulateSemiJoin(SourceWrapper& source, const Condition& cond,
     // Probes go through the cache path keyed on the canonical probe
     // condition, so identical probes across plans and queries answer from
     // the memo (and concurrent identical probes single-flight).
+    const std::string key =
+        options.cache != nullptr ? probe.CacheKey() : std::string();
     FUSION_ASSIGN_OR_RETURN(
-        ItemSet part, CachedSelect(source, probe, merge_attribute, options,
-                                   local, ctx, "probe"));
+        ItemSet part, CachedSelect(source, probe, key, merge_attribute,
+                                   options, local, ctx, "probe"));
     for (Charge charge : local.charges()) {
       charge.kind = ChargeKind::kEmulatedSemiJoinProbe;
       ledger.Add(std::move(charge));
@@ -177,6 +179,7 @@ Result<ItemSet> EmulateSemiJoin(SourceWrapper& source, const Condition& cond,
 }
 
 Result<ItemSet> CachedSelect(SourceWrapper& source, const Condition& cond,
+                             const std::string& key,
                              const std::string& merge_attribute,
                              const ExecOptions& options, CostLedger& ledger,
                              CallContext ctx, const char* op_tag) {
@@ -188,7 +191,6 @@ Result<ItemSet> CachedSelect(SourceWrapper& source, const Condition& cond,
         [&] { return source.Select(cond, merge_attribute, &ledger); }, ctx);
   };
   if (options.cache == nullptr || ctx.source_index < 0) return call();
-  const std::string key = cond.CacheKey();
   SourceCallCache::FlightGuard flight = options.cache->BeginFlight(
       static_cast<size_t>(ctx.source_index), key);
   if (flight.cached() != nullptr) {
@@ -214,6 +216,7 @@ Result<ItemSet> CachedSelect(SourceWrapper& source, const Condition& cond,
 }
 
 Result<ItemSet> CachedSemiJoin(SourceWrapper& source, const Condition& cond,
+                               const std::string& key,
                                const std::string& merge_attribute,
                                const ItemSet& candidates,
                                const ExecOptions& options, CostLedger& ledger,
@@ -222,10 +225,8 @@ Result<ItemSet> CachedSemiJoin(SourceWrapper& source, const Condition& cond,
   ctx.source_name = &source.name();
   ctx.ledger = &ledger;
   SourceCallCache* cache = ctx.source_index >= 0 ? options.cache : nullptr;
-  std::string key;
   uint64_t version = 0;
   if (cache != nullptr) {
-    key = cond.CacheKey();
     bool derived = false;
     if (std::shared_ptr<const ItemSet> answer = cache->FindSemiJoin(
             static_cast<size_t>(ctx.source_index), cond, key, merge_attribute,
@@ -261,7 +262,7 @@ Result<ItemSet> CachedSemiJoin(SourceWrapper& source, const Condition& cond,
   }();
   if (result.ok() && cache != nullptr) {
     cache->InsertSemiJoin(static_cast<size_t>(ctx.source_index),
-                          std::move(key), candidates, *result, version);
+                          key, candidates, *result, version);
   }
   return result;
 }

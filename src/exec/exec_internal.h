@@ -246,8 +246,10 @@ Result<ItemSet> EmulateSemiJoin(SourceWrapper& source, const Condition& cond,
 /// Charges go to `ledger`; cache hits and derived answers charge nothing.
 /// Hits/misses/containment tick both the global metrics and `ctx.stats`.
 /// `op_tag` labels spans/metrics ("sq", or "probe" for emulated-semijoin
-/// bindings).
+/// bindings). `key` is `cond.CacheKey()`, rendered once per execution by
+/// the caller (unread without a cache).
 Result<ItemSet> CachedSelect(SourceWrapper& source, const Condition& cond,
+                             const std::string& key,
                              const std::string& merge_attribute,
                              const ExecOptions& options, CostLedger& ledger,
                              CallContext ctx, const char* op_tag = "sq");
@@ -257,8 +259,10 @@ Result<ItemSet> CachedSelect(SourceWrapper& source, const Condition& cond,
 /// cached sq, or cached relation — all free), otherwise dispatches on the
 /// source's semijoin capability (native call, per-binding emulation, or
 /// kUnsupported) and memoizes the fresh answer. `*emulated` is set when the
-/// per-binding path ran (the caller counts emulated semijoins).
+/// per-binding path ran (the caller counts emulated semijoins). `key` is
+/// `cond.CacheKey()`, as for CachedSelect.
 Result<ItemSet> CachedSemiJoin(SourceWrapper& source, const Condition& cond,
+                               const std::string& key,
                                const std::string& merge_attribute,
                                const ItemSet& candidates,
                                const ExecOptions& options, CostLedger& ledger,

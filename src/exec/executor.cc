@@ -151,6 +151,14 @@ class PlanRun {
     for (size_t k = 0; k < plan.num_ops(); ++k) {
       defining_op_[static_cast<size_t>(plan.ops()[k].target)] = k;
     }
+    // Every sq/sjq op on a condition shares its cache key, so each key is
+    // rendered once per execution rather than once per op.
+    if (options.cache != nullptr) {
+      cache_keys_.reserve(query.num_conditions());
+      for (const Condition& cond : query.conditions()) {
+        cache_keys_.push_back(cond.CacheKey());
+      }
+    }
     if (options.on_source_failure == SourceFailurePolicy::kDegrade) {
       degradable_ = exec_internal::DegradableOps(plan);
     }
@@ -254,7 +262,7 @@ class PlanRun {
         SourceWrapper& src = catalog_.source(static_cast<size_t>(op.source));
         Result<ItemSet> result = exec_internal::CachedSelect(
             src, query_.conditions()[static_cast<size_t>(op.cond)],
-            query_.merge_attribute(), options_, slot.ledger,
+            CacheKeyOf(op), query_.merge_attribute(), options_, slot.ledger,
             ContextFor(op, slot, pool));
         if (!result.ok()) return HandleSourceFailure(k, op, result.status());
         items_[op.target] = std::move(result).value();
@@ -271,8 +279,8 @@ class PlanRun {
         Result<ItemSet> result = exec_internal::CachedSemiJoin(
             catalog_.source(static_cast<size_t>(op.source)),
             query_.conditions()[static_cast<size_t>(op.cond)],
-            query_.merge_attribute(), candidates, options_, slot.ledger,
-            ContextFor(op, slot, pool), &slot.emulated);
+            CacheKeyOf(op), query_.merge_attribute(), candidates, options_,
+            slot.ledger, ContextFor(op, slot, pool), &slot.emulated);
         if (!result.ok()) return HandleSourceFailure(k, op, result.status());
         items_[op.target] = std::move(result).value();
         if (slot.emulated) {
@@ -345,6 +353,13 @@ class PlanRun {
     return Status::Ok();
   }
 
+  /// The cache key of op's condition; empty when no cache is attached.
+  const std::string& CacheKeyOf(const PlanOp& op) const {
+    static const std::string kNoKey;
+    return cache_keys_.empty() ? kNoKey
+                               : cache_keys_[static_cast<size_t>(op.cond)];
+  }
+
   /// The fault-tolerance call context for one source op. CachedSelect /
   /// CachedSemiJoin / CachedLoad set the op tag, source name and ledger.
   exec_internal::CallContext ContextFor(const PlanOp& op, OpSlot& slot,
@@ -389,6 +404,7 @@ class PlanRun {
   std::vector<std::optional<ItemSet>> items_;       // per SSA variable
   std::vector<std::optional<Relation>> relations_;  // per SSA variable
   std::vector<size_t> defining_op_;                 // per SSA variable
+  std::vector<std::string> cache_keys_;  // per condition; empty without cache
   std::vector<char> degradable_;  // empty unless on_source_failure=kDegrade
   std::vector<size_t> order_;     // evaluated ops, in merge order
   size_t short_circuited_ = 0;    // lazy ∅-candidate semijoins

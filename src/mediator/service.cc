@@ -1,5 +1,6 @@
 #include "mediator/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -60,13 +61,20 @@ QueryService::QueryService(Mediator mediator, const Options& options)
     : options_(options),
       session_(std::make_unique<QuerySession>(std::move(mediator),
                                               options.client)),
-      pool_(std::make_unique<ThreadPool>(options.workers)) {}
+      pool_(std::make_unique<ThreadPool>(options.workers)) {
+  options_.workers = std::max(1, options_.workers);  // as the pool clamps
+}
 
 QueryService::~QueryService() {
   Shutdown();
-  // Drain + join: every admitted request has a PopAndRun task; with all
-  // cancellation tokens set they finish promptly (a running execution
-  // aborts at its next source-call admission).
+  // With every cancellation token set, running executions abort at their
+  // next source-call admission and queued requests finish as cancelled as
+  // permits free. Once no permit is held nothing is queued and no task is
+  // left, so the pool joins idle.
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_cv_.wait(lock, [&] { return running_ == 0; });
+  }
   pool_.reset();
 }
 
@@ -90,8 +98,9 @@ Result<uint64_t> QueryService::Submit(const std::string& client_id,
 
 Result<QueryService::RequestPtr> QueryService::Admit(
     const std::string& client_id, const std::string& sql,
-    const SubmitOptions& submit_options) {
+    const SubmitOptions& submit_options, bool* run_here) {
   RequestPtr request;
+  size_t tasks = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (shutting_down_) {
@@ -149,17 +158,51 @@ Result<QueryService::RequestPtr> QueryService::Admit(
       dedup_order_.push_back(key);
       while (dedup_order_.size() > options_.max_dedup) PopDedupLocked();
     }
+    static Counter& accepted =
+        MetricsRegistry::Global().counter(metrics::kServiceRequestsTotal);
+    accepted.Increment();
+    // Queued requests go first, so a request may skip the queue only when
+    // it is empty.
+    if (run_here != nullptr && queued_ == 0 &&
+        running_ < options_.workers) {
+      ++running_;
+      request->state = "running";
+      *run_here = true;
+      static Counter& inline_runs =
+          MetricsRegistry::Global().counter(metrics::kServiceInlineRunsTotal);
+      inline_runs.Increment();
+      return request;
+    }
     std::deque<RequestPtr>& queue = pending_[client_id];
     if (queue.empty()) rotation_.push_back(client_id);
     queue.push_back(request);
     ++queued_;
     SetQueueGauges(queued_, pending_.size());
-    static Counter& accepted =
-        MetricsRegistry::Global().counter(metrics::kServiceRequestsTotal);
-    accepted.Increment();
+    tasks = DispatchLocked();
   }
-  pool_->Submit([this] { PopAndRun(); });
+  SubmitTasks(tasks);
   return request;
+}
+
+size_t QueryService::DispatchLocked() {
+  size_t tasks = 0;
+  while (queued_ > dispatched_ && running_ < options_.workers) {
+    ++running_;
+    ++dispatched_;
+    ++tasks;
+  }
+  return tasks;
+}
+
+size_t QueryService::ReleasePermitLocked() {
+  --running_;
+  const size_t tasks = DispatchLocked();
+  if (running_ == 0) idle_cv_.notify_all();
+  return tasks;
+}
+
+void QueryService::SubmitTasks(size_t tasks) {
+  for (; tasks > 0; --tasks) pool_->Submit([this] { PopAndRun(); });
 }
 
 QueryService::RequestPtr QueryService::NextLocked() {
@@ -197,7 +240,7 @@ void QueryService::FinishLocked(const RequestPtr& request, std::string state,
   retired_order_.push_back(request->ticket);
   while (retired_order_.size() > options_.max_retained) PopRetiredLocked();
   EnforceByteBudgetLocked();
-  finished_cv_.notify_all();
+  request->finished_cv.notify_all();
 }
 
 void QueryService::ReleaseLocked(Request& request) {
@@ -242,11 +285,15 @@ void QueryService::EnforceByteBudgetLocked() {
 
 void QueryService::PopAndRun() {
   RequestPtr request;
+  size_t tasks = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    --dispatched_;
+    // Never null: a task is dispatched only while queued_ > dispatched_.
     request = NextLocked();
-    if (request == nullptr) return;  // spurious: request already consumed
-    if (request->cancel.load(std::memory_order_relaxed)) {
+    if (!request->cancel.load(std::memory_order_relaxed)) {
+      request->state = "running";
+    } else {
       static Counter& cancelled = MetricsRegistry::Global().counter(
           metrics::kServiceCancelledTotal);
       cancelled.Increment();
@@ -254,10 +301,18 @@ void QueryService::PopAndRun() {
           Status::Cancelled("cancelled before execution");
       RecordSlo(*request, never_ran);
       FinishLocked(request, "cancelled", never_ran);
-      return;
+      tasks = ReleasePermitLocked();
+      request = nullptr;
     }
-    request->state = "running";
   }
+  if (request != nullptr) {
+    Run(request);
+  } else {
+    SubmitTasks(tasks);
+  }
+}
+
+void QueryService::Run(const RequestPtr& request) {
   Result<ClientAnswer> outcome = [&]() -> Result<ClientAnswer> {
     // Adopt the client's trace context (no-op when the SUBMIT carried none)
     // so the service/session/exec/source-RPC spans underneath — and the
@@ -272,14 +327,15 @@ void QueryService::PopAndRun() {
     }
     CallControls controls;
     controls.cancel = &request->cancel;
-    FUSION_ASSIGN_OR_RETURN(const FusionQuery query,
-                            ParseFusionQuery(request->sql));
     FUSION_ASSIGN_OR_RETURN(QueryAnswer answer,
-                            session_->Answer(query, controls));
+                            session_->AnswerSql(request->sql, controls));
     // The plan is released with the rest of the execution below, so the
-    // explain lines are rendered now, while it is still here.
+    // explain lines are rendered now, while it is still here. EXPLAIN is
+    // rare, so it parses the text again for the condition names.
     std::vector<std::string> explain_lines;
     if (request->explain) {
+      FUSION_ASSIGN_OR_RETURN(const FusionQuery query,
+                              ParseFusionQuery(request->sql));
       explain_lines = RenderExplainLines(
           answer, ExplainNames(query, session_->mediator().catalog()));
     }
@@ -289,22 +345,28 @@ void QueryService::PopAndRun() {
     return summary;
   }();
   RecordSlo(*request, outcome);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const bool was_cancelled =
-      !outcome.ok() && outcome.status().code() == StatusCode::kCancelled;
-  if (was_cancelled) {
-    static Counter& cancelled =
-        MetricsRegistry::Global().counter(metrics::kServiceCancelledTotal);
-    cancelled.Increment();
+  size_t tasks = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const bool was_cancelled =
+        !outcome.ok() && outcome.status().code() == StatusCode::kCancelled;
+    if (was_cancelled) {
+      static Counter& cancelled =
+          MetricsRegistry::Global().counter(metrics::kServiceCancelledTotal);
+      cancelled.Increment();
+    }
+    FinishLocked(
+        request,
+        outcome.ok() ? "done" : (was_cancelled ? "cancelled" : "failed"),
+        std::move(outcome));
+    tasks = ReleasePermitLocked();
   }
-  FinishLocked(request,
-               outcome.ok() ? "done" : (was_cancelled ? "cancelled" : "failed"),
-               std::move(outcome));
+  SubmitTasks(tasks);
 }
 
-void QueryService::AwaitFinished(const Request& request) {
+void QueryService::AwaitFinished(Request& request) {
   std::unique_lock<std::mutex> lock(mutex_);
-  finished_cv_.wait(lock, [&] { return request.finished; });
+  request.finished_cv.wait(lock, [&] { return request.finished; });
 }
 
 Result<ClientAnswer> QueryService::Wait(uint64_t ticket) {
@@ -445,10 +507,12 @@ ClientResponse QueryService::HandleParsed(const ClientRequest& request) {
       submit_options.parent_span = request.parent_span;
       submit_options.request_id = request.request_id;
       submit_options.explain = request.explain;
+      bool run_here = false;
       const Result<RequestPtr> admitted =
-          Admit(client_id, request.sql, submit_options);
+          Admit(client_id, request.sql, submit_options,
+                request.wait ? &run_here : nullptr);
       if (!admitted.ok()) return ClientErrorResponse(admitted.status());
-      const Request& submitted = **admitted;
+      Request& submitted = **admitted;
       ClientResponse response;
       response.ticket = submitted.ticket;
       if (!request.wait) {
@@ -457,7 +521,11 @@ ClientResponse QueryService::HandleParsed(const ClientRequest& request) {
       }
       // Held by pointer, so eviction cannot lose the outcome before it is
       // written out; it no longer changes once finished.
-      AwaitFinished(submitted);
+      if (run_here) {
+        Run(*admitted);
+      } else {
+        AwaitFinished(submitted);
+      }
       if (!submitted.outcome.ok()) {
         response = ClientErrorResponse(submitted.outcome.status());
         response.ticket = submitted.ticket;

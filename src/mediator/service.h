@@ -32,10 +32,13 @@ namespace fusion {
 /// Request lifecycle:
 ///
 ///   Submit ──▶ admission (bounded queue; kUnavailable when saturated)
-///          ──▶ per-client FIFO, clients drained round-robin (fair share:
-///              a chatty client cannot starve an occasional one)
-///          ──▶ execution on the service's ThreadPool, with a cooperative
-///              cancellation token plumbed into the executor
+///          ──▶ an execution permit (Options::workers of them): a waiting
+///              SUBMIT that finds nothing queued and a permit free runs
+///              at once on its own connection thread; anything else joins
+///              its client's FIFO, clients drained round-robin onto the
+///              service's ThreadPool as permits free (fair share: a chatty
+///              client cannot starve an occasional one). Either way a
+///              cooperative cancellation token is plumbed into the executor
 ///          ──▶ outcome retained for STATUS/Wait/replay as the wire
 ///              summary only (answer items, metering, explain lines if
 ///              asked for), evicted FIFO after Options::max_retained
@@ -54,9 +57,11 @@ class QueryService {
   struct Options {
     /// Server identity reported in the HELLO handshake.
     std::string server_name = "fusionqd";
-    /// Executor workers: how many requests run concurrently. Each running
-    /// request may itself use ClientOptions::execution.parallelism pool
-    /// workers of its own for intra-query parallelism.
+    /// Execution permits: how many requests run concurrently, whether on
+    /// the service's pool (which has this many threads) or inline on a
+    /// connection thread. Each running request may itself use
+    /// ClientOptions::execution.parallelism pool workers of its own for
+    /// intra-query parallelism.
     int workers = 4;
     /// Admission bound: requests queued (admitted, not yet running) beyond
     /// which Submit sheds load with kUnavailable. Running requests do not
@@ -146,8 +151,9 @@ class QueryService {
   /// Protocol entry point: one serialized FUSIONQ/1 request in, one
   /// serialized response out (never throws, never returns malformed text —
   /// parse and execution failures become ERROR responses). SUBMIT with
-  /// wait=yes blocks until the answer: this is the driver that makes
-  /// concurrent clients exercise the shared cache and breakers.
+  /// wait=yes blocks until the answer, running it on the calling thread
+  /// when nothing is queued and a permit is free: this is the driver that
+  /// makes concurrent clients exercise the shared cache and breakers.
   std::string Handle(const std::string& request_text);
 
   /// Runs the per-connection serve loop (ServeFrames over Handle, with the
@@ -214,6 +220,9 @@ class QueryService {
     std::atomic<bool> cancel{false};
     std::string state = "queued";  // guarded by QueryService::mutex_
     bool finished = false;         // guarded by QueryService::mutex_
+    /// Signalled (with mutex_) when `finished` is set; only this request's
+    /// waiters sleep on it.
+    std::condition_variable finished_cv;
     /// How many of by_ticket_ and dedup_ hold this request, and the bytes
     /// its finished outcome counts in retained_bytes_ while that is > 0.
     int holders = 0;               // guarded by QueryService::mutex_
@@ -224,22 +233,34 @@ class QueryService {
   };
   using RequestPtr = std::shared_ptr<Request>;
 
-  /// Pops the next request in round-robin client order and runs it.
-  /// Exactly one PopAndRun task is pool-submitted per admitted request, so
-  /// the pool's queue length equals the admission queue length.
+  /// A pool task holding one permit: pops the next request in round-robin
+  /// client order and runs it (or finishes it as cancelled if it was
+  /// cancelled while queued).
   void PopAndRun();
+  /// The one run-and-finish body of both paths: executes a request that
+  /// holds a permit, records it, and releases the permit.
+  void Run(const RequestPtr& request);
+  /// Returns a permit and hands permits to queued requests (one PopAndRun
+  /// each) while both remain; the caller submits the returned count of
+  /// tasks after unlocking.
+  size_t ReleasePermitLocked();
+  size_t DispatchLocked();
+  void SubmitTasks(size_t tasks);
   /// Picks the next request under mutex_ (round-robin over clients with
   /// pending work); null when nothing is queued.
   RequestPtr NextLocked();
   void FinishLocked(const RequestPtr& request, std::string state,
                     Result<ClientAnswer> outcome);
   /// Submit's body: the admitted request, or the original one on an
-  /// idempotent replay.
+  /// idempotent replay. With `run_here` non-null, a request that finds
+  /// nothing queued and a permit free takes the permit instead of
+  /// queueing and `*run_here` is set: the caller must Run() it.
   Result<RequestPtr> Admit(const std::string& client_id,
                            const std::string& sql,
-                           const SubmitOptions& submit_options);
+                           const SubmitOptions& submit_options,
+                           bool* run_here = nullptr);
   /// Blocks until `request` is terminal. Its outcome is then read-only.
-  void AwaitFinished(const Request& request);
+  void AwaitFinished(Request& request);
 
   /// A table stops holding `request`; retained_bytes_ counts a finished
   /// request while any table holds it.
@@ -263,8 +284,14 @@ class QueryService {
   SloRegistry slo_;
 
   mutable std::mutex mutex_;
-  std::condition_variable finished_cv_;
   bool shutting_down_ = false;
+  /// Permits held (requests running inline, plus PopAndRun tasks submitted
+  /// or running), at most Options::workers; and how many of those tasks
+  /// have not yet popped their request (never more than queued_).
+  int running_ = 0;
+  size_t dispatched_ = 0;
+  /// Signalled when running_ drops to 0; the destructor waits on it.
+  std::condition_variable idle_cv_;
   uint64_t next_ticket_ = 0;
   /// Per-client FIFO queues + the round-robin rotation over client ids
   /// with pending work (a client id appears in rotation_ iff its queue is

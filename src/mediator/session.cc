@@ -72,24 +72,18 @@ std::string PlanMemoKey(const FusionQuery& query,
 
 }  // namespace
 
-QueryCacheView QuerySession::BuildCacheView(const FusionQuery& query) {
+QueryCacheView QuerySession::BuildCacheView(
+    const std::vector<std::string>& keys) {
   const size_t num_sources = mediator_.catalog().size();
   QueryCacheView view;
-  view.sq_answerable.assign(query.num_conditions(),
-                            std::vector<char>(num_sources, 0));
-  view.sjq_answerable.assign(query.num_conditions(),
-                             std::vector<char>(num_sources, 0));
+  view.sq_answerable.assign(keys.size(), std::vector<char>(num_sources, 0));
+  view.sjq_answerable.assign(keys.size(), std::vector<char>(num_sources, 0));
   view.lq_cached.assign(num_sources, 0);
-  std::vector<std::string> keys;
-  keys.reserve(query.num_conditions());
-  for (const Condition& cond : query.conditions()) {
-    keys.push_back(cond.CacheKey());
-  }
   for (size_t j = 0; j < num_sources; ++j) {
     // A cached relation answers lq and, by containment, every sq/sjq on it.
     const bool lq = cache_.ContainsLoad(j);
     view.lq_cached[j] = lq ? 1 : 0;
-    for (size_t i = 0; i < query.num_conditions(); ++i) {
+    for (size_t i = 0; i < keys.size(); ++i) {
       const std::string& key = keys[i];
       if (lq || cache_.ContainsSelect(j, key)) {
         view.sq_answerable[i][j] = 1;
@@ -102,6 +96,31 @@ QueryCacheView QuerySession::BuildCacheView(const FusionQuery& query) {
     }
   }
   return view;
+}
+
+bool QuerySession::CacheAnswersEveryCall(
+    const Plan& plan, const std::vector<std::string>& keys) const {
+  bool any_call = false;
+  for (const PlanOp& op : plan.ops()) {
+    if (op.source < 0) continue;  // local ops are free
+    const size_t j = static_cast<size_t>(op.source);
+    any_call = true;
+    // The model keeps an sjq on a source that cannot semijoin at +inf.
+    if (op.kind == PlanOpKind::kSemiJoin &&
+        mediator_.catalog().source(j).capabilities().semijoin ==
+            SemijoinSupport::kUnsupported) {
+      return false;
+    }
+    // A cached relation answers lq and, by containment, sq and sjq.
+    if (cache_.ContainsLoad(j)) continue;
+    if (op.kind == PlanOpKind::kLoad) return false;
+    const std::string& key = keys[static_cast<size_t>(op.cond)];
+    if (cache_.ContainsSelect(j, key)) continue;
+    if (op.kind != PlanOpKind::kSemiJoin || !cache_.ContainsSemiJoin(j, key)) {
+      return false;
+    }
+  }
+  return any_call;
 }
 
 void QuerySession::Learn(const std::vector<std::string>& cond_texts,
@@ -143,9 +162,9 @@ void QuerySession::Learn(const std::vector<std::string>& cond_texts,
     }
     const Charge* charge = next_select_charge();
     if (charge == nullptr) break;
-    observed_result_size_[{static_cast<size_t>(op.source),
-                           cond_texts[static_cast<size_t>(op.cond)]}] =
-        static_cast<double>(charge->items_received);
+    LearnResultSizeLocked(static_cast<size_t>(op.source),
+                          cond_texts[static_cast<size_t>(op.cond)],
+                          static_cast<double>(charge->items_received));
   }
   // Loads reveal cardinalities.
   for (const Charge& c : charges) {
@@ -168,6 +187,22 @@ void QuerySession::Learn(const std::vector<std::string>& cond_texts,
   }
 }
 
+void QuerySession::LearnResultSizeLocked(size_t source,
+                                         const std::string& cond_text,
+                                         double size) {
+  auto [it, inserted] =
+      observed_result_size_.try_emplace({source, cond_text}, size);
+  if (!inserted) {
+    it->second = size;
+    return;
+  }
+  observed_result_order_.push_back(it);
+  if (observed_result_order_.size() > kObservedSizeCapacity) {
+    observed_result_size_.erase(observed_result_order_.front());
+    observed_result_order_.pop_front();
+  }
+}
+
 void QuerySession::LearnItemsLocked(const ItemSet& items) {
   if (items.is_int64() && observed_values_.empty()) {
     observed_ints_.insert(items.ints().begin(), items.ints().end());
@@ -180,32 +215,76 @@ void QuerySession::LearnItemsLocked(const ItemSet& items) {
   observed_values_.insert(items.begin(), items.end());
 }
 
-Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
-                                         const CallControls& controls) {
-  const FusionQuery query = raw_query.Canonicalized();
+Result<QuerySession::PreparedQuery> QuerySession::Prepare(
+    const FusionQuery& raw) const {
+  PreparedQuery prepared{raw.Canonicalized(), {}, {}};
   FUSION_ASSIGN_OR_RETURN(const Schema schema,
                           mediator_.catalog().CommonSchema());
-  FUSION_RETURN_IF_ERROR(query.Validate(schema));
+  FUSION_RETURN_IF_ERROR(prepared.query.Validate(schema));
+  prepared.cond_texts.reserve(prepared.query.num_conditions());
+  for (const Condition& cond : prepared.query.conditions()) {
+    prepared.cond_texts.push_back(cond.ToString());
+  }
+  return prepared;
+}
 
+Result<std::shared_ptr<const QuerySession::PreparedQuery>>
+QuerySession::PrepareSql(const std::string& sql) {
+  {
+    std::lock_guard<std::mutex> lock(prepared_mutex_);
+    const auto it = prepared_.find(sql);
+    if (it != prepared_.end()) return it->second;
+  }
+  // Outside the lock: a concurrent miss on the same text prepares it too,
+  // and the first to publish wins. Failures are not memoized.
+  FUSION_ASSIGN_OR_RETURN(const FusionQuery raw, ParseFusionQuery(sql));
+  FUSION_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(raw));
+  prepared.sql = sql;
+  auto made = std::make_shared<const PreparedQuery>(std::move(prepared));
+  std::lock_guard<std::mutex> lock(prepared_mutex_);
+  const auto [it, inserted] = prepared_.try_emplace(made->sql, made);
+  if (inserted) {
+    prepared_order_.push_back(made);
+    if (prepared_order_.size() > kPreparedCapacity) {
+      prepared_.erase(prepared_order_.front()->sql);
+      prepared_order_.pop_front();
+    }
+  }
+  return it->second;
+}
+
+Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
+                                         const CallControls& controls) {
+  FUSION_ASSIGN_OR_RETURN(const PreparedQuery prepared, Prepare(raw_query));
+  return AnswerPrepared(prepared, controls);
+}
+
+Result<QueryAnswer> QuerySession::AnswerSql(const std::string& sql,
+                                            const CallControls& controls) {
+  FUSION_ASSIGN_OR_RETURN(const std::shared_ptr<const PreparedQuery> prepared,
+                          PrepareSql(sql));
+  return AnswerPrepared(*prepared, controls);
+}
+
+Result<QueryAnswer> QuerySession::AnswerPrepared(
+    const PreparedQuery& prepared, const CallControls& controls) {
+  const FusionQuery& query = prepared.query;
+  const std::vector<std::string>& cond_texts = prepared.cond_texts;
   const OptimizerStrategy strategy =
       controls.strategy.value_or(options_.strategy);
   const std::optional<StatisticsMode> statistics =
       controls.statistics.has_value() ? controls.statistics
                                       : options_.statistics;
 
-  // Each condition is rendered once per query, outside the knowledge
-  // mutex: the statistics keys, the plan-memo key and learning share them.
-  std::vector<std::string> cond_texts;
-  cond_texts.reserve(query.num_conditions());
-  for (const Condition& cond : query.conditions()) {
-    cond_texts.push_back(cond.ToString());
-  }
   const bool cache_aware =
       options_.use_cache && options_.cache_aware_optimization;
   const std::string memo_key =
       cache_aware ? PlanMemoKey(query, cond_texts, strategy) : std::string();
 
   CostLedger probe_ledger;
+  // Set when the executed plan is the memo's own, which then need not be
+  // stored again.
+  bool from_memo = false;
   Result<OptimizedPlan> optimized_or = [&]() -> Result<OptimizedPlan> {
     ScopedSpan span(SpanCategory::kPhase, "optimize");
     if (span.active()) {
@@ -213,6 +292,26 @@ Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
       span.AddAttr("statistics", statistics.has_value()
                                      ? StatisticsModeName(*statistics)
                                      : "session-learned");
+    }
+    // Zero-priced memo first: when the cache answers every call of the
+    // remembered plan, it re-prices at 0 under the session-learned model,
+    // which is what the memo comparison below would return. Fixed
+    // statistics modes build their model first: a calibrated model meters
+    // its probes.
+    if (cache_aware && !statistics.has_value()) {
+      std::lock_guard<std::mutex> lock(knowledge_mutex_);
+      const auto it = plan_memo_.find(memo_key);
+      if (it != plan_memo_.end() &&
+          CacheAnswersEveryCall(it->second.plan, cond_texts)) {
+        if (span.active()) {
+          span.AddAttr("cache_aware", "true");
+          span.AddAttr("plan_memo", "reused");
+        }
+        from_memo = true;
+        OptimizedPlan remembered = it->second;
+        remembered.estimated_cost = 0.0;
+        return remembered;
+      }
     }
     // Build the base model: either a snapshot of the session-learned
     // statistics (under the knowledge mutex — concurrent learners see a
@@ -242,7 +341,7 @@ Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
     // priced at zero, so a repeated (or overlapping) query plans *through*
     // the cache instead of re-deriving the cold-cache plan.
     if (cache_aware) {
-      const QueryCacheView view = BuildCacheView(query);
+      const QueryCacheView view = BuildCacheView(cond_texts);
       if (view.AnySet()) {
         if (span.active()) span.AddAttr("cache_aware", "true");
         const CacheAwareCostModel cached_model(model, view);
@@ -270,6 +369,7 @@ Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
         // pick anyway, and the optimizer need not run.
         if (remembered.has_value() && remembered->estimated_cost <= 0.0) {
           if (span.active()) span.AddAttr("plan_memo", "reused");
+          from_memo = true;
           return std::move(*remembered);
         }
         FUSION_ASSIGN_OR_RETURN(
@@ -278,6 +378,7 @@ Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
         if (remembered.has_value() &&
             remembered->estimated_cost <= fresh.estimated_cost) {
           if (span.active()) span.AddAttr("plan_memo", "reused");
+          from_memo = true;
           return std::move(*remembered);
         }
         return fresh;
@@ -310,7 +411,7 @@ Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
     ScopedSpan span(SpanCategory::kPhase, "learn");
     Learn(cond_texts, optimized, execution);
   }
-  if (cache_aware) {
+  if (cache_aware && !from_memo) {
     // Remember the executed plan for this (query, strategy): its source
     // calls are now cached under exactly its candidate sets, so replaying
     // it on the next identical query is free.
@@ -331,12 +432,6 @@ Result<QueryAnswer> QuerySession::Answer(const FusionQuery& raw_query,
   answer.execution = std::move(execution);
   answer.calibration_cost = probe_ledger.total();
   return answer;
-}
-
-Result<QueryAnswer> QuerySession::AnswerSql(const std::string& sql,
-                                            const CallControls& controls) {
-  FUSION_ASSIGN_OR_RETURN(FusionQuery query, ParseFusionQuery(sql));
-  return Answer(query, controls);
 }
 
 }  // namespace fusion

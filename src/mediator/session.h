@@ -8,6 +8,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -47,9 +49,11 @@ namespace fusion {
 /// (mediator/service.h) does, multiplexing every connected client onto one
 /// shared session so they share the cache, the breakers, and the learned
 /// statistics. The session knowledge maps are guarded by an internal mutex
-/// (held only while snapshotting statistics into a per-query cost model and
-/// while folding one execution's observations back in — never across source
-/// calls); the cache and the breakers are internally synchronized already.
+/// (held only while snapshotting statistics into a per-query cost model,
+/// while checking the plan memo against the cache and while folding one
+/// execution's observations back in — never across source calls); the
+/// prepared-query memo has its own mutex, and the cache and the breakers
+/// are internally synchronized already.
 class QuerySession {
  public:
   struct Options {
@@ -123,6 +127,10 @@ class QuerySession {
   }
   Result<QueryAnswer> Answer(const FusionQuery& query,
                              const CallControls& controls);
+  /// As Answer(ParseFusionQuery(sql)), but each SQL text is parsed,
+  /// canonicalized, validated and rendered once per session: the prepared
+  /// form is memoized per text (FIFO-bounded by kPreparedCapacity), so a
+  /// repeated text goes straight to planning.
   Result<QueryAnswer> AnswerSql(const std::string& sql) {
     return AnswerSql(sql, CallControls{});
   }
@@ -135,9 +143,16 @@ class QuerySession {
   Mediator& mediator() { return mediator_; }
   const SourceCallCache& cache() const { return cache_; }
   const SourceHealth& health() const { return health_; }
+  /// Learned (source, condition) result sizes held (at most
+  /// kObservedSizeCapacity).
   size_t observed_conditions() const {
     std::lock_guard<std::mutex> lock(knowledge_mutex_);
     return observed_result_size_.size();
+  }
+  /// SQL texts held by the prepared-query memo (at most kPreparedCapacity).
+  size_t prepared_queries() const {
+    std::lock_guard<std::mutex> lock(prepared_mutex_);
+    return prepared_.size();
   }
   /// Executed plans held by the plan memo (at most kPlanMemoCapacity).
   size_t memoized_plans() const {
@@ -159,7 +174,35 @@ class QuerySession {
   /// the hook to call when a source reports its data changed.
   void InvalidateSource(size_t source) { cache_.Invalidate(source); }
 
+  /// Bound of the learned per-(source, condition) result sizes, evicted
+  /// FIFO. The serving benchmark peaks at ~4.6k entries per trial
+  /// (cold_budget; zipf_warm ~780), well inside it, so no benchmark plan
+  /// sees an eviction.
+  static constexpr size_t kObservedSizeCapacity = 16384;
+  /// Bound of the prepared-query memo, evicted FIFO; above the 340
+  /// distinct texts of the serving benchmark's cold_budget pool.
+  static constexpr size_t kPreparedCapacity = 1024;
+
  private:
+  /// A query made ready for planning: the canonical, validated form and its
+  /// rendered conditions, which the statistics keys, the plan-memo key,
+  /// learning and the cache lookups share. A canonical condition is its own
+  /// Simplified() form, so its ToString() is its CacheKey().
+  struct PreparedQuery {
+    FusionQuery query;
+    std::vector<std::string> cond_texts;
+    /// The SQL text, when memoized: the memo's key views it.
+    std::string sql;
+  };
+
+  /// Canonicalizes and validates `raw` and renders its conditions.
+  Result<PreparedQuery> Prepare(const FusionQuery& raw) const;
+  /// Prepare(ParseFusionQuery(sql)) through the prepared-query memo.
+  Result<std::shared_ptr<const PreparedQuery>> PrepareSql(
+      const std::string& sql);
+  Result<QueryAnswer> AnswerPrepared(const PreparedQuery& prepared,
+                                     const CallControls& controls);
+
   /// Builds the per-query parametric model from session knowledge, given
   /// the canonical query's rendered conditions. Caller must hold
   /// knowledge_mutex_.
@@ -173,8 +216,14 @@ class QuerySession {
   }
 
   /// What the cache can answer for this query's (condition, source) pairs,
-  /// for cache-aware optimization.
-  QueryCacheView BuildCacheView(const FusionQuery& query);
+  /// for cache-aware optimization. `keys` are the conditions' cache keys.
+  QueryCacheView BuildCacheView(const std::vector<std::string>& keys);
+  /// True when the cache answers every source op of `plan` without a source
+  /// call, by the rules under which CacheAwareCostModel prices the op at
+  /// zero — the plan then re-prices at 0 under any session-learned model,
+  /// so no model or view need be built. `keys` as for BuildCacheView.
+  bool CacheAnswersEveryCall(const Plan& plan,
+                             const std::vector<std::string>& keys) const;
 
   /// Learns from one execution: exact result sizes for every selection the
   /// plan issued, source cardinalities from loads, and the universe lower
@@ -186,6 +235,10 @@ class QuerySession {
   /// Adds `items` to the learned universe. Caller must hold
   /// knowledge_mutex_.
   void LearnItemsLocked(const ItemSet& items);
+  /// Records one learned result size, evicting the oldest entry past
+  /// kObservedSizeCapacity. Caller must hold knowledge_mutex_.
+  void LearnResultSizeLocked(size_t source, const std::string& cond_text,
+                             double size);
 
   Mediator mediator_;
   Options options_;
@@ -195,7 +248,10 @@ class QuerySession {
   // Session knowledge, shared by every concurrent Answer(). Keys use
   // canonical condition text. Guarded by knowledge_mutex_.
   mutable std::mutex knowledge_mutex_;
-  std::map<std::pair<size_t, std::string>, double> observed_result_size_;
+  using ResultSizeMap = std::map<std::pair<size_t, std::string>, double>;
+  ResultSizeMap observed_result_size_;
+  /// Insertion order of observed_result_size_'s entries, for FIFO eviction.
+  std::deque<ResultSizeMap::iterator> observed_result_order_;
   std::map<size_t, double> observed_cardinality_;
   /// Every item any successful execution received from a source, kept
   /// incrementally: a query pays for the items that arrived with it, not
@@ -220,6 +276,13 @@ class QuerySession {
   static constexpr size_t kPlanMemoCapacity = 128;
   std::map<std::string, OptimizedPlan> plan_memo_;
   std::deque<std::string> plan_memo_order_;
+
+  /// Prepared queries per SQL text, FIFO-bounded by kPreparedCapacity.
+  /// Each key views the text its own entry holds.
+  mutable std::mutex prepared_mutex_;
+  std::unordered_map<std::string_view, std::shared_ptr<const PreparedQuery>>
+      prepared_;
+  std::deque<std::shared_ptr<const PreparedQuery>> prepared_order_;
 };
 
 }  // namespace fusion

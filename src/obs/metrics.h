@@ -138,9 +138,12 @@ inline constexpr char kDeadlineExceededTotal[] = "deadline_exceeded_total";
 /// was set (the serving layer's CANCEL path).
 inline constexpr char kCancelledTotal[] = "cancelled_total";
 /// The serving layer (mediator/service.h): requests accepted into the
-/// admission queue, requests shed with kUnavailable at saturation, requests
-/// cancelled before or during execution, and the live queue depth gauge.
+/// admission queue, those of them run at once on their own connection
+/// thread (a waiting SUBMIT that found nothing queued and a permit free),
+/// requests shed with kUnavailable at saturation, requests cancelled before
+/// or during execution, and the live queue depth gauge.
 inline constexpr char kServiceRequestsTotal[] = "service_requests_total";
+inline constexpr char kServiceInlineRunsTotal[] = "service_inline_runs_total";
 inline constexpr char kServiceSheddedTotal[] = "service_shedded_total";
 inline constexpr char kServiceCancelledTotal[] = "service_cancelled_total";
 inline constexpr char kServiceQueueDepth[] = "service_queue_depth";  // gauge

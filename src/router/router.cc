@@ -139,7 +139,7 @@ std::string QueryRouter::ForwardSubmit(const ClientRequest& request) {
   if (request.sql.empty()) {
     return ErrorFrame(Status::InvalidArgument("SUBMIT requires an sql line"));
   }
-  const std::string key = CanonicalQueryKey(request.sql);
+  const std::string key = keys_.Key(request.sql);
   const std::vector<size_t> ranked = shards_.Ranked(key);
   ClientRequest forward = request;
   if (forward.request_id == 0) forward.request_id = MintRequestId(kRouterRequestIdSalt);

@@ -157,6 +157,8 @@ class QueryRouter {
   /// kMaxWarmEntries keys.
   std::map<std::string, size_t> last_shard_;
   Counters counters_;
+  /// SUBMIT sql -> routing key.
+  QueryKeyMemo keys_;
 };
 
 }  // namespace fusion

@@ -37,6 +37,24 @@ std::string CanonicalQueryKey(const std::string& sql) {
   return key;
 }
 
+std::string QueryKeyMemo::Key(const std::string& sql) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = keys_.find(sql);
+    if (it != keys_.end()) return it->second;
+  }
+  std::string key = CanonicalQueryKey(sql);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (keys_.size() >= kMaxEntries) keys_.clear();
+  keys_.emplace(sql, key);
+  return key;
+}
+
+size_t QueryKeyMemo::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return keys_.size();
+}
+
 Result<ShardMap> ShardMap::Make(std::vector<Shard> shards) {
   if (shards.empty()) {
     return Status::InvalidArgument("shard map needs at least one shard");

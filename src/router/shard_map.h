@@ -2,8 +2,10 @@
 #define FUSION_ROUTER_SHARD_MAP_H_
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -28,6 +30,24 @@ uint64_t Fnv1a64(std::string_view text);
 /// back to the trimmed raw text — still deterministic, routed like any
 /// other key, and the shard will produce the parse error.
 std::string CanonicalQueryKey(const std::string& sql);
+
+/// CanonicalQueryKey memoized per SQL text: a router sees the same texts
+/// over and over, and each key costs a full parse. Bounded like the
+/// router's warm-locality ledger: cleared wholesale past kMaxEntries texts.
+/// Thread-safe.
+class QueryKeyMemo {
+ public:
+  static constexpr size_t kMaxEntries = 64 * 1024;
+
+  /// CanonicalQueryKey(sql), parsed once per text while it stays memoized.
+  std::string Key(const std::string& sql);
+  /// Texts memoized right now (for tests).
+  size_t size() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::unordered_map<std::string, std::string> keys_;
+};
 
 /// The fleet membership plus the rendezvous (highest-random-weight) hash
 /// that assigns every query key an owner shard. Rendezvous hashing gives

@@ -1,5 +1,5 @@
 // The built daemons as processes: fusionqd, fusionrd and fusionsd each
-// serve 200 short connections (after 100 warm-up ones) without growing
+// serve 200 short connections (after 300 earlier ones) without growing
 // their address space by a mapping per connection, and each exits 0 on SIGTERM with idle clients
 // still connected. The binaries' paths come from the build
 // (FUSIONQD_BIN and friends); every child is spawned on --port=0 and
@@ -131,14 +131,16 @@ int WaitExit(pid_t pid, int seconds) {
 /// Connections are served one at a time, so the count measures what a
 /// finished connection leaves behind. (Bursts of concurrent connections
 /// also grow glibc's per-thread malloc arenas, which it caps at 8 per
-/// core.) The first 100 connections warm up what is set up once per
-/// process: a sanitizer runtime's thread bookkeeping adds ~100 mappings
-/// there and then stays flat.
+/// core.) The growth is measured over a second window of 200 connections,
+/// after 100 warm-up ones and a first window of 200: a sanitizer runtime's
+/// thread bookkeeping adds ~100 mappings over the first few hundred
+/// threads (under TSan on a loaded host, 58 within one 200-connection
+/// window right after a 100-connection warm-up) and then stays flat.
 void ExpectBoundedStateAndCleanShutdown(const std::string& binary,
                                         std::vector<std::string> args) {
   const Child child = Spawn(binary, std::move(args));
   ASSERT_GT(child.port, 0);
-  for (int i = 0; i < 100; ++i) Ping(child.port).Close();
+  for (int i = 0; i < 300; ++i) Ping(child.port).Close();
   const size_t maps_before = MapsLines(child.pid);
   ASSERT_GT(maps_before, 0u);
   for (int i = 0; i < 200; ++i) Ping(child.port).Close();

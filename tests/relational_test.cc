@@ -486,6 +486,52 @@ TEST(ConditionSimplifyTest, PreservesSemanticsOnRandomData) {
   }
 }
 
+TEST(ConditionSimplifyTest, CanonicalConditionTextIsItsCacheKey) {
+  // The session renders a canonical query's conditions once and uses the
+  // text as each condition's cache key, which holds only while a
+  // Simplified() condition renders exactly as its CacheKey().
+  Rng rng(78);
+  const char* const kAttrs[] = {"A", "B", "V"};
+  const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  auto constant = [&]() -> Value {
+    switch (rng.Uniform(0, 2)) {
+      case 0:
+        return Value(rng.Uniform(0, 4));
+      case 1:
+        return Value(static_cast<double>(rng.Uniform(0, 8)) / 2.0);
+      default:
+        return Value(
+            std::string(1, static_cast<char>('a' + rng.Uniform(0, 3))));
+    }
+  };
+  std::function<Condition(int)> random_cond = [&](int depth) -> Condition {
+    const std::string attr = kAttrs[rng.Uniform(0, 2)];
+    switch (rng.Uniform(0, depth > 2 ? 3 : 6)) {
+      case 0:
+        return Condition::Compare(attr, kOps[rng.Uniform(0, 5)], constant());
+      case 1:
+        return Condition::Between(attr, constant(), constant());
+      case 2:
+        return Condition::In(attr, {constant(), constant(), constant()});
+      case 3:
+        return rng.Bernoulli(0.5) ? Condition::True() : Condition::False();
+      case 4:
+        return Condition::Not(random_cond(depth + 1));
+      default:
+        return rng.Bernoulli(0.5)
+                   ? Condition::And(random_cond(depth + 1),
+                                    random_cond(depth + 1))
+                   : Condition::Or(random_cond(depth + 1),
+                                   random_cond(depth + 1));
+    }
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Condition canonical = random_cond(0).Simplified();
+    EXPECT_EQ(canonical.ToString(), canonical.CacheKey());
+  }
+}
+
 TEST(ConditionSimplifyTest, IdempotentAndParsesFalse) {
   const Condition c =
       Condition::And(Condition::Eq("A", Value(int64_t{1})),

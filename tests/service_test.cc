@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -22,8 +23,11 @@
 #include "obs/exposition.h"
 #include "obs/trace.h"
 #include "protocol/client_protocol.h"
+#include "protocol/socket.h"
+#include "protocol/tcp_server.h"
 #include "relational/relation.h"
 #include "source/simulated_source.h"
+#include "test_daemon.h"
 #include "workload/dmv.h"
 
 namespace fusion {
@@ -708,6 +712,356 @@ TEST(QueryServiceTest, SubmitAdoptsTheInboundTraceContext) {
   for (const SpanRecord& span : spans) {
     EXPECT_EQ(span.trace_id, submit_options.trace_id) << span.name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Execution permits: waiting SUBMITs run on their connection thread
+// ---------------------------------------------------------------------------
+
+/// A closed-until-opened gate that also counts the source calls inside it
+/// at once and logs each call's condition in arrival order. The serving
+/// layer runs plans serially, so calls inside at once are executions
+/// inside at once.
+struct CountingGate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool open = false;
+  int inside = 0;
+  int max_inside = 0;
+  std::vector<std::string> entered;
+
+  void Enter(const std::string& condition) {
+    std::unique_lock<std::mutex> lock(mutex);
+    max_inside = std::max(max_inside, ++inside);
+    entered.push_back(condition);
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+    --inside;
+  }
+  void AwaitCall(const std::string& condition) {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] {
+      return std::find(entered.begin(), entered.end(), condition) !=
+             entered.end();
+    });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex);
+    open = true;
+    cv.notify_all();
+  }
+  void Close() {
+    std::lock_guard<std::mutex> lock(mutex);
+    open = false;
+  }
+  /// Distinct conditions in order of first arrival: the order executions
+  /// started in.
+  std::vector<std::string> Started() {
+    std::lock_guard<std::mutex> lock(mutex);
+    std::vector<std::string> started;
+    for (const std::string& condition : entered) {
+      if (std::find(started.begin(), started.end(), condition) ==
+          started.end()) {
+        started.push_back(condition);
+      }
+    }
+    return started;
+  }
+};
+
+class CountingGatedSource : public SourceWrapper {
+ public:
+  CountingGatedSource(std::unique_ptr<SourceWrapper> inner, CountingGate* gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  const Schema& schema() const override { return inner_->schema(); }
+  const Capabilities& capabilities() const override {
+    return inner_->capabilities();
+  }
+  Result<ItemSet> Select(const Condition& cond,
+                         const std::string& merge_attribute,
+                         CostLedger* ledger) override {
+    gate_->Enter(cond.ToString());
+    return inner_->Select(cond, merge_attribute, ledger);
+  }
+  Result<ItemSet> SemiJoin(const Condition& cond,
+                           const std::string& merge_attribute,
+                           const ItemSet& candidates,
+                           CostLedger* ledger) override {
+    gate_->Enter(cond.ToString());
+    return inner_->SemiJoin(cond, merge_attribute, candidates, ledger);
+  }
+  Result<Relation> Load(CostLedger* ledger) override {
+    gate_->Enter("load " + name());
+    return inner_->Load(ledger);
+  }
+  Result<Relation> FetchRecords(const std::string& merge_attribute,
+                                const ItemSet& items,
+                                CostLedger* ledger) override {
+    return inner_->FetchRecords(merge_attribute, items, ledger);
+  }
+
+ private:
+  std::unique_ptr<SourceWrapper> inner_;
+  CountingGate* gate_;
+};
+
+/// One DMV source behind `gate`, session-learned statistics, FILTER plans
+/// and no cache: a one-condition query is one sq call, and every request
+/// reaches the gate.
+std::unique_ptr<QueryService> CountingGatedService(
+    CountingGate* gate, QueryService::Options options) {
+  auto instance = BuildDmvFigure1();
+  EXPECT_TRUE(instance.ok());
+  const SimulatedSource* sim = instance->catalog.source(0).AsSimulated();
+  EXPECT_NE(sim, nullptr);
+  SourceCatalog catalog;
+  EXPECT_TRUE(catalog
+                  .Add(std::make_unique<CountingGatedSource>(
+                      std::make_unique<SimulatedSource>(*sim), gate))
+                  .ok());
+  options.client.use_cache = false;
+  options.client.strategy = OptimizerStrategy::kFilter;
+  return std::make_unique<QueryService>(Mediator(std::move(catalog)),
+                                        options);
+}
+
+std::string OneConditionSql(const std::string& value) {
+  return "SELECT u1.L FROM U u1 WHERE u1.V = '" + value + "'";
+}
+std::string ConditionText(const std::string& value) {
+  return "V = '" + value + "'";
+}
+
+/// One FUSIONQ/1 exchange over a connected socket.
+Result<ClientResponse> Exchange(MessageSocket& socket,
+                                const ClientRequest& request) {
+  FUSION_RETURN_IF_ERROR(socket.Send(SerializeClientRequest(request)));
+  FUSION_ASSIGN_OR_RETURN(const std::string reply, socket.Receive());
+  return ParseClientResponse(reply);
+}
+
+ClientRequest SubmitRequest(const std::string& client, const std::string& sql,
+                            bool wait) {
+  ClientRequest submit;
+  submit.kind = ClientRequest::Kind::kSubmit;
+  submit.client_id = client;
+  submit.sql = sql;
+  submit.wait = wait;
+  return submit;
+}
+
+/// Waits (up to 10 s) until the service's queue depth gauge reads `depth`.
+bool AwaitQueueDepth(double depth) {
+  const Gauge& gauge =
+      MetricsRegistry::Global().gauge(metrics::kServiceQueueDepth);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (gauge.value() != depth) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// 1 permit, max_queue 2, six client connections over real sockets, one
+// source whose calls all wait at a gate. A waiting SUBMIT that finds the
+// permit free runs on its connection thread; the next two queue; the rest
+// shed at once. At no time is more than one execution inside the source.
+TEST(QueryServiceConcurrencyTest, InlineRunsKeepThePermitBoundOverSockets) {
+  CountingGate gate;
+  QueryService::Options options;
+  options.workers = 1;
+  options.max_queue = 2;
+  auto service = CountingGatedService(&gate, options);
+  TcpServer daemon(FrameHandler(service.get(), kMaxClientFrameBytes));
+  ASSERT_TRUE(daemon.Start().ok());
+  std::vector<MessageSocket> connections;
+  for (int i = 0; i < 6; ++i) {
+    auto socket = DialTcp(Endpoint(daemon.port()));
+    ASSERT_TRUE(socket.ok()) << socket.status().ToString();
+    connections.push_back(std::move(socket).value());
+  }
+  const std::string clients[] = {"a", "b", "c", "d", "e", "f"};
+  // Client threads. Whatever fails, the gate opens and every thread joins
+  // before the sockets, the server and the service go away.
+  std::vector<std::thread> threads;
+  struct JoinAll {
+    CountingGate& gate;
+    std::vector<std::thread>& threads;
+    ~JoinAll() {
+      gate.Open();
+      for (std::thread& t : threads) {
+        if (t.joinable()) t.join();
+      }
+    }
+  } join_all{gate, threads};
+
+  // Round 1. Connection 0 runs inline and holds the permit at the gate;
+  // 1 and 2 queue (in that order); 3, 4 and 5 are shed.
+  std::vector<Result<ClientResponse>> waited(3, Status::Unavailable("none"));
+  threads.emplace_back([&] {
+    waited[0] = Exchange(connections[0],
+                         SubmitRequest("a", OneConditionSql("r0"), true));
+  });
+  gate.AwaitCall(ConditionText("r0"));
+  threads.emplace_back([&] {
+    waited[1] = Exchange(connections[1],
+                         SubmitRequest("b", OneConditionSql("r1"), true));
+  });
+  EXPECT_TRUE(AwaitQueueDepth(1));
+  threads.emplace_back([&] {
+    waited[2] = Exchange(connections[2],
+                         SubmitRequest("c", OneConditionSql("r2"), true));
+  });
+  EXPECT_TRUE(AwaitQueueDepth(2));
+  // Shed replies come back while the gate is still closed: a shed SUBMIT
+  // never waits on a running one. (Had they taken no permit, they would
+  // sit at the gate; the wait below gives up after 10 s, so the test
+  // fails rather than hangs.)
+  std::vector<Result<ClientResponse>> shed(3, Status::Unavailable("none"));
+  std::atomic<int> shed_replies{0};
+  for (int i = 3; i < 6; ++i) {
+    threads.emplace_back([&, i] {
+      shed[i - 3] = Exchange(connections[i],
+                             SubmitRequest(clients[i], OneConditionSql(
+                                 "r" + std::to_string(i)), true));
+      ++shed_replies;
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (shed_replies.load() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(shed_replies.load(), 3) << "a shed SUBMIT waited on the gate";
+  EXPECT_EQ(gate.Started(), std::vector<std::string>{ConditionText("r0")});
+  gate.Open();
+  for (std::thread& t : threads) t.join();
+  for (const Result<ClientResponse>& reply : shed) {
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_FALSE(reply->ok);
+    EXPECT_EQ(reply->error_code, StatusCode::kUnavailable);
+  }
+  for (const Result<ClientResponse>& reply : waited) {
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_TRUE(reply->ok) << reply->error_message;
+    EXPECT_EQ(reply->state, "done");
+  }
+  EXPECT_EQ(service->shedded(), 3u);
+  EXPECT_EQ(gate.max_inside, 1);
+  // Queued requests start in round-robin client order.
+  EXPECT_EQ(gate.Started(),
+            (std::vector<std::string>{ConditionText("r0"), ConditionText("r1"),
+                                      ConditionText("r2")}));
+
+  // Round 2. A queued ticket cancelled before the permit frees never
+  // starts; the request queued behind it still runs.
+  gate.Close();
+  threads.clear();
+  threads.emplace_back([&] {
+    waited[0] = Exchange(connections[0],
+                         SubmitRequest("a", OneConditionSql("s0"), true));
+  });
+  gate.AwaitCall(ConditionText("s0"));
+  const auto queued =
+      Exchange(connections[1], SubmitRequest("b", OneConditionSql("s1"),
+                                             /*wait=*/false));
+  ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+  ASSERT_TRUE(queued->ok);
+  EXPECT_EQ(queued->state, "queued");
+  threads.emplace_back([&] {
+    waited[2] = Exchange(connections[2],
+                         SubmitRequest("c", OneConditionSql("s2"), true));
+  });
+  ASSERT_TRUE(AwaitQueueDepth(2));
+  ClientRequest cancel;
+  cancel.kind = ClientRequest::Kind::kCancel;
+  cancel.ticket = queued->ticket;
+  const auto cancelled = Exchange(connections[1], cancel);
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_TRUE(cancelled->ok);
+  EXPECT_EQ(cancelled->state, "queued");
+  gate.Open();
+  for (std::thread& t : threads) t.join();
+  for (const size_t i : {size_t{0}, size_t{2}}) {
+    ASSERT_TRUE(waited[i].ok()) << waited[i].status().ToString();
+    EXPECT_TRUE(waited[i]->ok) << waited[i]->error_message;
+  }
+  ClientRequest status;
+  status.kind = ClientRequest::Kind::kStatus;
+  status.ticket = queued->ticket;
+  const auto polled = Exchange(connections[1], status);
+  ASSERT_TRUE(polled.ok());
+  EXPECT_EQ(polled->state, "cancelled");
+  const std::vector<std::string> started = gate.Started();
+  EXPECT_EQ(std::count(started.begin(), started.end(), ConditionText("s1")),
+            0);
+  EXPECT_EQ(started.back(), ConditionText("s2"));
+  EXPECT_EQ(gate.max_inside, 1);
+  for (MessageSocket& socket : connections) socket.Close();
+  daemon.Stop();
+}
+
+// Round-robin across clients, which a FIFO would not give: with the permit
+// held, client a queues two requests and then b one; b's runs between a's.
+TEST(QueryServiceTest, QueuedRequestsStartRoundRobinAcrossClients) {
+  CountingGate gate;
+  QueryService::Options options;
+  options.workers = 1;
+  auto service = CountingGatedService(&gate, options);
+  const auto running = service->Submit("a", OneConditionSql("q0"));
+  ASSERT_TRUE(running.ok());
+  gate.AwaitCall(ConditionText("q0"));
+  std::vector<uint64_t> tickets = {*running};
+  for (const auto& [client, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"a", "q1"}, {"a", "q2"}, {"b", "q3"}}) {
+    const auto ticket = service->Submit(client, OneConditionSql(value));
+    ASSERT_TRUE(ticket.ok());
+    tickets.push_back(*ticket);
+  }
+  gate.Open();
+  for (const uint64_t ticket : tickets) EXPECT_TRUE(service->Wait(ticket).ok());
+  EXPECT_EQ(gate.Started(),
+            (std::vector<std::string>{ConditionText("q0"), ConditionText("q1"),
+                                      ConditionText("q3"),
+                                      ConditionText("q2")}));
+  EXPECT_EQ(gate.max_inside, 1);
+}
+
+// STATS counts the SUBMITs that ran on their connection thread: on an idle
+// service every waiting SUBMIT does, a wait=no SUBMIT never does.
+TEST(QueryServiceTest, InlineRunsCountWaitingSubmitsOnAnIdleService) {
+  auto service = Figure1Service({});
+  const Counter& inline_runs =
+      MetricsRegistry::Global().counter(metrics::kServiceInlineRunsTotal);
+  const Counter& requests =
+      MetricsRegistry::Global().counter(metrics::kServiceRequestsTotal);
+  const uint64_t inline_before = inline_runs.value();
+  const uint64_t requests_before = requests.value();
+  constexpr int kSubmits = 5;
+  const char* queries[] = {kDuiAndSp, kDuiAndSp93, kDuiOnly};
+  for (int i = 0; i < kSubmits; ++i) {
+    const auto response = ParseClientResponse(service->Handle(
+        SerializeClientRequest(SubmitRequest("alice", queries[i % 3], true))));
+    ASSERT_TRUE(response.ok());
+    ASSERT_TRUE(response->ok) << response->error_message;
+    EXPECT_EQ(response->state, "done");
+  }
+  EXPECT_EQ(inline_runs.value() - inline_before, uint64_t{kSubmits});
+
+  const auto queued = ParseClientResponse(service->Handle(
+      SerializeClientRequest(SubmitRequest("alice", kDuiOnly, false))));
+  ASSERT_TRUE(queued.ok());
+  ASSERT_TRUE(queued->ok);
+  EXPECT_TRUE(service->Wait(queued->ticket).ok());
+  EXPECT_EQ(inline_runs.value() - inline_before, uint64_t{kSubmits});
+  EXPECT_EQ(requests.value() - requests_before, uint64_t{kSubmits + 1});
+  EXPECT_NE(service->StatsText().find(metrics::kServiceInlineRunsTotal),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

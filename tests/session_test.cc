@@ -3,6 +3,7 @@
 // fusionq import round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "bench/workload.h"
@@ -16,6 +17,7 @@
 #include "obs/metrics.h"
 #include "optimizer/filter.h"
 #include "optimizer/spj_baseline.h"
+#include "query/parser.h"
 #include "relational/reference_evaluator.h"
 #include "source/flaky_source.h"
 #include "source/simulated_source.h"
@@ -468,6 +470,123 @@ TEST(SessionPlanMemoTest, ZeroPricedMemoHitSkipsTheOptimizer) {
   EXPECT_EQ(refreshed->optimized.plan.ToString(), expected.ToString());
   EXPECT_GT(refreshed->execution.ledger.total(), 0.0);
   EXPECT_EQ(refreshed->items, cold->items);
+}
+
+// With session-learned statistics, a memo whose every call the cache
+// answers is returned before any model or cache view is built. Pins that
+// it is returned exactly when the view-based pricing would put it at 0:
+// before each warm query the test builds the view the full path prices
+// against, and every plan the session returns at 0 without the optimizer
+// must price at 0 under it (and every other one above 0, or the optimizer
+// ran).
+TEST(SessionPlanMemoTest, SessionLearnedZeroPricedMemoMatchesTheCacheView) {
+  bench::MacroWorkloadSpec spec;
+  spec.universe_size = 800;
+  spec.num_sources = 4;
+  spec.num_conditions = 5;
+  spec.pool_size = 40;
+  spec.seed = 29;
+  auto workload = bench::MacroWorkload::Generate(spec);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const std::vector<std::string> pool = workload->pool();
+  QuerySession session(Mediator(std::move(workload->catalog())), {});
+  const SourceCatalog& catalog = session.mediator().catalog();
+  std::vector<const SimulatedSource*> simulated;
+  for (size_t j = 0; j < catalog.size(); ++j) {
+    simulated.push_back(catalog.source(j).AsSimulated());
+    ASSERT_NE(simulated.back(), nullptr);
+  }
+  const Counter& plans = MetricsRegistry::Global().counter(
+      metrics::kOptimizerPlansConsidered);
+  for (const std::string& sql : pool) ASSERT_TRUE(session.AnswerSql(sql).ok());
+
+  size_t shortcuts = 0;
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& sql : pool) {
+      const auto parsed = ParseFusionQuery(sql);
+      ASSERT_TRUE(parsed.ok());
+      const FusionQuery canonical = parsed->Canonicalized();
+      const QueryCacheView view =
+          CacheViewOf(session, canonical, catalog.size());
+      const uint64_t before = plans.value();
+      const auto answer = session.AnswerSql(sql);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      const auto oracle = OracleCostModel::Create(simulated, canonical);
+      ASSERT_TRUE(oracle.ok());
+      const auto price = EstimatePlanCost(answer->optimized.plan, *oracle,
+                                          view);
+      ASSERT_TRUE(price.ok());
+      if (plans.value() == before) {
+        EXPECT_DOUBLE_EQ(answer->optimized.estimated_cost, 0.0) << sql;
+        EXPECT_DOUBLE_EQ(price->total, 0.0) << sql;
+        EXPECT_DOUBLE_EQ(answer->execution.ledger.total(), 0.0) << sql;
+        ++shortcuts;
+      }
+    }
+  }
+  // The warm rounds mostly replay answered plans.
+  EXPECT_GT(shortcuts, pool.size());
+}
+
+// ---------------------------------------------------------------------------
+// Bounded session state
+// ---------------------------------------------------------------------------
+
+// Learned result sizes are FIFO-bounded: a session that sees 1000 more
+// distinct (source, condition) pairs than kObservedSizeCapacity holds at
+// most that many at every point.
+TEST(SessionBoundsTest, LearnedResultSizesStayBounded) {
+  SyntheticInstance instance = SmallInstance(31);
+  const size_t num_sources = instance.catalog.size();
+  QuerySession::Options options;
+  options.strategy = OptimizerStrategy::kFilter;  // one sq per (c, R)
+  options.use_cache = false;
+  QuerySession session(Mediator(std::move(instance.catalog)), options);
+  constexpr size_t kPerQuery = 4;
+  const size_t target = QuerySession::kObservedSizeCapacity + 1000;
+  int64_t next = 0;
+  size_t pairs = 0;
+  size_t max_seen = 0;
+  while (pairs < target) {
+    std::vector<Condition> conditions;
+    for (size_t i = 0; i < kPerQuery; ++i) {
+      conditions.push_back(Condition::Eq("M", Value(next++)));
+    }
+    const auto answer = session.Answer(FusionQuery("M", conditions));
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    pairs += kPerQuery * num_sources;
+    max_seen = std::max(max_seen, session.observed_conditions());
+  }
+  EXPECT_LE(max_seen, QuerySession::kObservedSizeCapacity);
+  EXPECT_EQ(session.observed_conditions(),
+            QuerySession::kObservedSizeCapacity);
+}
+
+// The prepared-query memo answers a repeated text without parsing it
+// again and is FIFO-bounded by kPreparedCapacity.
+TEST(SessionBoundsTest, PreparedQueriesStayBounded) {
+  SyntheticInstance instance = SmallInstance(37);
+  QuerySession::Options options;
+  options.use_cache = false;
+  QuerySession session(Mediator(std::move(instance.catalog)), options);
+  const auto first = session.AnswerSql("SELECT u1.M FROM U u1 WHERE u1.A1 = 1");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(session.prepared_queries(), 1u);
+  const auto again = session.AnswerSql("SELECT u1.M FROM U u1 WHERE u1.A1 = 1");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->items, first->items);
+  EXPECT_EQ(session.prepared_queries(), 1u);
+  // A text that fails to parse or validate is not memoized.
+  EXPECT_FALSE(session.AnswerSql("SELECT nonsense").ok());
+  EXPECT_FALSE(session.AnswerSql("SELECT u1.M FROM U u1 WHERE u1.Z = 1").ok());
+  EXPECT_EQ(session.prepared_queries(), 1u);
+  for (size_t k = 0; k < QuerySession::kPreparedCapacity + 10; ++k) {
+    const std::string sql =
+        "SELECT u1.M FROM U u1 WHERE u1.M = " + std::to_string(k);
+    ASSERT_TRUE(session.AnswerSql(sql).ok());
+    ASSERT_LE(session.prepared_queries(), QuerySession::kPreparedCapacity);
+  }
+  EXPECT_EQ(session.prepared_queries(), QuerySession::kPreparedCapacity);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@
 // over past a dead shard, and apply INVALIDATE broadcasts idempotently.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -142,6 +144,24 @@ TEST(ShardMapTest, CanonicalQueryKeyCommutesConditions) {
   EXPECT_NE(CanonicalQueryKey(kDuiAndSp), CanonicalQueryKey(kDuiOnly));
   // Unparseable text degrades to trimmed-verbatim keying.
   EXPECT_EQ(CanonicalQueryKey("  not sql  "), CanonicalQueryKey("not sql"));
+}
+
+TEST(ShardMapTest, QueryKeyMemoMatchesCanonicalQueryKeyAndStaysBounded) {
+  QueryKeyMemo keys;
+  for (const char* sql : {kDuiAndSp, kSpAndDui, kDuiOnly, "  not sql  "}) {
+    EXPECT_EQ(keys.Key(sql), CanonicalQueryKey(sql)) << sql;
+    EXPECT_EQ(keys.Key(sql), CanonicalQueryKey(sql)) << sql;  // memo hit
+  }
+  EXPECT_EQ(keys.size(), 4u);
+  // Past kMaxEntries texts the memo starts over instead of growing.
+  // (Unparsable texts keep this cheap: their key is the trimmed text.)
+  size_t max_seen = 0;
+  for (size_t i = 0; i <= QueryKeyMemo::kMaxEntries; ++i) {
+    keys.Key("text " + std::to_string(i));
+    max_seen = std::max(max_seen, keys.size());
+  }
+  EXPECT_EQ(max_seen, QueryKeyMemo::kMaxEntries);
+  EXPECT_LT(keys.size(), QueryKeyMemo::kMaxEntries);
 }
 
 // ---------------------------------------------------------------------------
